@@ -142,19 +142,7 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _threads() -> int:
-    raw = os.environ.get("LOWFORM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CliInputError(f"LOWFORM_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise CliInputError("LOWFORM_THREADS must be >= 1")
-    return value
-
-
 def _write_outputs(args, report: dict, inputs: list[str], started: float) -> None:
-    threads = _threads()  # validate before any file is written
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     _dump(report_path, report)
@@ -167,7 +155,6 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
             "rank_tol": getattr(args, "rank_tol", None),
             "tol": getattr(args, "tol", None),
         },
-        "threads": threads,
         "version": __version__,
         "wall_time_s": time.monotonic() - started,
     }

@@ -325,8 +325,26 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
+        """Parse the ``to_json_dict`` format, rejecting what the constructor
+        would repair: non-finite coefficients (dropped), non-integral
+        exponents (truncated) and repeated exponents (merged)."""
         num_vars = data["num_vars"]
-        terms = {tuple(t["exp"]): t["coef"] for t in data["terms"]}
+        terms: dict[Exponent, float] = {}
+        for t in data["terms"]:
+            exp = tuple(t["exp"])
+            if not all(
+                (isinstance(e, int) and not isinstance(e, bool))
+                or (isinstance(e, float) and e.is_integer())
+                for e in exp
+            ):
+                raise ValueError(f"exponent {list(exp)} is not all integers")
+            exp = tuple(int(e) for e in exp)
+            coef = float(t["coef"])
+            if not math.isfinite(coef):
+                raise ValueError(f"coefficient of {list(exp)} is {coef}")
+            if exp in terms:
+                raise ValueError(f"exponent {list(exp)} appears twice")
+            terms[exp] = coef
         return cls(num_vars, terms)
 
 

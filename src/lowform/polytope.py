@@ -23,7 +23,7 @@ import numpy as np
 from .detection import SparseForm
 from .linalg import LpProblem, lp_solve
 from .poly import Polynomial
-from .solvers import Hrep, SolveOptions, minimize_polytope
+from .solvers import Hrep, SolveOptions, _VRepRegion, minimize_polytope
 
 # Sign-robust replacement for the exact "separation value is zero" stop rule.
 SEPARATION_TOL = 1e-8
@@ -311,6 +311,12 @@ def _interval_box(ell: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return low - pad, high + pad
 
 
+def _check_max_cuts(max_cuts: int) -> None:
+    # Each round solves the inner problem once, so zero rounds has no minimizer.
+    if max_cuts < 1:
+        raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
+
+
 def _generic_cut_loop(
     f: Polynomial,
     separate,
@@ -380,6 +386,7 @@ def cut_loop(
     box derived from Omega's coordinate ranges and tightens by one Farkas cut
     per iteration until the separation value is >= -tol.
     """
+    _check_max_cuts(max_cuts)
     opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
     lo, hi = poly.coordinate_ranges()
@@ -413,6 +420,7 @@ def box_cut_loop(
     max_cuts: int = _MAX_CUTS,
 ) -> PolytopeReduceResult:
     """Cut loop specialization for Omega = [-1, 1]^n using support cuts."""
+    _check_max_cuts(max_cuts)
     opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
     m = ell.shape[1]
@@ -448,21 +456,6 @@ def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> Polytope
         witness=weights,
         witness_gap=0.0 if weights is not None else None,
     )
-
-
-@dataclass
-class _VRepRegion:
-    """Convex hull of finitely many points, with an enumeration LMO."""
-
-    points: np.ndarray
-
-    def lmo(self, direction: np.ndarray) -> np.ndarray:
-        scores = self.points @ np.asarray(direction, dtype=float)
-        return self.points[int(np.argmin(scores))].copy()
-
-    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        weights = rng.dirichlet(np.ones(len(self.points)), size=count)
-        return weights @ self.points
 
 
 def _hull_weights(points: np.ndarray, target: np.ndarray) -> np.ndarray | None:

@@ -1,9 +1,11 @@
 """Desk-scale minimization of polynomials on balls, spheres, and polyhedra.
 
 All solvers are multi-start local methods: projected gradient descent with
-Armijo backtracking on the ball and sphere, and Frank-Wolfe with an LP
-linear-minimization oracle on polyhedra.  A brute-force sampler plus local
-polish serves as the independent oracle that anchors equivalence tests.
+Armijo backtracking on the ball and sphere, and Frank-Wolfe on polyhedra.  The
+Frank-Wolfe linear-minimization oracle scans a vertex table, enumerated once
+per region in dimension <= 3, and solves one LP per call otherwise.  A
+brute-force sampler plus local polish serves as the independent oracle that
+anchors equivalence tests.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
@@ -13,7 +15,9 @@ candidate results are reduced by (value, lexicographic point), so identical
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +36,14 @@ _MIN_STEP = 1e-16
 _RESTART_GAP = 1e-4
 
 _BOUNDARY_EPS = 1e-13
+
+# Vertex-table limits: larger regions answer every LMO call with an LP.
+_TABLE_MAX_DIM = 3
+_TABLE_MAX_SUBSETS = 30_000
+# Row subsets whose unit-normalized determinant is below this are singular.
+_SINGULAR_DET = 1e-12
+# Slack, relative to 1 + |rhs| of a unit-normalized row, for keeping a vertex.
+_VERTEX_TOL = 1e-9
 
 
 class InfeasibleRegionError(ValueError):
@@ -64,10 +76,28 @@ class SolveResult:
 
 
 @dataclass
+class _VRepRegion:
+    """Convex hull of finitely many points, with an enumeration LMO."""
+
+    points: np.ndarray
+
+    def lmo(self, direction: np.ndarray) -> np.ndarray:
+        scores = self.points @ np.asarray(direction, dtype=float)
+        return self.points[int(np.argmin(scores))].copy()
+
+    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        weights = rng.dirichlet(np.ones(len(self.points)), size=count)
+        return weights @ self.points
+
+
+@dataclass
 class Hrep:
     """Inequality-form region {x : a_ub @ x <= b_ub, lo <= x <= hi}.
 
     The box part is mandatory so that linear minimization is always bounded.
+    In dimension <= 3 with a finite box, the first :meth:`lmo` call
+    enumerates the vertices into a table and every call scans it; the fields
+    must not change after that.  Otherwise each call solves one LP.
     """
 
     a_ub: np.ndarray
@@ -96,8 +126,21 @@ class Hrep:
             return False
         return True
 
+    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """All constraints as rows @ x <= rhs: a_ub, then x <= hi, then -x <= -lo."""
+        eye = np.eye(self.dim)
+        rows = np.vstack([self.a_ub, eye, -eye])
+        rhs = np.concatenate([self.b_ub, self.hi, -self.lo])
+        return rows, rhs
+
     def lmo(self, direction: np.ndarray) -> np.ndarray:
         """Vertex minimizing direction @ x over the region."""
+        table = self._vertex_table
+        if table is not None:
+            return table.lmo(direction)
+        return self._lp_lmo(direction)
+
+    def _lp_lmo(self, direction: np.ndarray) -> np.ndarray:
         prob = LpProblem(
             c=np.asarray(direction, dtype=float),
             a_ub=self.a_ub if self.a_ub.shape[0] else None,
@@ -110,6 +153,38 @@ class Hrep:
         if res.status == "unbounded":
             raise UnboundedRegionError("region is unbounded")
         return res.point
+
+    @cached_property
+    def _vertex_table(self) -> _VRepRegion | None:
+        """The feasible solutions of every regular dim-subset of the halfspaces.
+
+        Every vertex of the bounded region solves some such subset, so the
+        table's hull is the region.  None routes :meth:`lmo` to the LP: the
+        region is too large for a table or has an infinite bound, or the table
+        came out empty although the LP finds a feasible point.  An empty table
+        whose region the LP confirms empty raises InfeasibleRegionError.
+        """
+        dim = self.dim
+        rows, rhs = self.halfspaces()
+        if (
+            dim > _TABLE_MAX_DIM
+            or math.comb(rows.shape[0], dim) > _TABLE_MAX_SUBSETS
+            or not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
+        ):
+            return None
+        norms = np.linalg.norm(rows, axis=1)
+        norms[norms == 0.0] = 1.0
+        rows, rhs = rows / norms[:, None], rhs / norms
+        subsets = np.array(list(itertools.combinations(range(rows.shape[0]), dim)))
+        mats = rows[subsets]
+        regular = np.abs(np.linalg.det(mats)) > _SINGULAR_DET
+        points = np.linalg.solve(mats[regular], rhs[subsets[regular]][..., None])[..., 0]
+        slack = _VERTEX_TOL * (1.0 + np.abs(rhs))
+        points = points[np.all(points @ rows.T <= rhs + slack, axis=1)]
+        if points.shape[0] == 0:
+            self._lp_lmo(np.zeros(dim))
+            return None
+        return _VRepRegion(points)
 
     def _vertex_mixtures(self, rng: np.random.Generator, count: int) -> np.ndarray:
         num_dirs = max(2 * self.dim, 8)
@@ -488,15 +563,7 @@ def _hrep_projector(region: Hrep):
     if region.a_ub.shape[0] == 0:
         return lambda z: np.clip(z, lo, hi)
     dim = region.dim
-    rows = [region.a_ub[i] for i in range(region.a_ub.shape[0])]
-    rhs = list(region.b_ub)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        rows += [e.copy(), -e.copy()]
-        rhs += [hi[i], -lo[i]]
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    rows, rhs = region.halfspaces()
     if dim > 3 or len(rows) > 40:
         return None
 

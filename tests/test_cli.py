@@ -147,6 +147,11 @@ def test_solve_hrep_domain(tmp_path):
     assert run(["solve", "--objective", obj, "--domain", region, "--out", out]) == 0
     assert read(out / "report.json")["value"] == pytest.approx(0.0, abs=1e-9)
 
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "a_ub": [[1.0, 1.0]], "b_ub": [-1.0], "lo": [0.0, 0.0], "hi": [1.0, 1.0]}))
+    assert run(["solve", "--objective", obj, "--domain", empty, "--out", out]) == 3
+
 
 def test_approx_command(tmp_path):
     gen = tmp_path / "gen"
@@ -217,6 +222,13 @@ def test_malformed_input_exits_2(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"num_vars": 2, "terms": [{"exp": [1], "coef": 1.0}]}))
     assert run(["detect", "--input", schema, "--out", tmp_path / "o"]) == 2
+    # values the constructor would repair are rejected at the parse boundary
+    for term in ({"exp": [1, 0], "coef": float("nan")},
+                 {"exp": [1.7, 0], "coef": 1.0}):
+        bad_term = tmp_path / "bad_term.json"
+        bad_term.write_text(json.dumps({"num_vars": 2, "terms": [
+            {"exp": [0, 2], "coef": 1.0}, term]}))
+        assert run(["detect", "--input", bad_term, "--out", tmp_path / "o"]) == 2
 
 
 def test_reports_are_deterministic(tmp_path, sparse_instance):

@@ -188,6 +188,23 @@ def test_json_round_trip_graded_lex():
     assert Polynomial.from_json_dict(data) == p
 
 
+@pytest.mark.parametrize("terms", [
+    [{"exp": [1, 0], "coef": float("nan")}],
+    [{"exp": [1, 0], "coef": float("inf")}],
+    [{"exp": [1.7, 0], "coef": 1.0}],
+    [{"exp": [True, 0], "coef": 1.0}],
+    [{"exp": [1, 0], "coef": 1.0}, {"exp": [1, 0], "coef": 2.0}],
+])
+def test_from_json_dict_rejects_what_the_constructor_repairs(terms):
+    with pytest.raises(ValueError):
+        Polynomial.from_json_dict({"num_vars": 2, "terms": terms})
+
+
+def test_from_json_dict_accepts_integral_float_exponents():
+    data = {"num_vars": 2, "terms": [{"exp": [2.0, 0], "coef": 1.5}]}
+    assert Polynomial.from_json_dict(data).terms == {(2, 0): 1.5}
+
+
 def test_monomials_up_to_counts():
     assert len(list(monomials_up_to(3, 2))) == 10  # C(5,3)
     assert list(monomials_up_to(0, 4)) == [()]

@@ -95,6 +95,14 @@ def test_cut_loop_constant_objective():
     assert len(res.cuts) <= 1 and res.iterations == 0
 
 
+def test_cut_loops_reject_zero_cut_budget():
+    sf = SparseForm(f=Polynomial(1, {(2,): 1.0}), ell=ELL_DIFF)
+    with pytest.raises(ValueError, match="max_cuts"):
+        cut_loop(sf, simplex3(), OPTS, max_cuts=0)
+    with pytest.raises(ValueError, match="max_cuts"):
+        box_cut_loop(sf, OPTS, max_cuts=0)
+
+
 def test_cut_loop_generates_needed_facet():
     # projection of the simplex under ell = [e1, e2] is the triangle
     # {X >= 0, X1 + X2 <= 1}; the interval box alone misses the diagonal facet

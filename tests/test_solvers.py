@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import lowform.solvers as solvers
 from conftest import random_polynomial
 from lowform.poly import Polynomial
 from lowform.solvers import (
     Hrep,
+    InfeasibleRegionError,
     SolveOptions,
     _frank_wolfe,
     _make_evaluator,
@@ -167,3 +172,113 @@ def test_solve_options_validation():
         SolveOptions(starts=0)
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
+
+
+# ----------------------------------------------------------------------
+# the vertex-table LMO of Hrep
+# ----------------------------------------------------------------------
+
+# Row entries are 0 or of moderate size, so that the LP solver's own
+# small-coefficient cleanup does not change the region it is given.
+_ENTRY = st.sampled_from([0.0]) | st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+
+
+@st.composite
+def bounded_regions(draw):
+    """A box in dimension 1-3 plus rows that keep a drawn point x0 feasible.
+
+    Rows are random, parallel to an earlier row (same or opposite side), or
+    exact duplicates; a slack of 0 puts x0 on the row, which makes vertices
+    degenerate when several rows share it.
+    """
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(_ENTRY, min_size=dim, max_size=dim).map(np.array)
+    lo = np.array(draw(st.lists(st.floats(-2.0, -0.1), min_size=dim, max_size=dim)))
+    hi = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=dim, max_size=dim)))
+    t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)))
+    x0 = lo + t * (hi - lo)
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "parallel", "duplicate"])) if rows else "random"
+        if kind == "duplicate":
+            rows.append(rows[-1])
+            rhs.append(rhs[-1])
+            continue
+        if kind == "parallel":
+            a = draw(st.sampled_from([-1.0, 0.5, 2.0])) * rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            a = draw(vec)
+        slack = draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0))
+        rows.append(a)
+        rhs.append(float(a @ x0) + slack)
+    region = Hrep(a_ub=np.array(rows).reshape(-1, dim), b_ub=rhs, lo=lo, hi=hi)
+    direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    return region, np.array(direction)
+
+
+def _linprog_min(region: Hrep, direction: np.ndarray) -> float:
+    res = linprog(
+        direction,
+        A_ub=region.a_ub if region.a_ub.shape[0] else None,
+        b_ub=region.b_ub if region.b_ub.size else None,
+        bounds=list(zip(region.lo, region.hi)),
+        method="highs",
+        # HiGHS' default tolerances (1e-7) would let it ignore cost entries
+        # below 1e-7 and miss the optimum by more than this test allows.
+        options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_regions())
+def test_vertex_table_lmo_matches_linprog(case):
+    region, direction = case
+    v = region.lmo(direction)
+    opt = _linprog_min(region, direction)
+    assert abs(direction @ v - opt) <= 1e-9 * max(1.0, abs(opt))
+    assert region.contains(v)
+
+
+def _counting_lp(monkeypatch):
+    calls = []
+    real = solvers.lp_solve
+
+    def counted(prob):
+        calls.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(solvers, "lp_solve", counted)
+    return calls
+
+
+def test_vertex_table_lmo_solves_no_lp(monkeypatch):
+    calls = _counting_lp(monkeypatch)
+    region = Hrep(a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        v = region.lmo(rng.standard_normal(2))
+        assert region.contains(v)
+    assert np.allclose(region.lmo(np.array([-1.0, -2.0])), [0.0, 1.0])
+    assert calls == []
+
+
+def test_lmo_uses_lp_above_dim_3_and_for_infinite_bounds(monkeypatch):
+    calls = _counting_lp(monkeypatch)
+    box4 = Hrep(a_ub=np.zeros((0, 4)), b_ub=np.zeros(0), lo=[-1.0] * 4, hi=[1.0] * 4)
+    assert np.allclose(box4.lmo(np.array([1.0, -1.0, 2.0, -2.0])), [-1, 1, -1, 1])
+    assert len(calls) == 1
+    half = Hrep(a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=[0.0, 0.0], hi=[np.inf, 2.0])
+    assert np.allclose(half.lmo(np.array([-1.0, 0.0])), [1.0, 0.0])
+    assert len(calls) == 2
+
+
+def test_empty_region_raises(monkeypatch):
+    calls = _counting_lp(monkeypatch)
+    region = Hrep(a_ub=[[1.0, 1.0]], b_ub=[-1.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+    with pytest.raises(InfeasibleRegionError):
+        region.lmo(np.array([1.0, 0.0]))
+    assert len(calls) == 1  # the table came out empty; one LP confirmed it
+    with pytest.raises(InfeasibleRegionError):
+        minimize_polytope(Polynomial(2, {(1, 0): 1.0}), region, OPTS)
