@@ -8,10 +8,13 @@ coordinates X plus one extra variable Y standing for sqrt(1 - |X|^2):
 
     fhat(X, Y) = E[ h(ell X + Y s v) ],   v uniform on the (n-m)-ball.
 
-The expectation is computed exactly, term by term, with closed-form ball
-moments; a cubature rule on the (n-m)-ball provides an alternative route
-that must agree coefficientwise.  Ball symmetry makes fhat even in Y, so the
-surrogate restricted to Y^2 = 1 - |X|^2 is a genuine polynomial model of h.
+Both routes rotate h once into the orthogonal frame [ell s], giving
+h~(X, Z) = h(ell X + s Z), and map each term c X^alpha Z^beta to
+c E[v^beta] X^alpha Y^|beta|.  They differ only in the source of the tail
+moments E[v^beta]: the exact route uses closed-form ball moments, and a
+cubature rule on the (n-m)-ball provides an alternative source that must
+agree coefficientwise.  Ball symmetry makes fhat even in Y, so the surrogate
+restricted to Y^2 = 1 - |X|^2 is a genuine polynomial model of h.
 
 Minimizing the surrogate over the ball or sphere reduces to two polynomial
 problems on half-spheres in R^(m+1) (the Y >= 0 and Y <= 0 branches), whose
@@ -21,22 +24,20 @@ minimum is the surrogate's exact minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .detection import moment_matrix
 from .linalg import sym_eig
-from .poly import (
-    Polynomial,
-    ball_monomial_moment,
-    monomials_up_to,
-    substitute_linear,
-)
+from .poly import Polynomial, ball_moments, exponent_matrix, monomials_up_to
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_sphere
 
 _ODD_Y_TOL = 1e-12
+# Fewest Monte Carlo samples l2_error accepts.
+MIN_L2_SAMPLES = 10_000
 
 
 class CubatureConstructionError(RuntimeError):
@@ -142,49 +143,58 @@ def choose_m(h: Polynomial, threshold: float = 1e-2) -> int:
     return n
 
 
+def _surrogate(
+    h: Polynomial, split: SpectrumSplit, moments: Callable[[np.ndarray], np.ndarray]
+) -> LiftedPolynomial:
+    """fhat(X, Y) = E[h(ell X + Y s v)] from one rotation of h.
+
+    Composing h with the orthogonal frame [ell s] gives
+    h~(X, Z) = h(ell X + s Z).  Substituting Z = Y v and averaging over v maps
+    each term c X^alpha Z^beta to c mu(beta) X^alpha Y^|beta|, where
+    ``moments`` returns mu(beta) = E[v^beta] for each row of an exponent
+    matrix over the n - m tail variables.
+    """
+    n, m = split.n, split.m
+    frame = np.hstack([split.ell, split.s])
+    forms = [Polynomial.linear_form(frame[i]) for i in range(n)]
+    rotated = h.compose(forms, num_vars=n)
+    exps, coefs = exponent_matrix(rotated)
+    acc: dict[tuple, float] = {}
+    for exp, coef, weight in zip(rotated.terms, coefs, moments(exps[:, m:])):
+        if weight:
+            head = exp[:m] + (sum(exp[m:]),)
+            acc[head] = acc.get(head, 0.0) + coef * weight
+    return LiftedPolynomial(m, Polynomial(m + 1, acc))
+
+
 def conditional_expectation_exact(
     h: Polynomial, split: SpectrumSplit
 ) -> LiftedPolynomial:
     """Exact surrogate fhat(X, Y) = E[h(ell X + Y s v)], v uniform ball.
 
-    The substitution x := ell X + Y (s v) is expanded symbolically over the
-    variables (X, Y, v); each v-monomial is then replaced by its closed-form
-    ball moment.  Odd total v-degree terms vanish, and since every v factor
-    carries one Y factor, the result contains only even powers of Y.
+    h is rotated once into the frame [ell s], and each tail monomial Z^beta
+    is replaced by Y^|beta| times its closed-form moment on the (n - m)-ball.
+    Odd moments vanish, so the result contains only even powers of Y.
     """
-    n, m = split.n, split.m
-    d = n - m
-    # variable order: X_1..X_m, Y, v_1..v_d
-    total = m + 1 + d
-    forms = []
-    for i in range(n):
-        terms: dict[tuple, float] = {}
-        for j in range(m):
-            if split.ell[i, j]:
-                exp = [0] * total
-                exp[j] = 1
-                terms[tuple(exp)] = float(split.ell[i, j])
-        for k in range(d):
-            if split.s[i, k]:
-                exp = [0] * total
-                exp[m] = 1
-                exp[m + 1 + k] = 1
-                terms[tuple(exp)] = float(split.s[i, k])
-        forms.append(Polynomial(total, terms))
-    expanded = h.compose(forms, num_vars=total)
-
-    acc: dict[tuple, float] = {}
-    for exp, coef in expanded.terms.items():
-        head, v_part = exp[: m + 1], exp[m + 1 :]
-        weight = ball_monomial_moment(v_part, d)
-        if weight:
-            acc[head] = acc.get(head, 0.0) + coef * weight
-    return LiftedPolynomial(m, Polynomial(m + 1, acc))
+    d = split.n - split.m
+    return _surrogate(h, split, lambda betas: ball_moments(betas, d))
 
 
 # ----------------------------------------------------------------------
 # cubature on the unit ball
 # ----------------------------------------------------------------------
+
+
+def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(r, k) array whose entry (j, t) is points[j] ** exponents[t]."""
+    vals = np.ones((points.shape[0], exponents.shape[0]))
+    for i in range(points.shape[1]):
+        # one scalar power per distinct exponent keeps numpy's fast x**2 path
+        for a in np.unique(exponents[:, i]):
+            if a:
+                cols = exponents[:, i] == a
+                vals[:, cols] *= points[:, i, None] ** int(a)
+    return vals
 
 
 @dataclass
@@ -196,20 +206,15 @@ class CubatureRule:
     nodes: np.ndarray  # (r, dim), inside the unit ball
     weights: np.ndarray  # (r,), positive, summing to 1
 
-    def integrate_monomial(self, alpha) -> float:
-        vals = np.ones(self.nodes.shape[0])
-        for i, a in enumerate(alpha):
-            if a:
-                vals = vals * self.nodes[:, i] ** a
-        return float(self.weights @ vals)
+    def moments(self, exponents: np.ndarray) -> np.ndarray:
+        """sum_j w_j v_j^beta for every row beta of a (k, dim) exponent matrix."""
+        unique, inverse = np.unique(exponents, axis=0, return_inverse=True)
+        return (self.weights @ _monomial_values(self.nodes, unique))[inverse.reshape(-1)]
 
 
-def _validate_rule(rule: CubatureRule, tol: float = 1e-8) -> float:
-    worst = 0.0
-    for alpha in monomials_up_to(rule.dim, rule.degree):
-        err = abs(rule.integrate_monomial(alpha) - ball_monomial_moment(alpha, rule.dim))
-        worst = max(worst, err)
-    return worst
+def _validate_rule(rule: CubatureRule) -> float:
+    alphas = np.array(list(monomials_up_to(rule.dim, rule.degree)))
+    return float(np.abs(rule.moments(alphas) - ball_moments(alphas, rule.dim)).max())
 
 
 def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
@@ -219,7 +224,8 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
     Legendre weight).  Higher dimensions match moments by nonnegative least
     squares over symmetric (+-v) candidate pairs, which kills all odd-degree
     monomials by construction; candidates are resampled with a larger pool on
-    failure.  The finished rule is validated monomial by monomial.
+    failure.  The finished rule is validated against every moment up to its
+    degree.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -233,22 +239,16 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
             raise CubatureConstructionError("Gauss-Legendre rule failed validation")
         return rule
 
-    even_targets = [
-        alpha for alpha in monomials_up_to(dim, degree) if sum(alpha) % 2 == 0
-    ]
-    b = np.array([ball_monomial_moment(alpha, dim) for alpha in even_targets])
+    even_targets = np.array(
+        [alpha for alpha in monomials_up_to(dim, degree) if sum(alpha) % 2 == 0]
+    )
+    b = ball_moments(even_targets, dim)
     rng = np.random.default_rng(seed)
     num_pairs = max(8 * len(even_targets), 128)
     for attempt in range(5):
         half = sample_ball(rng, num_pairs, dim)
         # columns: v^alpha + (-v)^alpha = 2 v^alpha for even total degree
-        matrix = np.empty((len(even_targets), num_pairs))
-        for r, alpha in enumerate(even_targets):
-            vals = np.ones(num_pairs)
-            for i, a in enumerate(alpha):
-                if a:
-                    vals = vals * half[:, i] ** a
-            matrix[r] = 2.0 * vals
+        matrix = 2.0 * _monomial_values(half, even_targets).T
         weights, residual = nnls(matrix, b)
         if residual <= 1e-10:
             keep = weights > 1e-14
@@ -268,29 +268,19 @@ def conditional_expectation_cubature(
 ) -> LiftedPolynomial:
     """Surrogate via a fixed cubature rule on the tail ball.
 
-    fhat(X, Y) = sum_j w_j h(ell X + Y s v_j); each node makes the
-    substitution linear in (X, Y).  Coefficientwise equal to the exact path
-    whenever the rule's degree covers h's degree.
+    The same rotation as the exact path, with each tail moment E[v^beta]
+    taken from the rule, sum_j w_j v_j^beta, instead of the closed form.
+    Coefficientwise equal to the exact path whenever the rule's degree covers
+    h's degree.
     """
-    n, m = split.n, split.m
-    d = n - m
+    d = split.n - split.m
     if rule.dim != d:
         raise ValueError(f"rule dimension {rule.dim} != tail dimension {d}")
     if rule.degree < h.degree():
         raise ValueError(
             f"rule degree {rule.degree} is below polynomial degree {h.degree()}"
         )
-    acc: dict[tuple, float] = {}
-    for node, weight in zip(rule.nodes, rule.weights):
-        shift = split.s @ node  # coefficient of Y in each coordinate
-        forms = [
-            Polynomial.linear_form(list(split.ell[i, :]) + [float(shift[i])])
-            for i in range(n)
-        ]
-        contrib = substitute_linear(h, forms)
-        for exp, coef in contrib.terms.items():
-            acc[exp] = acc.get(exp, 0.0) + weight * coef
-    return LiftedPolynomial(m, Polynomial(m + 1, acc))
+    return _surrogate(h, split, rule.moments)
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +351,8 @@ def l2_error(
     seed: int = 0,
 ) -> L2Estimate:
     """Monte Carlo estimate of E[(h - hhat)^2] on the uniform unit ball."""
-    if num_samples < 10_000:
-        raise ValueError("num_samples must be at least 10^4")
+    if num_samples < MIN_L2_SAMPLES:
+        raise ValueError(f"num_samples must be at least {MIN_L2_SAMPLES}")
     rng = np.random.default_rng(seed)
     pts = sample_ball(rng, num_samples, h.num_vars)
     diff_sq = (h.evaluate_many(pts) - hhat_eval_many(fhat, split, pts)) ** 2

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .approx import (
+    MIN_L2_SAMPLES,
     CubatureConstructionError,
     build_cubature,
     choose_m,
@@ -168,6 +169,20 @@ def _solve_options(args) -> SolveOptions:
     )
 
 
+def _check_options(args) -> None:
+    """Reject out-of-range numeric options before any work is done."""
+    try:
+        _solve_options(args)
+    except ValueError as exc:
+        raise CliInputError(
+            f"--starts, --max-iter and --tol must be positive, got "
+            f"{args.starts}, {args.max_iter} and {args.tol}"
+        ) from exc
+    l2_samples = getattr(args, "l2_samples", MIN_L2_SAMPLES)
+    if l2_samples < MIN_L2_SAMPLES:
+        raise CliInputError(f"--l2-samples must be at least {MIN_L2_SAMPLES}, got {l2_samples}")
+
+
 # ----------------------------------------------------------------------
 # command implementations
 # ----------------------------------------------------------------------
@@ -293,6 +308,9 @@ def cmd_approx(args) -> int:
     n = h.num_vars
     if n < 2:
         raise CliInputError("approx needs a polynomial in at least 2 variables")
+    degree = args.degree if args.degree is not None else h.degree()
+    if degree < h.degree():
+        raise CliInputError(f"--degree {degree} is below the degree {h.degree()} of h")
     if args.m is not None:
         if not 1 <= args.m <= n - 1:
             raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
@@ -303,7 +321,7 @@ def cmd_approx(args) -> int:
     path = args.path
     if path == "cubature":
         try:
-            rule = build_cubature(n - m, args.degree or h.degree(), seed=args.seed)
+            rule = build_cubature(n - m, degree, seed=args.seed)
             fhat = conditional_expectation_cubature(h, split, rule)
         except CubatureConstructionError:
             path = "exact"  # fall back when no rule reaches tolerance
@@ -525,6 +543,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

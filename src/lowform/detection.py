@@ -5,7 +5,8 @@ its gradients span an m-dimensional subspace V.  Two routes find m and an
 orthonormal basis of V:
 
 * the exact route builds the matrix E[grad h grad h^T] under the uniform
-  distribution on the unit ball (computable in closed form for polynomials)
+  distribution on the unit ball (in closed form, as G K G^T over the
+  gradient coefficient matrix G and the ball moments K of monomial pairs)
   and reads m off its numeric rank, taking the eigenvectors of the nonzero
   eigenvalues as the basis;
 * the randomized route stacks gradients at random ball points until the rank
@@ -17,7 +18,6 @@ substitution and can be audited on random points.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .linalg import (
     orthonormalize,
     sym_eig,
 )
-from .poly import Polynomial, ball_monomial_moment
+from .poly import Polynomial, ball_moments, exponent_matrix
 from .sampling import sample_ball
 
 
@@ -66,37 +66,40 @@ class SparseForm:
 def moment_matrix(h: Polynomial) -> np.ndarray:
     """n x n matrix with entries E[dh/dx_i * dh/dx_j] on the unit ball.
 
-    Entries are exact: the product of two gradient components is integrated
-    term by term with closed-form monomial moments.  Terms are bucketed by
-    exponent parity first, since a product monomial has nonzero moment only
-    when both factors share the same parity pattern.
+    The gradient is read off h's exponent matrix by index shift, as a
+    coefficient matrix G (n x u) over the u distinct gradient monomials, so
+    the result is G K G^T with K[a, b] the ball moment of monomial a times
+    monomial b.  K[a, b] is zero unless the two monomials share a parity
+    pattern, so only those pairs (a, b) are formed, and with their exact
+    moments w (see ``ball_moments``) the matrix is (G[:, a] * w) @ G[:, b]^T.
+    It is symmetrized at the end, so it is exactly symmetric.
     """
     n = h.num_vars
-    grads = h.gradient()
-    buckets = []
-    for g in grads:
-        by_parity: dict[tuple, list] = defaultdict(list)
-        for exp, coef in g.terms.items():
-            by_parity[tuple(e & 1 for e in exp)].append((exp, coef))
-        buckets.append(by_parity)
+    exps, coefs = exponent_matrix(h)
+    terms, var = np.nonzero(exps)  # d/dx_var of term `terms` is nonzero
+    if not terms.size:
+        return np.zeros((n, n))
+    shifted = exps[terms]
+    shifted[np.arange(terms.size), var] -= 1
+    monos, column = np.unique(shifted, axis=0, return_inverse=True)
+    grad = np.zeros((n, monos.shape[0]))
+    grad[var, column.reshape(-1)] = coefs[terms] * exps[terms, var]
 
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0.0
-            small, large = buckets[i], buckets[j]
-            if len(large) < len(small):
-                small, large = large, small
-            for parity, terms_i in small.items():
-                terms_j = large.get(parity)
-                if not terms_j:
-                    continue
-                for exp_a, coef_a in terms_i:
-                    for exp_b, coef_b in terms_j:
-                        combined = tuple(a + b for a, b in zip(exp_a, exp_b))
-                        acc += coef_a * coef_b * ball_monomial_moment(combined, n)
-            matrix[i, j] = matrix[j, i] = acc
-    return matrix
+    # pair every monomial a with each member b of its parity group; group g
+    # is order[start[g] : start[g] + sizes[g]], and `within` counts 0..size-1
+    # along each run of a's copies
+    _, group = np.unique(monos & 1, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    start = np.cumsum(sizes) - sizes
+    reps = sizes[group]
+    a = np.repeat(np.arange(monos.shape[0]), reps)
+    within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    b = order[np.repeat(start[group], reps) + within]
+    w = ball_moments(monos[a] + monos[b], n)
+    matrix = (grad[:, a] * w) @ grad[:, b].T
+    return (matrix + matrix.T) / 2.0
 
 
 def detect_exact(h: Polynomial, rank_tol: float = DEFAULT_RANK_TOL) -> DetectionReport:

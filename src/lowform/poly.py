@@ -8,9 +8,10 @@ dropped on construction, which keeps term maps from accreting numerical dust
 through long chains of arithmetic.
 
 The module also provides closed-form expectations of monomials under the
-uniform probability distribution on the n-dimensional Euclidean unit ball.
-The formula is evaluated in exact rational arithmetic and converted to float
-at the end, so results are correctly rounded doubles.
+uniform probability distribution on the n-dimensional Euclidean unit ball,
+one exponent at a time or for a whole exponent matrix.  The formula is
+evaluated in exact rational arithmetic and converted to float at the end, so
+results are correctly rounded doubles.
 """
 
 from __future__ import annotations
@@ -395,6 +396,36 @@ def ball_monomial_moment(alpha: Sequence[int], n: int) -> float:
     if any(a % 2 for a in alpha):
         return 0.0
     return _even_moment(tuple(a // 2 for a in alpha), n)
+
+
+def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
+    """E[x^alpha] for every row alpha of an (N, n) integer exponent matrix.
+
+    The array form of :func:`ball_monomial_moment`, equal to it bit for bit:
+    rows with an odd entry are 0, and every other distinct row is evaluated
+    once by the same exact rational formula.
+    """
+    exps = np.asarray(exponents)
+    if exps.ndim != 2 or exps.shape[1] != n:
+        raise DimensionMismatchError(f"exponents must have shape (N, {n}), got {exps.shape}")
+    if exps.size and exps.min() < 0:
+        raise ValueError("exponents must be nonnegative")
+    if n == 0:
+        return np.ones(exps.shape[0])
+    out = np.zeros(exps.shape[0])
+    even = ~np.any(exps & 1, axis=1)
+    if even.any():
+        halves, inverse = np.unique(exps[even] >> 1, axis=0, return_inverse=True)
+        values = np.array([_even_moment(tuple(row), n) for row in halves.tolist()])
+        out[even] = values[inverse.reshape(-1)]
+    return out
+
+
+def exponent_matrix(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """p's terms as an (N, num_vars) int exponent matrix and N coefficients,
+    both in term-map order."""
+    exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.num_vars)
+    return exps, np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
 
 
 def expectation_uniform_ball(p: Polynomial) -> float:

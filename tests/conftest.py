@@ -2,19 +2,22 @@
 
 Oracles here deliberately avoid library code paths they are checking:
 ball moments are estimated by rejection sampling from the cube (not the
-library's Gaussian sampler), gradients by central finite differences, and
-LPs by exhaustive vertex enumeration.
+library's Gaussian sampler), gradients by central finite differences, LPs
+by exhaustive vertex enumeration, and the gradient moment matrix by a
+term-pair double loop over scalar moments rather than the library's
+G K G^T form.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from lowform.generate import Instance, generate_instance
-from lowform.poly import Polynomial, monomials_up_to
+from lowform.poly import Polynomial, ball_monomial_moment, monomials_up_to
 
 # ----------------------------------------------------------------------
 # independent oracles
@@ -115,6 +118,42 @@ def lp_vertex_enumeration(c, a_ub, b_ub, a_eq, b_eq, bounds):
             if best is None or val < best:
                 best = val
     return best
+
+
+def reference_moment_matrix(h: Polynomial) -> np.ndarray:
+    """n x n matrix with entries E[dh/dx_i * dh/dx_j] on the unit ball.
+
+    Entries are exact: the product of two gradient components is integrated
+    term by term with closed-form monomial moments.  Terms are bucketed by
+    exponent parity first, since a product monomial has nonzero moment only
+    when both factors share the same parity pattern.
+    """
+    n = h.num_vars
+    grads = h.gradient()
+    buckets = []
+    for g in grads:
+        by_parity: dict[tuple, list] = defaultdict(list)
+        for exp, coef in g.terms.items():
+            by_parity[tuple(e & 1 for e in exp)].append((exp, coef))
+        buckets.append(by_parity)
+
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            acc = 0.0
+            small, large = buckets[i], buckets[j]
+            if len(large) < len(small):
+                small, large = large, small
+            for parity, terms_i in small.items():
+                terms_j = large.get(parity)
+                if not terms_j:
+                    continue
+                for exp_a, coef_a in terms_i:
+                    for exp_b, coef_b in terms_j:
+                        combined = tuple(a + b for a, b in zip(exp_a, exp_b))
+                        acc += coef_a * coef_b * ball_monomial_moment(combined, n)
+            matrix[i, j] = matrix[j, i] = acc
+    return matrix
 
 
 def random_polynomial(rng: np.random.Generator, num_vars: int, degree: int,

@@ -107,7 +107,7 @@ def test_build_cubature_dim1():
     assert np.allclose(sorted(rule.nodes.ravel()), [-1 / math.sqrt(3), 1 / math.sqrt(3)])
     assert np.allclose(rule.weights, [0.5, 0.5])
     for alpha, target in [((0,), 1.0), ((1,), 0.0), ((2,), 1 / 3), ((3,), 0.0)]:
-        assert rule.integrate_monomial(alpha) == pytest.approx(target, abs=1e-12)
+        assert rule.moments(np.array([alpha]))[0] == pytest.approx(target, abs=1e-12)
 
 
 def test_build_cubature_higher_dims():
@@ -117,9 +117,9 @@ def test_build_cubature_higher_dims():
         assert np.all(rule.weights > 0)
         for alpha in monomials_up_to(dim, degree):
             target = ball_monomial_moment(alpha, dim)
-            assert rule.integrate_monomial(alpha) == pytest.approx(target, abs=1e-8)
+            assert rule.moments(np.array([alpha]))[0] == pytest.approx(target, abs=1e-8)
             if sum(alpha) % 2 == 1:
-                assert rule.integrate_monomial(alpha) == pytest.approx(0.0, abs=1e-15)
+                assert rule.moments(np.array([alpha]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cubature_path_matches_exact_path():
@@ -135,6 +135,21 @@ def test_cubature_path_matches_exact_path():
         rule = build_cubature(2, inst.h.degree(), seed=i)
         cub = conditional_expectation_cubature(inst.h, split, rule)
         assert exact.poly.coefficient_distance(cub.poly) < 1e-8
+
+
+def test_cubature_surrogate_at_points():
+    # fhat(X, Y) = sum_j w_j h(ell X + Y s v_j), summed by direct evaluation
+    inst = generate_instance(76, 5, 2, 4, epsilon=0.1)
+    split = split_spectrum(inst.h, 2)
+    rule = build_cubature(3, 4, seed=3)
+    fhat = conditional_expectation_cubature(inst.h, split, rule)
+    rng = np.random.default_rng(8)
+    for point in mc_ball_points(3, 20, seed=12):
+        x, y = point[:2], point[2] * rng.choice([-1.0, 1.0])
+        pts = x @ split.ell.T + y * (rule.nodes @ split.s.T)
+        expected = float(rule.weights @ inst.h.evaluate_many(pts))
+        got = fhat.poly.evaluate(np.append(x, y))
+        assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected)), (x, y)
 
 
 def test_cubature_degree_deficiency_rejected():

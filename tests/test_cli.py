@@ -231,6 +231,46 @@ def test_malformed_input_exits_2(tmp_path):
         assert run(["detect", "--input", bad_term, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.fixture()
+def perturbed_instance(tmp_path):
+    out = tmp_path / "pert"
+    assert run(["gen", "--seed", 13, "--n", 4, "--m", 2, "--degree", 3,
+                "--epsilon", 0.1, "--out", out]) == 0
+    return out / "h.json"
+
+
+def _rejected(argv, out):
+    """The command exits 2 and writes no report."""
+    return run(argv + ["--out", out]) == 2 and not (out / "report.json").exists()
+
+
+def test_l2_samples_below_minimum_exits_2(tmp_path, perturbed_instance):
+    assert _rejected(["approx", "--input", perturbed_instance, "--l2-samples", 5000],
+                     tmp_path / "approx")
+    assert _rejected(["pipeline", "--input", perturbed_instance, "--domain", "sphere",
+                      "--l2-samples", 5000], tmp_path / "pipeline")
+
+
+def test_zero_starts_exits_2(tmp_path, sparse_instance):
+    assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
+                      "--starts", 0], tmp_path / "o")
+
+
+def test_zero_max_iter_exits_2(tmp_path, sparse_instance):
+    assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
+                      "--max-iter", 0], tmp_path / "o")
+
+
+def test_zero_tol_exits_2(tmp_path, sparse_instance):
+    assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
+                      "--tol", 0], tmp_path / "o")
+
+
+def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
+    assert _rejected(["approx", "--input", perturbed_instance, "--m", 2,
+                      "--path", "cubature", "--degree", 0], tmp_path / "o")
+
+
 def test_reports_are_deterministic(tmp_path, sparse_instance):
     a, b = tmp_path / "ra", tmp_path / "rb"
     run(["pipeline", "--input", sparse_instance, "--domain", "sphere", "--out", a])

@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import mc_ball_points, random_polynomial, sin_principal_angle
+from conftest import (
+    mc_ball_points,
+    random_polynomial,
+    reference_moment_matrix,
+    sin_principal_angle,
+)
 from lowform.detection import (
     RankNotStabilizedError,
     SparseForm,
@@ -30,6 +37,46 @@ def test_moment_matrix_constant_and_linear():
     assert np.allclose(moment_matrix(Polynomial.constant(3, 2.0)), np.zeros((3, 3)))
     h = Polynomial(2, {(1, 0): 1.0})
     assert np.allclose(moment_matrix(h), [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _moment_case(n: int, degree: int, kind: str, seed: int) -> Polynomial:
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return Polynomial.zero(n)
+    if kind == "constant" or n == 0:
+        return Polynomial.constant(n, float(rng.standard_normal()))
+    if kind == "single":  # a polynomial in one variable only
+        j = int(rng.integers(n))
+        return Polynomial(n, {
+            tuple(k if i == j else 0 for i in range(n)): float(rng.standard_normal())
+            for k in range(degree + 1)
+        })
+    if kind == "full":  # m = n: gradients span every direction
+        return generate_instance(seed, n, n, max(degree, 2)).h
+    return random_polynomial(rng, n, degree, density=0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    degree=st.integers(0, 5),
+    kind=st.sampled_from(["zero", "constant", "single", "full", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, degree=0, kind="zero", seed=0)
+@example(n=3, degree=2, kind="zero", seed=0)
+@example(n=4, degree=0, kind="constant", seed=1)
+@example(n=5, degree=4, kind="full", seed=2)
+@example(n=8, degree=5, kind="full", seed=3)
+@example(n=6, degree=5, kind="single", seed=4)
+def test_moment_matrix_matches_reference(n, degree, kind, seed):
+    h = _moment_case(n, degree, kind, seed)
+    got = moment_matrix(h)
+    want = reference_moment_matrix(h)
+    assert got.shape == (n, n)
+    assert np.array_equal(got, got.T)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= 1e-12 * scale
 
 
 def test_moment_matrix_is_psd_symmetric():

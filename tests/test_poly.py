@@ -16,6 +16,7 @@ from lowform.poly import (
     DimensionMismatchError,
     Polynomial,
     ball_monomial_moment,
+    ball_moments,
     expectation_uniform_ball,
     monomials_up_to,
     substitute_linear,
@@ -88,6 +89,19 @@ def test_ball_moment_examples():
     assert ball_monomial_moment((0, 0, 0, 0), 4) == 1.0
     assert ball_monomial_moment((1, 2), 2) == 0.0
     assert ball_monomial_moment((2, 0, 0), 3) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_ball_moments_equal_scalar_form_bitwise():
+    # every exponent of degree <= 8 in n <= 5, odd entries included
+    for n in range(6):
+        alphas = list(monomials_up_to(n, 8))
+        got = ball_moments(np.array(alphas, dtype=np.int64).reshape(len(alphas), n), n)
+        want = np.array([ball_monomial_moment(alpha, n) for alpha in alphas])
+        assert got.tobytes() == want.tobytes(), n
+    with pytest.raises(DimensionMismatchError):
+        ball_moments(np.zeros((2, 3), dtype=np.int64), 2)
+    with pytest.raises(ValueError):
+        ball_moments(np.array([[2, -2]]), 2)
 
 
 def test_ball_moment_against_monte_carlo():
