@@ -21,6 +21,7 @@ from .detection import (
     detect_exact,
     detect_randomized,
     extract_sparse_form,
+    gradient_spectrum,
     moment_matrix,
     verify_sparse_form,
 )
@@ -57,7 +58,6 @@ from .solvers import (
     Hrep,
     SolveOptions,
     SolveResult,
-    brute_force_min,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import nnls
 
-from .detection import moment_matrix
-from .linalg import sym_eig
-from .poly import Polynomial, ball_moments, exponent_matrix, monomials_up_to
+from .detection import gradient_spectrum
+from .linalg import SymEig
+from .poly import Polynomial, ball_moments, exponent_matrix, monomials_up_to, unique_rows
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_sphere
 
@@ -116,12 +116,16 @@ class LiftedPolynomial:
         return acc
 
 
-def split_spectrum(h: Polynomial, m: int) -> SpectrumSplit:
-    """Split the gradient moment spectrum of h at index m (1 <= m < n)."""
+def split_spectrum(h: Polynomial, m: int, eig: SymEig | None = None) -> SpectrumSplit:
+    """Split the gradient moment spectrum of h at index m (1 <= m < n).
+
+    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
+    """
     n = h.num_vars
     if not 1 <= m < n:
         raise ValueError(f"m must satisfy 1 <= m < {n}, got {m}")
-    eig = sym_eig(moment_matrix(h))
+    if eig is None:
+        eig = gradient_spectrum(h)
     return SpectrumSplit(
         ell=eig.eigenvectors[:, :m].copy(),
         s=eig.eigenvectors[:, m:].copy(),
@@ -130,9 +134,13 @@ def split_spectrum(h: Polynomial, m: int) -> SpectrumSplit:
     )
 
 
-def choose_m(h: Polynomial, threshold: float = 1e-2) -> int:
-    """Smallest m whose spectral tail fraction drops below ``threshold``."""
-    eig = sym_eig(moment_matrix(h))
+def choose_m(h: Polynomial, threshold: float = 1e-2, eig: SymEig | None = None) -> int:
+    """Smallest m whose spectral tail fraction drops below ``threshold``.
+
+    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
+    """
+    if eig is None:
+        eig = gradient_spectrum(h)
     total = float(eig.eigenvalues.sum())
     n = eig.eigenvalues.size
     if total <= 0.0:
@@ -208,8 +216,8 @@ class CubatureRule:
 
     def moments(self, exponents: np.ndarray) -> np.ndarray:
         """sum_j w_j v_j^beta for every row beta of a (k, dim) exponent matrix."""
-        unique, inverse = np.unique(exponents, axis=0, return_inverse=True)
-        return (self.weights @ _monomial_values(self.nodes, unique))[inverse.reshape(-1)]
+        unique, inverse = unique_rows(exponents)
+        return (self.weights @ _monomial_values(self.nodes, unique))[inverse]
 
 
 def _validate_rule(rule: CubatureRule) -> float:

@@ -38,10 +38,10 @@ from .detection import (
     detect_exact,
     detect_randomized,
     extract_sparse_form,
+    gradient_spectrum,
     verify_sparse_form,
 )
 from .generate import generate_instance
-from .linalg import sym_eig
 from .poly import Polynomial
 from .polytope import (
     InfeasibleDomainError,
@@ -188,14 +188,14 @@ def _check_options(args) -> None:
 # ----------------------------------------------------------------------
 
 
-def _detect_report(h: Polynomial, args) -> dict:
+def _detect_report(h: Polynomial, args, eig=None) -> dict:
     if args.method == "randomized":
         try:
             rep = detect_randomized(h, seed=args.seed, rank_tol=args.rank_tol)
         except RankNotStabilizedError:
-            rep = detect_exact(h, rank_tol=args.rank_tol)
+            rep = detect_exact(h, rank_tol=args.rank_tol, eig=eig)
     else:
-        rep = detect_exact(h, rank_tol=args.rank_tol)
+        rep = detect_exact(h, rank_tol=args.rank_tol, eig=eig)
     return {
         "m": rep.m,
         "basis": rep.basis,
@@ -311,13 +311,14 @@ def cmd_approx(args) -> int:
     degree = args.degree if args.degree is not None else h.degree()
     if degree < h.degree():
         raise CliInputError(f"--degree {degree} is below the degree {h.degree()} of h")
+    if args.m is not None and not 1 <= args.m <= n - 1:
+        raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
+    eig = gradient_spectrum(h)
     if args.m is not None:
-        if not 1 <= args.m <= n - 1:
-            raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
         m = args.m
     else:
-        m = max(1, min(choose_m(h, threshold=args.m_threshold), n - 1))
-    split = split_spectrum(h, m)
+        m = max(1, min(choose_m(h, threshold=args.m_threshold, eig=eig), n - 1))
+    split = split_spectrum(h, m, eig=eig)
     path = args.path
     if path == "cubature":
         try:
@@ -360,16 +361,13 @@ def cmd_pipeline(args) -> int:
     inputs = [args.input]
     opts = _solve_options(args)
 
-    detect = _detect_report(h, args)
+    # one spectrum per run: detection, the route's tail ratio and the split
+    eig = gradient_spectrum(h)
+    detect = _detect_report(h, args, eig)
     m = detect["m"]
     sf = extract_sparse_form(h, np.asarray(detect["basis"], dtype=float).reshape(n, -1))
     residual = verify_sparse_form(h, sf, num_points=200, seed=args.seed)
-    if detect["method"] == "exact":
-        spectrum = np.asarray(detect["spectrum"], dtype=float)
-    else:
-        from .detection import moment_matrix
-
-        spectrum = sym_eig(moment_matrix(h)).eigenvalues
+    spectrum = eig.eigenvalues
     total = float(spectrum.sum())
     tail_ratio = float(spectrum[m:].sum()) / total if total > 0 else 0.0
 
@@ -420,8 +418,8 @@ def cmd_pipeline(args) -> int:
                 status = EXIT_NO_CONVERGENCE
     else:
         report["route"] = "approx"
-        m_approx = max(1, min(m if 1 <= m < n else choose_m(h), n - 1))
-        split = split_spectrum(h, m_approx)
+        m_approx = max(1, min(m if 1 <= m < n else choose_m(h, eig=eig), n - 1))
+        split = split_spectrum(h, m_approx, eig=eig)
         fhat = conditional_expectation_exact(h, split)
         minimum = solve_Q(fhat, opts)
         err = l2_error(h, fhat, split, num_samples=args.l2_samples, seed=args.seed)

@@ -25,12 +25,20 @@ import scipy.linalg
 
 from .linalg import (
     DEFAULT_RANK_TOL,
+    SymEig,
     fix_column_signs,
     numeric_rank,
     orthonormalize,
     sym_eig,
 )
-from .poly import Polynomial, ball_moments, exponent_matrix
+from .poly import (
+    GradientEvaluator,
+    Polynomial,
+    ball_moments,
+    exponent_matrix,
+    partial_terms,
+    unique_rows,
+)
 from .sampling import sample_ball
 
 
@@ -75,21 +83,17 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
     It is symmetrized at the end, so it is exactly symmetric.
     """
     n = h.num_vars
-    exps, coefs = exponent_matrix(h)
-    terms, var = np.nonzero(exps)  # d/dx_var of term `terms` is nonzero
-    if not terms.size:
+    var, shifted, partial_coefs = partial_terms(*exponent_matrix(h))
+    if not var.size:
         return np.zeros((n, n))
-    shifted = exps[terms]
-    shifted[np.arange(terms.size), var] -= 1
-    monos, column = np.unique(shifted, axis=0, return_inverse=True)
+    monos, column = unique_rows(shifted)
     grad = np.zeros((n, monos.shape[0]))
-    grad[var, column.reshape(-1)] = coefs[terms] * exps[terms, var]
+    grad[var, column] = partial_coefs
 
     # pair every monomial a with each member b of its parity group; group g
     # is order[start[g] : start[g] + sizes[g]], and `within` counts 0..size-1
     # along each run of a's copies
-    _, group = np.unique(monos & 1, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    _, group = unique_rows(monos & 1)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
     start = np.cumsum(sizes) - sizes
@@ -102,9 +106,24 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
-def detect_exact(h: Polynomial, rank_tol: float = DEFAULT_RANK_TOL) -> DetectionReport:
-    """Exact detection via the spectrum of the gradient moment matrix."""
-    eig = sym_eig(moment_matrix(h))
+def gradient_spectrum(h: Polynomial) -> SymEig:
+    """Eigendecomposition of h's gradient moment matrix, eigenvalues descending.
+
+    Callers that need the spectrum more than once per run compute it here
+    once and pass it on as ``eig``.
+    """
+    return sym_eig(moment_matrix(h))
+
+
+def detect_exact(
+    h: Polynomial, rank_tol: float = DEFAULT_RANK_TOL, eig: SymEig | None = None
+) -> DetectionReport:
+    """Exact detection via the spectrum of the gradient moment matrix.
+
+    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
+    """
+    if eig is None:
+        eig = gradient_spectrum(h)
     m = numeric_rank(eig.eigenvalues, rank_tol)
     basis = orthonormalize(eig.eigenvectors[:, :m]) if m else np.zeros((h.num_vars, 0))
     return DetectionReport(
@@ -125,7 +144,8 @@ def detect_randomized(
 ) -> DetectionReport:
     """Randomized detection from gradients at uniform ball samples.
 
-    Gradients are appended one sample at a time; the run stops at the first k
+    The gradients at all ``max_k`` samples come from one fill of h's gradient
+    tree; the run takes them one sample at a time and stops at the first k
     where the numeric rank of the Gram matrix matches the previous one.
     Raises :class:`RankNotStabilizedError` when the rank is still growing at
     ``max_k`` samples (default n + 2).
@@ -137,15 +157,12 @@ def detect_randomized(
         raise ValueError("max_k must be at least 2")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, max_k, n)
-    grads = h.gradient()
+    gradients = GradientEvaluator(h).values(points)[1:]  # column k: grad h at point k
 
-    columns: list[np.ndarray] = []
     rank_trace: list[int] = []
     prev_rank = None
     for k in range(1, max_k + 1):
-        x = points[k - 1]
-        columns.append(np.array([g.evaluate(x) for g in grads]))
-        stacked = np.column_stack(columns)
+        stacked = gradients[:, :k]
         gram = stacked.T @ stacked
         ranks = numeric_rank(sym_eig((gram + gram.T) / 2.0).eigenvalues, rank_tol)
         rank_trace.append(ranks)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import moment_matrix
-from .linalg import fix_column_signs, numeric_rank, orthonormalize, sym_eig
+from .detection import gradient_spectrum
+from .linalg import fix_column_signs, numeric_rank, orthonormalize
 from .poly import Polynomial, monomials_up_to, substitute_linear
 
 
@@ -48,7 +48,7 @@ def _nondegenerate_inner(
         f0 = _random_polynomial(rng, m, degree)
         if f0.degree() < max(degree, 1):
             continue
-        eig = sym_eig(moment_matrix(f0))
+        eig = gradient_spectrum(f0)
         if numeric_rank(eig.eigenvalues, 1e-8) < m:
             continue
         top = float(eig.eigenvalues[0])

@@ -7,6 +7,21 @@ across threads.  Coefficients whose magnitude falls below ``DROP_TOL`` are
 dropped on construction, which keeps term maps from accreting numerical dust
 through long chains of arithmetic.
 
+Evaluation and composition run on one array kernel, the *monomial tree* of
+the exponent matrix: its closure under removing one unit of the first
+nonzero variable, grouped by degree, where every node is its parent times
+one variable.  The tree is built once per instance, on first use.
+
+* ``evaluate_many`` fills the tree level by level, one multiply per node and
+  point, and returns the coefficient vector times the node values.  Points
+  go through in blocks sized by a fixed byte budget, so memory stays flat
+  whatever the point count; ``evaluate`` is the one-point case.
+* ``compose`` substitutes affine forms only.  It walks the same tree,
+  carrying each node's image as a dense vector over the graded monomials of
+  the target variables, and sums the images of the terms.
+* :class:`GradientEvaluator` serves the solvers: one tree over p and its
+  partials gives value and gradient from a single fill per point.
+
 The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
 one exponent at a time or for a whole exponent matrix.  The formula is
@@ -42,7 +57,7 @@ class Polynomial:
     |coefficient| < ``DROP_TOL`` are dropped.
     """
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "_cache")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponent, float] | None = None):
         num_vars = int(num_vars)
@@ -60,6 +75,7 @@ class Polynomial:
             merged[key] = merged.get(key, 0.0) + float(coef)
         self.num_vars = num_vars
         self.terms = {e: c for e, c in merged.items() if abs(c) >= DROP_TOL}
+        self._cache = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -202,6 +218,14 @@ class Polynomial:
     # evaluation
     # ------------------------------------------------------------------
 
+    def _kernel(self) -> tuple["_MonomialTree", np.ndarray]:
+        """The monomial tree of the terms plus the coefficient of every node."""
+        if self._cache is None:
+            exps, coefs = exponent_matrix(self)
+            tree = _MonomialTree(exps)
+            self._cache = (tree, tree.weights(coefs[None, :])[0])
+        return self._cache
+
     def evaluate(self, point: Sequence[float]) -> float:
         """Value of the polynomial at a single point."""
         x = np.asarray(point, dtype=float).reshape(-1)
@@ -209,14 +233,8 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"point has length {x.shape[0]}, expected {self.num_vars}"
             )
-        total = 0.0
-        for exp, coef in self.terms.items():
-            term = coef
-            for xi, e in zip(x, exp):
-                if e:
-                    term *= xi**e
-            total += term
-        return total
+        tree, weights = self._kernel()
+        return float(weights @ tree.fill(x))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at ``points`` of shape (N, num_vars)."""
@@ -225,25 +243,11 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"points must have shape (N, {self.num_vars}), got {pts.shape}"
             )
-        out = np.zeros(pts.shape[0])
-        if not self.terms:
-            return out
-        # Per-variable power cache: each distinct (variable, exponent) pair is
-        # computed once across all terms.
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def power(i: int, e: int) -> np.ndarray:
-            key = (i, e)
-            if key not in cache:
-                cache[key] = pts[:, i] ** e
-            return cache[key]
-
-        for exp, coef in self.terms.items():
-            term = np.full(pts.shape[0], coef)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            out += term
+        tree, weights = self._kernel()
+        out = np.empty(pts.shape[0])
+        block = tree.block_size()
+        for lo in range(0, pts.shape[0], block):
+            out[lo : lo + block] = weights @ tree.fill(pts[lo : lo + block].T)
         return out
 
     # ------------------------------------------------------------------
@@ -269,10 +273,20 @@ class Polynomial:
     def compose(
         self, forms: Sequence["Polynomial"], num_vars: int | None = None
     ) -> "Polynomial":
-        """Substitute ``forms[i]`` for variable i; forms share a variable set.
+        """Substitute the affine form ``forms[i]`` for variable i.
 
-        ``num_vars`` is only needed when ``forms`` is empty (a 0-variable
-        polynomial composed into a target space).
+        The forms share a variable set of size k; the result q satisfies
+        q(t) = p(forms_1(t), ..., forms_n(t)) identically, with degree(q) <=
+        degree(p).  A form of degree above 1 raises ValueError.  ``num_vars``
+        is only needed when ``forms`` is empty (a 0-variable polynomial
+        composed into a target space).
+
+        With forms_i(t) = c_i + A_i t, the image of every tree node is a dense
+        vector over the graded monomials of degree <= deg(node) in t:
+        image(child) = c_v image(parent) + sum_j A_vj shift_j(image(parent))
+        for the child's variable v, where shift_j multiplies by t_j.  The
+        result is the coefficient-weighted sum of the images, one level at a
+        time, so only two levels are held at once.
         """
         forms = list(forms)
         if len(forms) != self.num_vars:
@@ -287,29 +301,34 @@ class Polynomial:
             raise ValueError("num_vars is required when composing with no forms")
         else:
             k = int(num_vars)
+        if any(f.degree() > 1 for f in forms):
+            raise ValueError("compose requires affine forms (degree <= 1)")
 
-        # Powers of each form are shared across all terms of self.
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def form_power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in pow_cache:
-                if e == 1:
-                    pow_cache[key] = forms[i]
+        linear = np.zeros((self.num_vars, k))  # A
+        const = np.zeros(self.num_vars)  # c
+        for i, f in enumerate(forms):
+            for exp, coef in f.terms.items():
+                if any(exp):
+                    linear[i, exp.index(1)] = coef
                 else:
-                    pow_cache[key] = form_power(i, e - 1) * forms[i]
-            return pow_cache[key]
+                    const[i] = coef
 
-        acc: dict[Exponent, float] = {}
-        one = Polynomial.constant(k, 1.0)
-        for exp, coef in self.terms.items():
-            prod = one
-            for i, e in enumerate(exp):
-                if e:
-                    prod = prod * form_power(i, e)
-            for pe, pc in prod.terms.items():
-                acc[pe] = acc.get(pe, 0.0) + coef * pc
-        return Polynomial(k, acc)
+        tree, weights = self._kernel()
+        top = tree.depth
+        basis, ends, shift = _graded_basis(k, top)
+        acc = np.zeros(ends[top])
+        acc[0] = weights[0]
+        images = np.ones((1, 1))  # column i: the image of node i of the level
+        for d, (lo, hi, parent, var) in enumerate(tree.levels, start=1):
+            prev = images[:, parent - tree.start[d - 1]]
+            width = ends[d - 1]
+            images = np.zeros((ends[d], hi - lo))
+            images[:width] = prev * const[var]
+            for j in range(k):
+                images[shift[:width, j]] += prev * linear[var, j]
+            acc[: ends[d]] += images @ weights[lo:hi]
+        keep = np.flatnonzero(acc)
+        return Polynomial(k, dict(zip(map(tuple, basis[keep].tolist()), acc[keep].tolist())))
 
     # ------------------------------------------------------------------
     # serialization
@@ -350,15 +369,163 @@ class Polynomial:
 
 
 def substitute_linear(p: Polynomial, forms: Sequence[Polynomial]) -> Polynomial:
-    """Compose ``p`` with degree <= 1 forms over a common variable set.
-
-    The result q satisfies q(t) = p(forms_1(t), ..., forms_n(t)) identically,
-    with degree(q) <= degree(p).
-    """
-    for f in forms:
-        if f.degree() > 1:
-            raise ValueError("substitute_linear requires affine-or-linear forms")
+    """Compose ``p`` with affine forms over a common variable set; the same
+    as ``p.compose(forms)``."""
     return p.compose(forms)
+
+
+# ----------------------------------------------------------------------
+# the monomial tree
+# ----------------------------------------------------------------------
+
+# Bytes of node values one evaluation block holds; evaluate_many's memory
+# stays flat in the point count.
+_BLOCK_BYTES = 1 << 20
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for a 2-D integer
+    array with at least one column, by a lexsort of the columns (much faster
+    than sorting the rows as records)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+class _MonomialTree:
+    """Closure of an exponent matrix under removing one unit of the first
+    nonzero variable.
+
+    Nodes are grouped by degree: level d is ``start[d]:start[d + 1]``, and
+    level 0 is the single root, the constant monomial.  ``levels[d - 1]`` is
+    (lo, hi, parent, var) for level d >= 1: node lo + i is node parent[i] of
+    level d - 1 times variable var[i].  ``index[t]`` is the node of row t of
+    the exponent matrix.
+    """
+
+    __slots__ = ("depth", "start", "levels", "index")
+
+    def __init__(self, exps: np.ndarray):
+        degrees = exps.sum(axis=1)
+        self.depth = int(degrees.max(initial=0))
+        local = np.zeros(exps.shape[0], dtype=np.intp)
+        # from the top level down: each level's size, the variable of each
+        # node, and the position in the level below of each parent of the
+        # level above
+        sizes, variables, parents = [], [], []
+        carry = exps[:0]  # the level above with one unit removed, not yet unique
+        for d in range(self.depth, 0, -1):
+            mine = np.flatnonzero(degrees == d)
+            level, inverse = unique_rows(np.vstack([exps[mine], carry]))
+            local[mine] = inverse[: mine.size]
+            parents.append(inverse[mine.size :])
+            variables.append(np.argmax(level > 0, axis=1))
+            sizes.append(level.shape[0])
+            carry = level.copy()
+            carry[np.arange(level.shape[0]), variables[-1]] -= 1
+        parents.append(np.zeros(carry.shape[0], dtype=np.intp))  # level 1's: the root
+        self.start = np.cumsum([0, 1] + sizes[::-1]).tolist()
+        self.levels = [
+            (lo, hi, prev + parent, var)
+            for prev, lo, hi, parent, var in zip(
+                self.start, self.start[1:], self.start[2:], parents[::-1], variables[::-1]
+            )
+        ]
+        self.index = np.asarray(self.start)[degrees] + local
+
+    @property
+    def size(self) -> int:
+        return self.start[-1]
+
+    def weights(self, coefs: np.ndarray) -> np.ndarray:
+        """(k, size) node coefficients of a (k, rows) coefficient matrix."""
+        out = np.zeros((coefs.shape[0], self.size))
+        np.add.at(out.T, self.index, coefs.T)
+        return out
+
+    def block_size(self) -> int:
+        """Points per evaluation block."""
+        return max(1, _BLOCK_BYTES // (8 * self.size))
+
+    def fill(self, columns: np.ndarray) -> np.ndarray:
+        """Every node's value at the points whose coordinates are the rows
+        of ``columns``: shape (size,) for one point of shape (num_vars,),
+        (size, B) for a (num_vars, B) array of B points."""
+        values = np.empty((self.size,) + columns.shape[1:])
+        values[0] = 1.0
+        for lo, hi, parent, var in self.levels:
+            np.multiply(values[parent], columns[var], out=values[lo:hi])
+        return values
+
+
+@lru_cache(maxsize=64)
+def _graded_basis(k: int, top: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Every monomial of degree <= top in k variables, grouped by degree.
+
+    Returns the (M, k) exponent matrix, ``ends`` with ``ends[d]`` the number
+    of monomials of degree <= d, and the (ends[top - 1], k) table whose
+    entry (b, j) is the row of monomial b times variable j.
+    """
+    eye = np.eye(k, dtype=np.int64)
+    levels = [np.zeros((1, k), dtype=np.int64)]
+    shifts = []
+    offset = 1
+    for _ in range(top if k else 0):
+        products = (levels[-1][:, None, :] + eye[None, :, :]).reshape(-1, k)
+        level, inverse = unique_rows(products)
+        shifts.append(offset + inverse.reshape(-1, k))
+        levels.append(level)
+        offset += level.shape[0]
+    ends = np.cumsum([lv.shape[0] for lv in levels]).tolist()
+    ends += [ends[-1]] * (top + 1 - len(ends))  # k = 0: only the constant
+    shift = np.vstack(shifts) if shifts else np.zeros((0, k), dtype=np.intp)
+    return np.vstack(levels), ends, shift
+
+
+class GradientEvaluator:
+    """Value and gradient of a fixed polynomial from one monomial tree.
+
+    The tree spans the terms of p and of its partials, so one fill at a
+    point followed by one product with the (1 + n, nodes) coefficient matrix
+    gives p and its whole gradient.  The last single point is remembered, so
+    a solver asking for the value and then the gradient at one point fills
+    the tree once; that memory makes an instance unsafe to share between
+    threads.
+    """
+
+    def __init__(self, p: Polynomial):
+        exps, coefs = exponent_matrix(p)
+        var, shifted, partial_coefs = partial_terms(exps, coefs)
+        rows = np.zeros((1 + p.num_vars, exps.shape[0] + var.size))
+        rows[0, : exps.shape[0]] = coefs
+        rows[1 + var, exps.shape[0] + np.arange(var.size)] = partial_coefs
+        self._tree = _MonomialTree(np.vstack([exps, shifted]))
+        self._coefs = self._tree.weights(rows)
+        self._key: bytes | None = None
+        self._at_key = np.zeros(1 + p.num_vars)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """(1 + n, N) array: p, then its partials, at each row of an (N, n)
+        array of a few points (in one block)."""
+        return self._coefs @ self._tree.fill(np.asarray(points, dtype=float).T)
+
+    def _at(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key != self._key:
+            self._key = key
+            self._at_key = self._coefs @ self._tree.fill(x)
+        return self._at_key
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self._at(x)[0])
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self._at(x)[1:].copy()
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +582,9 @@ def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(exps.shape[0])
     even = ~np.any(exps & 1, axis=1)
     if even.any():
-        halves, inverse = np.unique(exps[even] >> 1, axis=0, return_inverse=True)
+        halves, inverse = unique_rows(exps[even] >> 1)
         values = np.array([_even_moment(tuple(row), n) for row in halves.tolist()])
-        out[even] = values[inverse.reshape(-1)]
+        out[even] = values[inverse]
     return out
 
 
@@ -426,6 +593,22 @@ def exponent_matrix(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     both in term-map order."""
     exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.num_vars)
     return exps, np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
+
+
+def partial_terms(
+    exps: np.ndarray, coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of every partial derivative, read off an exponent matrix by
+    index shift.
+
+    Returns (var, exponents, coefficients), one row per nonzero entry of
+    ``exps``: coefficients[r] x^exponents[r] is a term of d/dx_var[r], and
+    the terms of one partial are distinct.
+    """
+    terms, var = np.nonzero(exps)
+    shifted = exps[terms]
+    shifted[np.arange(terms.size), var] -= 1
+    return var, shifted, coefs[terms] * exps[terms, var]
 
 
 def expectation_uniform_ball(p: Polynomial) -> float:

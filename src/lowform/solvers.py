@@ -1,11 +1,13 @@
 """Desk-scale minimization of polynomials on balls, spheres, and polyhedra.
 
 All solvers are multi-start local methods: projected gradient descent with
-Armijo backtracking on the ball and sphere, and Frank-Wolfe on polyhedra.  The
-Frank-Wolfe linear-minimization oracle scans a vertex table, enumerated once
-per region in dimension <= 3, and solves one LP per call otherwise.  A
-brute-force sampler plus local polish serves as the independent oracle that
-anchors equivalence tests.
+Armijo backtracking on the ball and sphere, and Frank-Wolfe on polyhedra.
+Objective values and gradients come from one
+:class:`~lowform.poly.GradientEvaluator` per solve, a monomial tree over p and
+its partials filled once per point.  The Frank-Wolfe linear-minimization
+oracle scans a vertex table, enumerated once per region in dimension <= 3,
+and solves one LP per call otherwise.  The brute-force oracle that checks
+these solvers lives with the tests, apart from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import LpProblem, lp_solve
-from .poly import Polynomial
+from .poly import GradientEvaluator, Polynomial
 from .sampling import sample_ball, sample_sphere
 
 # Armijo backtracking parameters, fixed across all solvers.
@@ -204,50 +206,6 @@ class Hrep:
         return np.vstack([cand, mixtures]) if cand.size else mixtures
 
 
-def _array_form(p: Polynomial):
-    if not p.terms:
-        return np.zeros((0, p.num_vars), dtype=np.int64), np.zeros(0)
-    exps = np.array(list(p.terms.keys()), dtype=np.int64)
-    coefs = np.array(list(p.terms.values()))
-    return exps, coefs
-
-
-def _make_evaluator(p: Polynomial):
-    """Array-based value/gradient evaluators for a fixed polynomial.
-
-    A per-variable power table is built once per point and shared by the
-    objective and all partial derivatives, which keeps the inner solver loops
-    out of Python-level term iteration.
-    """
-    n = p.num_vars
-    obj_form = _array_form(p)
-    grad_forms = [_array_form(q) for q in p.gradient()]
-    all_forms = [obj_form] + grad_forms
-    max_deg = max((int(e.max()) if e.size else 0) for e, _ in all_forms)
-    var_idx = np.arange(n)
-
-    def _powers(x: np.ndarray) -> np.ndarray:
-        powers = np.ones((max_deg + 1, n))
-        for k in range(1, max_deg + 1):
-            powers[k] = powers[k - 1] * x
-        return powers
-
-    def _eval_form(form, powers) -> float:
-        exps, coefs = form
-        if not exps.size:
-            return 0.0
-        return float(coefs @ np.prod(powers[exps, var_idx], axis=1))
-
-    def value(x: np.ndarray) -> float:
-        return _eval_form(obj_form, _powers(np.asarray(x, dtype=float)))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        powers = _powers(np.asarray(x, dtype=float))
-        return np.array([_eval_form(f, powers) for f in grad_forms])
-
-    return value, grad
-
-
 def _project_ball(x: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(x))
     return x / norm if norm > 1.0 else x
@@ -417,7 +375,8 @@ def _multi_start(run_one, draw_starts, opts: SolveOptions) -> SolveResult:
 def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over the closed unit ball in p.num_vars dimensions."""
     opts = opts or SolveOptions()
-    value, grad = _make_evaluator(p)
+    evaluator = GradientEvaluator(p)
+    value, grad = evaluator.value, evaluator.grad
     dim = p.num_vars
 
     def run_one(x0):
@@ -439,7 +398,8 @@ def minimize_sphere(
     if half not in ("none", "y_nonneg", "y_nonpos"):
         raise ValueError(f"unknown half-sphere constraint {half!r}")
     opts = opts or SolveOptions()
-    value, grad = _make_evaluator(p)
+    evaluator = GradientEvaluator(p)
+    value, grad = evaluator.value, evaluator.grad
     dim = p.num_vars
 
     def run_one(x0):
@@ -466,7 +426,8 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     deep, narrow basins from being missed; the rest stay exploratory.
     """
     opts = opts or SolveOptions()
-    value, grad = _make_evaluator(p)
+    evaluator = GradientEvaluator(p)
+    value, grad = evaluator.value, evaluator.grad
 
     def run_one(x0):
         return _frank_wolfe(value, grad, region.lmo, x0, opts.max_iter, opts.tol)
@@ -484,205 +445,3 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     res = _multi_start(run_one, draw, opts)
     res.value = p.evaluate(res.point)
     return res
-
-
-# ----------------------------------------------------------------------
-# brute-force oracle
-# ----------------------------------------------------------------------
-
-_POLISH_STEPS = 50
-_POLISH_FROM = 10
-_ORACLE_MAX_DIM_ROUND = 6
-_ORACLE_MAX_DIM_POLY = 8
-
-
-def _segment_argmin(p: Polynomial, x: np.ndarray, d: np.ndarray) -> float:
-    """Exact minimizer of t -> p(x + t d) over [0, 1].
-
-    The restriction is a univariate polynomial of p's degree; it is recovered
-    by interpolation and minimized over the roots of its derivative plus the
-    endpoints.  Candidates are compared by direct evaluation, so root
-    inaccuracy cannot produce a wrong winner.
-    """
-    deg = p.degree()
-    ts = np.linspace(0.0, 1.0, deg + 1)
-    pts = x[None, :] + ts[:, None] * d[None, :]
-    vals = p.evaluate_many(pts)
-    coeffs = np.polynomial.polynomial.polyfit(ts, vals, deg)
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    candidates = [0.0, 1.0]
-    if deriv.size > 1:
-        roots = np.polynomial.polynomial.polyroots(deriv)
-        for r in roots:
-            if abs(r.imag) < 1e-10 and -1e-12 <= r.real <= 1.0 + 1e-12:
-                candidates.append(min(max(float(r.real), 0.0), 1.0))
-    cand_pts = x[None, :] + np.array(candidates)[:, None] * d[None, :]
-    cand_vals = p.evaluate_many(cand_pts)
-    return candidates[int(np.argmin(cand_vals))]
-
-
-def _fw_polish(p: Polynomial, grad, lmo, x0: np.ndarray, steps: int) -> float:
-    """Frank-Wolfe polish with exact segment line searches."""
-    x = np.array(x0, dtype=float)
-    fx = float(p.evaluate(x))
-    for _ in range(steps):
-        g = grad(x)
-        v = lmo(g)
-        gap = float(g @ (x - v))
-        if gap < 1e-14:
-            break
-        t = _segment_argmin(p, x, v - x)
-        cand = x + t * (v - x)
-        fc = float(p.evaluate(cand))
-        if fc >= fx:
-            break
-        x, fx = cand, fc
-    return fx
-
-
-def _project_simplex(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the canonical simplex {x >= 0, sum x = 1}."""
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, z.size + 1)
-    cond = u - css / ks > 0
-    k = int(ks[cond][-1])
-    tau = css[k - 1] / k
-    return np.maximum(z - tau, 0.0)
-
-
-def _hrep_projector(region: Hrep):
-    """Exact Euclidean projection onto a small H-rep region, or None.
-
-    With no inequality rows the projection is a box clamp.  Otherwise all
-    constraints (rows plus finite bounds) are enumerated as candidate active
-    sets of size <= dim, which is exact but only tractable for a handful of
-    constraints in low dimension.
-    """
-    lo, hi = region.lo, region.hi
-    if region.a_ub.shape[0] == 0:
-        return lambda z: np.clip(z, lo, hi)
-    dim = region.dim
-    rows, rhs = region.halfspaces()
-    if dim > 3 or len(rows) > 40:
-        return None
-
-    def feasible(x):
-        return bool(np.all(rows @ x <= rhs + 1e-9))
-
-    subsets = []
-    for size in range(1, dim + 1):
-        subsets.extend(itertools.combinations(range(len(rows)), size))
-
-    def project(z):
-        if feasible(z):
-            return np.asarray(z, dtype=float)
-        best = None
-        best_d = np.inf
-        for subset in subsets:
-            a = rows[list(subset)]
-            gram = a @ a.T
-            if abs(np.linalg.det(gram)) < 1e-12:
-                continue
-            x = z - a.T @ np.linalg.solve(gram, a @ z - rhs[list(subset)])
-            if feasible(x):
-                d = float(np.linalg.norm(x - z))
-                if d < best_d:
-                    best, best_d = x, d
-        return best if best is not None else np.clip(z, lo, hi)
-
-    return project
-
-
-def _is_canonical_simplex(domain) -> bool:
-    return (
-        domain.a.shape[0] == 1
-        and np.allclose(domain.a, 1.0)
-        and domain.b.size == 1
-        and abs(float(domain.b[0]) - 1.0) < 1e-12
-    )
-
-
-def brute_force_min(
-    p: Polynomial, domain, resolution: int = 100_000, seed: int = 0
-) -> float:
-    """Independent low-dimensional oracle: dense sampling plus local polish.
-
-    ``domain`` is "ball", "sphere", an :class:`Hrep`, or a standard-form
-    polytope object exposing ``sample(rng, count)`` and ``lmo``.  The best
-    ``_POLISH_FROM`` sampled points each get ``_POLISH_STEPS`` local steps.
-    """
-    rng = np.random.default_rng(seed)
-    value, grad = _make_evaluator(p)
-
-    if domain in ("ball", "sphere"):
-        dim = p.num_vars
-        if dim > _ORACLE_MAX_DIM_ROUND:
-            raise ValueError(f"oracle limited to dimension {_ORACLE_MAX_DIM_ROUND}")
-        sampler = sample_ball if domain == "ball" else sample_sphere
-        pts = sampler(rng, int(resolution), dim)
-        vals = p.evaluate_many(pts)
-        best_idx = np.argsort(vals)[:_POLISH_FROM]
-        best = float(vals[best_idx[0]])
-        for i in best_idx:
-            if domain == "ball":
-                _, fx, _, _ = _pgd_ball(value, grad, pts[i], _POLISH_STEPS, 1e-12)
-            else:
-                _, fx, _, _ = _pgd_sphere(value, grad, pts[i], _POLISH_STEPS, 1e-12)
-            best = min(best, fx)
-        return best
-
-    if isinstance(domain, Hrep):
-        if domain.dim > _ORACLE_MAX_DIM_POLY:
-            raise ValueError(f"oracle limited to dimension {_ORACLE_MAX_DIM_POLY}")
-        pts = _sample_hrep(domain, rng, int(resolution))
-        vals = p.evaluate_many(pts)
-        best_idx = np.argsort(vals)[:_POLISH_FROM]
-        best = float(vals[best_idx[0]])
-        project = _hrep_projector(domain)
-        for i in best_idx:
-            if project is not None:
-                _, fx, _, _ = _pgd(value, grad, project, pts[i], _POLISH_STEPS, 1e-12)
-            else:
-                fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
-            best = min(best, fx)
-        return best
-
-    # standard-form polytope (duck-typed): sampled mixtures plus local polish
-    if hasattr(domain, "sample") and hasattr(domain, "lmo"):
-        if p.num_vars > 3 * _ORACLE_MAX_DIM_POLY:
-            raise ValueError("oracle limited to desk-scale polytopes")
-        pts = domain.sample(rng, int(resolution))
-        vals = p.evaluate_many(pts)
-        best_idx = np.argsort(vals)[:_POLISH_FROM]
-        best = float(vals[best_idx[0]])
-        simplex = _is_canonical_simplex(domain)
-        for i in best_idx:
-            if simplex:
-                _, fx, _, _ = _pgd(value, grad, _project_simplex, pts[i], _POLISH_STEPS, 1e-12)
-            else:
-                fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
-            best = min(best, fx)
-        return best
-
-    raise ValueError(f"unsupported oracle domain {domain!r}")
-
-
-def _sample_hrep(region: Hrep, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Rejection sampling from the bounding box, topped up with vertex mixes."""
-    out = []
-    total = 0
-    attempts = 0
-    while total < count and attempts < 50:
-        cand = rng.uniform(region.lo, region.hi, size=(count, region.dim))
-        if region.a_ub.shape[0]:
-            keep = cand[np.all(cand @ region.a_ub.T <= region.b_ub + 1e-12, axis=1)]
-        else:
-            keep = cand
-        if keep.size:
-            out.append(keep)
-            total += keep.shape[0]
-        attempts += 1
-    if total < count:
-        out.append(region.start_points(rng, count - total))
-    return np.vstack(out)[:count]

@@ -3,9 +3,12 @@
 Oracles here deliberately avoid library code paths they are checking:
 ball moments are estimated by rejection sampling from the cube (not the
 library's Gaussian sampler), gradients by central finite differences, LPs
-by exhaustive vertex enumeration, and the gradient moment matrix by a
+by exhaustive vertex enumeration, the gradient moment matrix by a
 term-pair double loop over scalar moments rather than the library's
-G K G^T form.
+G K G^T form, evaluation by a term-by-term loop over the term map and
+composition by multiplying out powers of the forms, rather than the
+library's monomial tree.  The brute-force minimum oracle samples densely
+and polishes with that term loop, never with the solvers' evaluator.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import pytest
 
 from lowform.generate import Instance, generate_instance
 from lowform.poly import Polynomial, ball_monomial_moment, monomials_up_to
+from lowform.sampling import sample_ball, sample_sphere
+from lowform.solvers import Hrep, _pgd, _pgd_ball, _pgd_sphere
 
 # ----------------------------------------------------------------------
 # independent oracles
@@ -47,9 +52,68 @@ def mc_ball_moment(alpha, n: int, num: int, seed: int):
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(num))
 
 
+def reference_evaluate(p: Polynomial, point) -> float | np.ndarray:
+    """p at one point of shape (n,), or at every row of an (N, n) array.
+
+    The term-by-term loop over the term map: each term is its coefficient
+    times the powers of the coordinates, each power taken once.  For an
+    array the loop runs over its columns, so each power is taken for all
+    rows at once.
+    """
+    pts = np.asarray(point, dtype=float)
+    x = pts.T
+    if x.shape[0] != p.num_vars:
+        raise ValueError(f"points have {x.shape[0]} coordinates, expected {p.num_vars}")
+    powers = {}
+    total = 0.0
+    for exp, coef in p.terms.items():
+        term = coef
+        for i, (xi, e) in enumerate(zip(x, exp)):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = xi**e
+                term = term * powers[i, e]
+        total = total + term
+    return total if pts.ndim == 1 else np.broadcast_to(total, pts.shape[:1]).copy()
+
+
+def reference_compose(p: Polynomial, forms, num_vars: int | None = None) -> Polynomial:
+    """Substitute ``forms[i]`` for variable i by multiplying out the term map.
+
+    Each term's product of form powers is expanded by the library's dict
+    multiply, with the powers of each form shared across terms.
+    """
+    forms = list(forms)
+    if len(forms) != p.num_vars:
+        raise ValueError(f"need {p.num_vars} substitution forms, got {len(forms)}")
+    k = forms[0].num_vars if forms else int(num_vars)
+
+    pow_cache: dict[tuple[int, int], Polynomial] = {}
+
+    def form_power(i: int, e: int) -> Polynomial:
+        key = (i, e)
+        if key not in pow_cache:
+            if e == 1:
+                pow_cache[key] = forms[i]
+            else:
+                pow_cache[key] = form_power(i, e - 1) * forms[i]
+        return pow_cache[key]
+
+    acc: dict[tuple, float] = {}
+    one = Polynomial.constant(k, 1.0)
+    for exp, coef in p.terms.items():
+        prod = one
+        for i, e in enumerate(exp):
+            if e:
+                prod = prod * form_power(i, e)
+        for pe, pc in prod.terms.items():
+            acc[pe] = acc.get(pe, 0.0) + coef * pc
+    return Polynomial(k, acc)
+
+
 def mc_expectation(p: Polynomial, pts: np.ndarray):
     """(estimate, standard error) of E[p] over precomputed ball samples."""
-    vals = p.evaluate_many(pts)
+    vals = reference_evaluate(p, pts)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
@@ -62,7 +126,7 @@ def finite_difference_gradient(p: Polynomial, x: np.ndarray, step: float = 1e-5)
         lo = x.copy()
         hi[i] += step
         lo[i] -= step
-        out[i] = (p.evaluate(hi) - p.evaluate(lo)) / (2 * step)
+        out[i] = (reference_evaluate(p, hi) - reference_evaluate(p, lo)) / (2 * step)
     return out
 
 
@@ -154,6 +218,222 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
                         acc += coef_a * coef_b * ball_monomial_moment(combined, n)
             matrix[i, j] = matrix[j, i] = acc
     return matrix
+
+
+# ----------------------------------------------------------------------
+# brute-force minimum oracle: dense sampling plus a short local polish,
+# evaluated by reference_evaluate
+# ----------------------------------------------------------------------
+
+_POLISH_STEPS = 50
+_POLISH_FROM = 10
+_ORACLE_MAX_DIM_ROUND = 6
+_ORACLE_MAX_DIM_POLY = 8
+
+
+def _reference_value_and_grad(p: Polynomial):
+    """Value and gradient callables for the polish, by ``reference_evaluate``."""
+    grads = p.gradient()
+
+    def value(x):
+        return float(reference_evaluate(p, x))
+
+    def grad(x):
+        return np.array([reference_evaluate(g, x) for g in grads], dtype=float)
+
+    return value, grad
+
+
+def _segment_argmin(p: Polynomial, x: np.ndarray, d: np.ndarray) -> float:
+    """Exact minimizer of t -> p(x + t d) over [0, 1].
+
+    The restriction is a univariate polynomial of p's degree; it is recovered
+    by interpolation and minimized over the roots of its derivative plus the
+    endpoints.  Candidates are compared by direct evaluation, so root
+    inaccuracy cannot produce a wrong winner.
+    """
+    deg = p.degree()
+    ts = np.linspace(0.0, 1.0, deg + 1)
+    pts = x[None, :] + ts[:, None] * d[None, :]
+    vals = reference_evaluate(p, pts)
+    coeffs = np.polynomial.polynomial.polyfit(ts, vals, deg)
+    deriv = np.polynomial.polynomial.polyder(coeffs)
+    candidates = [0.0, 1.0]
+    if deriv.size > 1:
+        roots = np.polynomial.polynomial.polyroots(deriv)
+        for r in roots:
+            if abs(r.imag) < 1e-10 and -1e-12 <= r.real <= 1.0 + 1e-12:
+                candidates.append(min(max(float(r.real), 0.0), 1.0))
+    cand_pts = x[None, :] + np.array(candidates)[:, None] * d[None, :]
+    cand_vals = reference_evaluate(p, cand_pts)
+    return candidates[int(np.argmin(cand_vals))]
+
+
+def _fw_polish(p: Polynomial, grad, lmo, x0: np.ndarray, steps: int) -> float:
+    """Frank-Wolfe polish with exact segment line searches."""
+    x = np.array(x0, dtype=float)
+    fx = float(reference_evaluate(p, x))
+    for _ in range(steps):
+        g = grad(x)
+        v = lmo(g)
+        gap = float(g @ (x - v))
+        if gap < 1e-14:
+            break
+        t = _segment_argmin(p, x, v - x)
+        cand = x + t * (v - x)
+        fc = float(reference_evaluate(p, cand))
+        if fc >= fx:
+            break
+        x, fx = cand, fc
+    return fx
+
+
+def _project_simplex(z: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the canonical simplex {x >= 0, sum x = 1}."""
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, z.size + 1)
+    cond = u - css / ks > 0
+    k = int(ks[cond][-1])
+    tau = css[k - 1] / k
+    return np.maximum(z - tau, 0.0)
+
+
+def _hrep_projector(region: Hrep):
+    """Exact Euclidean projection onto a small H-rep region, or None.
+
+    With no inequality rows the projection is a box clamp.  Otherwise all
+    constraints (rows plus finite bounds) are enumerated as candidate active
+    sets of size <= dim, which is exact but only tractable for a handful of
+    constraints in low dimension.
+    """
+    lo, hi = region.lo, region.hi
+    if region.a_ub.shape[0] == 0:
+        return lambda z: np.clip(z, lo, hi)
+    dim = region.dim
+    rows, rhs = region.halfspaces()
+    if dim > 3 or len(rows) > 40:
+        return None
+
+    def feasible(x):
+        return bool(np.all(rows @ x <= rhs + 1e-9))
+
+    subsets = []
+    for size in range(1, dim + 1):
+        subsets.extend(itertools.combinations(range(len(rows)), size))
+
+    def project(z):
+        if feasible(z):
+            return np.asarray(z, dtype=float)
+        best = None
+        best_d = np.inf
+        for subset in subsets:
+            a = rows[list(subset)]
+            gram = a @ a.T
+            if abs(np.linalg.det(gram)) < 1e-12:
+                continue
+            x = z - a.T @ np.linalg.solve(gram, a @ z - rhs[list(subset)])
+            if feasible(x):
+                d = float(np.linalg.norm(x - z))
+                if d < best_d:
+                    best, best_d = x, d
+        return best if best is not None else np.clip(z, lo, hi)
+
+    return project
+
+
+def _is_canonical_simplex(domain) -> bool:
+    return (
+        domain.a.shape[0] == 1
+        and np.allclose(domain.a, 1.0)
+        and domain.b.size == 1
+        and abs(float(domain.b[0]) - 1.0) < 1e-12
+    )
+
+
+def brute_force_min(
+    p: Polynomial, domain, resolution: int = 100_000, seed: int = 0
+) -> float:
+    """Independent low-dimensional oracle: dense sampling plus local polish.
+
+    ``domain`` is "ball", "sphere", an :class:`Hrep`, or a standard-form
+    polytope object exposing ``sample(rng, count)`` and ``lmo``.  The best
+    ``_POLISH_FROM`` sampled points each get ``_POLISH_STEPS`` local steps.
+    """
+    rng = np.random.default_rng(seed)
+    value, grad = _reference_value_and_grad(p)
+
+    if domain in ("ball", "sphere"):
+        dim = p.num_vars
+        if dim > _ORACLE_MAX_DIM_ROUND:
+            raise ValueError(f"oracle limited to dimension {_ORACLE_MAX_DIM_ROUND}")
+        sampler = sample_ball if domain == "ball" else sample_sphere
+        pts = sampler(rng, int(resolution), dim)
+        vals = reference_evaluate(p, pts)
+        best_idx = np.argsort(vals)[:_POLISH_FROM]
+        best = float(vals[best_idx[0]])
+        for i in best_idx:
+            if domain == "ball":
+                _, fx, _, _ = _pgd_ball(value, grad, pts[i], _POLISH_STEPS, 1e-12)
+            else:
+                _, fx, _, _ = _pgd_sphere(value, grad, pts[i], _POLISH_STEPS, 1e-12)
+            best = min(best, fx)
+        return best
+
+    if isinstance(domain, Hrep):
+        if domain.dim > _ORACLE_MAX_DIM_POLY:
+            raise ValueError(f"oracle limited to dimension {_ORACLE_MAX_DIM_POLY}")
+        pts = _sample_hrep(domain, rng, int(resolution))
+        vals = reference_evaluate(p, pts)
+        best_idx = np.argsort(vals)[:_POLISH_FROM]
+        best = float(vals[best_idx[0]])
+        project = _hrep_projector(domain)
+        for i in best_idx:
+            if project is not None:
+                _, fx, _, _ = _pgd(value, grad, project, pts[i], _POLISH_STEPS, 1e-12)
+            else:
+                fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
+            best = min(best, fx)
+        return best
+
+    # standard-form polytope (duck-typed): sampled mixtures plus local polish
+    if hasattr(domain, "sample") and hasattr(domain, "lmo"):
+        if p.num_vars > 3 * _ORACLE_MAX_DIM_POLY:
+            raise ValueError("oracle limited to desk-scale polytopes")
+        pts = domain.sample(rng, int(resolution))
+        vals = reference_evaluate(p, pts)
+        best_idx = np.argsort(vals)[:_POLISH_FROM]
+        best = float(vals[best_idx[0]])
+        simplex = _is_canonical_simplex(domain)
+        for i in best_idx:
+            if simplex:
+                _, fx, _, _ = _pgd(value, grad, _project_simplex, pts[i], _POLISH_STEPS, 1e-12)
+            else:
+                fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
+            best = min(best, fx)
+        return best
+
+    raise ValueError(f"unsupported oracle domain {domain!r}")
+
+
+def _sample_hrep(region: Hrep, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Rejection sampling from the bounding box, topped up with vertex mixes."""
+    out = []
+    total = 0
+    attempts = 0
+    while total < count and attempts < 50:
+        cand = rng.uniform(region.lo, region.hi, size=(count, region.dim))
+        if region.a_ub.shape[0]:
+            keep = cand[np.all(cand @ region.a_ub.T <= region.b_ub + 1e-12, axis=1)]
+        else:
+            keep = cand
+        if keep.size:
+            out.append(keep)
+            total += keep.shape[0]
+        attempts += 1
+    if total < count:
+        out.append(region.start_points(rng, count - total))
+    return np.vstack(out)[:count]
 
 
 def random_polynomial(rng: np.random.Generator, num_vars: int, degree: int,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    brute_force_min,
     finite_difference_gradient,
     lp_vertex_enumeration,
     mc_ball_points,
@@ -38,7 +39,7 @@ from lowform.generate import generate_instance
 from lowform.linalg import LpProblem, lp_solve, sym_eig
 from lowform.poly import ball_monomial_moment
 from lowform.polytope import Polytope, SparseForm, box_cut_loop, cut_loop
-from lowform.solvers import Hrep, SolveOptions, brute_force_min, minimize_ball
+from lowform.solvers import Hrep, SolveOptions, minimize_ball
 from lowform.sphere import lift_minimizer, reduce_sphere
 
 

@@ -271,6 +271,35 @@ def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
                       "--path", "cubature", "--degree", 0], tmp_path / "o")
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx"],
+    ["approx", "--m", "2"],
+    ["approx", "--path", "cubature"],
+    ["pipeline", "--domain", "sphere"],
+    ["pipeline", "--domain", "sphere", "--method", "randomized"],
+])
+def test_one_moment_matrix_per_request(tmp_path, perturbed_instance, monkeypatch, argv):
+    import sys
+
+    from lowform.detection import moment_matrix
+
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return moment_matrix(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lowform" and getattr(module, "moment_matrix", None) is moment_matrix:
+            monkeypatch.setattr(module, "moment_matrix", counting)
+    out = tmp_path / "out"
+    assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
+               + ["--l2-samples", 20000, "--out", out]) == 0
+    assert len(calls) == 1
+    if argv[0] == "pipeline":
+        assert read(out / "report.json")["route"] == "approx"
+
+
 def test_reports_are_deterministic(tmp_path, sparse_instance):
     a, b = tmp_path / "ra", tmp_path / "rb"
     run(["pipeline", "--input", sparse_instance, "--domain", "sphere", "--out", a])

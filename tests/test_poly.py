@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     finite_difference_gradient,
     mc_ball_points,
     mc_expectation,
     random_polynomial,
+    reference_compose,
+    reference_evaluate,
 )
 from lowform.poly import (
     DROP_TOL,
     DimensionMismatchError,
+    GradientEvaluator,
     Polynomial,
     ball_monomial_moment,
     ball_moments,
@@ -230,3 +235,134 @@ def test_power_and_degree():
     assert (p**0).terms == {(0, 0): 1.0}
     assert p.degree() == 1 and (p**3).degree() == 3
     assert Polynomial.zero(2).degree() == 0
+
+
+# ----------------------------------------------------------------------
+# the monomial-tree kernel against the term-loop references
+# ----------------------------------------------------------------------
+
+
+def _poly_case(n: int, degree: int, kind: str, rng: np.random.Generator) -> Polynomial:
+    if kind == "zero":
+        return Polynomial.zero(n)
+    if kind == "constant" or n == 0 or degree == 0:
+        return Polynomial.constant(n, float(rng.standard_normal()))
+    return random_polynomial(rng, n, degree, density=1.0 if kind == "dense" else 0.3)
+
+
+def _magnitude(p: Polynomial, x) -> float:
+    """sum_t |c_t| |x|^e_t: bounds every partial sum of p(x) in magnitude."""
+    return float(reference_evaluate(
+        Polynomial(p.num_vars, {e: abs(c) for e, c in p.terms.items()}), np.abs(x)
+    ))
+
+
+_KINDS = st.sampled_from(["zero", "constant", "sparse", "dense"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    k=st.integers(0, 6),
+    degree=st.integers(0, 5),
+    kind=_KINDS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, k=3, degree=0, kind="constant", seed=0)
+@example(n=4, k=0, degree=3, kind="dense", seed=1)  # every form a constant
+@example(n=5, k=5, degree=4, kind="dense", seed=2)  # k = n
+@example(n=3, k=2, degree=3, kind="zero", seed=3)
+def test_compose_matches_reference(n, k, degree, kind, seed):
+    rng = np.random.default_rng(seed)
+    p = _poly_case(n, degree, kind, rng)
+    forms = [
+        Polynomial.linear_form(rng.standard_normal(k), constant=float(rng.standard_normal()))
+        for _ in range(n)
+    ]
+    got = p.compose(forms, num_vars=k)
+    want = reference_compose(p, forms, num_vars=k)
+    assert got.num_vars == k
+    # every coefficient of the image is a sum of products bounded by p's
+    # magnitude at the forms' coefficient 1-norms
+    norms = [sum(abs(c) for c in f.terms.values()) for f in forms]
+    assert got.coefficient_distance(want) <= 1e-12 * max(1.0, _magnitude(p, norms))
+    assert all(abs(c) >= DROP_TOL for c in got.terms.values())
+
+
+def test_compose_rejects_forms_above_degree_one():
+    p = Polynomial(2, {(1, 1): 1.0})
+    square = Polynomial(1, {(2,): 1.0})
+    with pytest.raises(ValueError):
+        p.compose([square, Polynomial.linear_form([1.0])])
+    with pytest.raises(ValueError):
+        Polynomial.zero(1).compose([square])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    degree=st.integers(0, 5),
+    kind=_KINDS,
+    num_points=st.sampled_from([0, 1, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, degree=0, kind="constant", num_points=3, seed=0)
+@example(n=3, degree=4, kind="zero", num_points=2, seed=0)
+def test_evaluate_matches_reference(n, degree, kind, num_points, seed):
+    rng = np.random.default_rng(seed)
+    p = _poly_case(n, degree, kind, rng)
+    pts = rng.uniform(-1.5, 1.5, (num_points, n))
+    many = p.evaluate_many(pts)
+    assert many.shape == (num_points,)
+    for x, value in zip(pts, many):
+        tol = 1e-12 * max(1.0, _magnitude(p, x))
+        want = reference_evaluate(p, x)
+        assert abs(value - want) <= tol
+        assert abs(p.evaluate(x) - want) <= tol
+
+
+def test_evaluate_many_across_block_boundaries():
+    rng = np.random.default_rng(21)
+    p = random_polynomial(rng, 4, 4)
+    block = p._kernel()[0].block_size()
+    for num_points in (block - 1, block, block + 1, 2 * block + 1):
+        pts = rng.uniform(-1.0, 1.0, (num_points, 4))
+        got = p.evaluate_many(pts)
+        want = reference_evaluate(p, pts)
+        assert got.shape == (num_points,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, _magnitude(p, np.ones(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 5),
+    degree=st.integers(0, 5),
+    kind=_KINDS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, degree=0, kind="constant", seed=0)
+@example(n=2, degree=3, kind="zero", seed=0)
+def test_gradient_evaluator_matches_reference(n, degree, kind, seed):
+    rng = np.random.default_rng(seed)
+    p = _poly_case(n, degree, kind, rng)
+    grads = p.gradient()
+    evaluator = GradientEvaluator(p)
+    pts = rng.uniform(-1.0, 1.0, (4, n))
+    batch = evaluator.values(pts)
+    assert batch.shape == (1 + n, 4)
+    for x, column in zip(pts, batch.T):
+        tol = 1e-12 * max(1.0, _magnitude(p, x) * max(degree, 1))
+        want_value = reference_evaluate(p, x)
+        want_grad = np.array([reference_evaluate(g, x) for g in grads], dtype=float)
+        assert abs(evaluator.value(x) - want_value) <= tol
+        assert np.max(np.abs(evaluator.grad(x) - want_grad), initial=0.0) <= tol
+        assert np.max(np.abs(column - np.concatenate([[want_value], want_grad]))) <= tol
+        fd = finite_difference_gradient(p, x)
+        scale = max(1.0, float(np.linalg.norm(want_grad)))
+        assert np.linalg.norm(evaluator.grad(x) - fd) / scale < 1e-6
+    # the remembered point follows the argument's contents, not its identity
+    if n:
+        x = pts[0].copy()
+        evaluator.value(x)
+        x[0] += 0.25
+        assert abs(evaluator.value(x) - reference_evaluate(p, x)) <= 1e-12 * max(1.0, _magnitude(p, x))

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import brute_force_min
 from lowform.detection import SparseForm
 from lowform.linalg import LpProblem, lp_solve
 from lowform.poly import Polynomial
@@ -20,7 +21,7 @@ from lowform.polytope import (
     simplex_projection,
     simplex_reduce,
 )
-from lowform.solvers import Hrep, SolveOptions, brute_force_min
+from lowform.solvers import Hrep, SolveOptions
 
 
 def simplex3() -> Polytope:

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lowform.solvers as solvers
-from conftest import random_polynomial
-from lowform.poly import Polynomial
+from conftest import brute_force_min, random_polynomial
+from lowform.poly import GradientEvaluator, Polynomial
 from lowform.solvers import (
     Hrep,
     InfeasibleRegionError,
     SolveOptions,
     _frank_wolfe,
-    _make_evaluator,
     _pgd_ball,
     _pgd_sphere,
-    brute_force_min,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,
@@ -137,7 +135,8 @@ def test_feasibility_of_results():
 def test_monotone_descent_traces():
     rng = np.random.default_rng(9)
     p = random_polynomial(rng, 2, 4)
-    value, grad = _make_evaluator(p)
+    evaluator = GradientEvaluator(p)
+    value, grad = evaluator.value, evaluator.grad
     x0 = np.array([0.4, -0.3])
 
     trace = []

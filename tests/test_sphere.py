@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import brute_force_min
 from lowform.detection import SparseForm, detect_exact, extract_sparse_form
 from lowform.generate import generate_instance
 from lowform.linalg import RankDeficientError
 from lowform.poly import Polynomial
-from lowform.solvers import SolveOptions, brute_force_min, minimize_ball
+from lowform.solvers import SolveOptions, minimize_ball
 from lowform.sphere import NoSphereLiftError, lift_minimizer, reduce_sphere
 
 
