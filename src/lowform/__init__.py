@@ -40,7 +40,6 @@ from .poly import (
     Polynomial,
     ball_monomial_moment,
     expectation_uniform_ball,
-    substitute_linear,
 )
 from .polytope import (
     Cut,

@@ -31,7 +31,7 @@ from scipy.optimize import nnls
 
 from .detection import gradient_spectrum
 from .linalg import SymEig
-from .poly import Polynomial, ball_moments, exponent_matrix, monomials_up_to, unique_rows
+from .poly import Polynomial, ball_moments, monomials_up_to, unique_rows
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_sphere
 
@@ -86,19 +86,18 @@ class LiftedPolynomial:
 
     def odd_y_violation(self) -> float:
         """Largest |coefficient| among odd-Y terms (zero for valid lifts)."""
-        odd = [abs(c) for e, c in self.poly.terms.items() if e[-1] % 2 == 1]
-        return max(odd, default=0.0)
+        odd = self.poly.exps[:, -1] % 2 == 1
+        return float(np.abs(self.poly.coefs[odd]).max(initial=0.0))
 
     def y_mass(self) -> float:
         """Total |coefficient| mass of Y-dependent terms."""
-        return sum(abs(c) for e, c in self.poly.terms.items() if e[-1] > 0)
+        return float(np.abs(self.poly.coefs[self.poly.exps[:, -1] > 0]).sum())
 
     def flip_y(self) -> "LiftedPolynomial":
         """Negate Y: coefficients of odd-Y terms change sign."""
-        flipped = {
-            e: (-c if e[-1] % 2 else c) for e, c in self.poly.terms.items()
-        }
-        return LiftedPolynomial(self.m, Polynomial(self.m + 1, flipped))
+        exps, coefs = self.poly.exps, self.poly.coefs
+        flipped = np.where(exps[:, -1] % 2 == 1, -coefs, coefs)
+        return LiftedPolynomial(self.m, Polynomial.from_arrays(self.m + 1, exps, flipped))
 
     def to_ball_polynomial(self) -> Polynomial:
         """Eliminate Y via Y^2 = 1 - |X|^2; requires an even-Y lift."""
@@ -109,11 +108,16 @@ class LiftedPolynomial:
             (Polynomial.variable(m, j) ** 2 for j in range(m)),
             Polynomial.zero(m),
         )
-        acc = Polynomial.zero(m)
-        for exp, coef in self.poly.terms.items():
-            x_part = Polynomial(m, {exp[:-1]: coef})
-            acc = acc + x_part * one_minus_norm ** (exp[-1] // 2)
-        return acc
+        exps, coefs = self.poly.exps, self.poly.coefs
+        half = exps[:, -1] // 2
+        return sum(
+            (
+                Polynomial.from_arrays(m, exps[half == k, :-1], coefs[half == k])
+                * one_minus_norm**k
+                for k in np.unique(half).tolist()
+            ),
+            Polynomial.zero(m),
+        )
 
 
 def split_spectrum(h: Polynomial, m: int, eig: SymEig | None = None) -> SpectrumSplit:
@@ -162,17 +166,13 @@ def _surrogate(
     ``moments`` returns mu(beta) = E[v^beta] for each row of an exponent
     matrix over the n - m tail variables.
     """
-    n, m = split.n, split.m
-    frame = np.hstack([split.ell, split.s])
-    forms = [Polynomial.linear_form(frame[i]) for i in range(n)]
-    rotated = h.compose(forms, num_vars=n)
-    exps, coefs = exponent_matrix(rotated)
-    acc: dict[tuple, float] = {}
-    for exp, coef, weight in zip(rotated.terms, coefs, moments(exps[:, m:])):
-        if weight:
-            head = exp[:m] + (sum(exp[m:]),)
-            acc[head] = acc.get(head, 0.0) + coef * weight
-    return LiftedPolynomial(m, Polynomial(m + 1, acc))
+    m = split.m
+    rotated = h.compose(np.hstack([split.ell, split.s]))
+    exps = rotated.exps
+    head = np.column_stack([exps[:, :m], exps[:, m:].sum(axis=1)])
+    return LiftedPolynomial(
+        m, Polynomial.from_arrays(m + 1, head, rotated.coefs * moments(exps[:, m:]))
+    )
 
 
 def conditional_expectation_exact(

@@ -35,7 +35,6 @@ from .poly import (
     GradientEvaluator,
     Polynomial,
     ball_moments,
-    exponent_matrix,
     partial_terms,
     unique_rows,
 )
@@ -83,7 +82,7 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
     It is symmetrized at the end, so it is exactly symmetric.
     """
     n = h.num_vars
-    var, shifted, partial_coefs = partial_terms(*exponent_matrix(h))
+    var, shifted, partial_coefs = partial_terms(h.exps, h.coefs)
     if not var.size:
         return np.zeros((n, n))
     monos, column = unique_rows(shifted)
@@ -206,9 +205,7 @@ def extract_sparse_form(h: Polynomial, basis: np.ndarray) -> SparseForm:
     gram = basis.T @ basis
     if m and float(np.abs(gram - np.eye(m)).max()) > 1e-8:
         raise ValueError("basis columns are not orthonormal")
-    forms = [Polynomial.linear_form(basis[i, :]) for i in range(h.num_vars)]
-    f = h.compose(forms, num_vars=m)
-    return SparseForm(f=f, ell=basis.copy())
+    return SparseForm(f=h.compose(basis), ell=basis.copy())
 
 
 def verify_sparse_form(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .detection import gradient_spectrum
 from .linalg import fix_column_signs, numeric_rank, orthonormalize
-from .poly import Polynomial, monomials_up_to, substitute_linear
+from .poly import Polynomial, monomials_up_to
 
 
 @dataclass
@@ -70,8 +70,7 @@ def generate_instance(
     if m:
         ell0 = fix_column_signs(orthonormalize(rng.standard_normal((n, m))))
         f0 = _nondegenerate_inner(rng, m, degree)
-        forms = [Polynomial.linear_form(ell0[:, j]) for j in range(m)]
-        h = substitute_linear(f0, forms)
+        h = f0.compose(ell0.T)
     else:
         ell0 = np.zeros((n, 0))
         f0 = Polynomial.constant(0, float(rng.standard_normal()))

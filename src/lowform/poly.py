@@ -1,11 +1,15 @@
 """Sparse multivariate polynomial arithmetic with exact unit-ball moments.
 
-A polynomial is stored as a map from exponent tuples (one nonnegative integer
-per variable) to float coefficients; the zero polynomial is the empty map.
-Instances are never mutated after construction, so they are safe to share
-across threads.  Coefficients whose magnitude falls below ``DROP_TOL`` are
-dropped on construction, which keeps term maps from accreting numerical dust
-through long chains of arithmetic.
+A polynomial stores its terms as two arrays: ``exps``, an (N, num_vars)
+int64 matrix of distinct exponent rows in graded-lex order (by degree, then
+lexicographically), and ``coefs``, the N float coefficients.  The zero
+polynomial has N = 0.  Every constructor and operation goes through one
+array path that checks the rows, merges repeated exponents (summing their
+coefficients in row order), drops coefficients whose magnitude falls below
+``DROP_TOL`` and sorts; the dropping keeps term arrays from accreting
+numerical dust through long chains of arithmetic.  Instances are never
+mutated after construction (both arrays are read-only), so they are safe to
+share across threads.
 
 Evaluation and composition run on one array kernel, the *monomial tree* of
 the exponent matrix: its closure under removing one unit of the first
@@ -16,9 +20,9 @@ one variable.  The tree is built once per instance, on first use.
   point, and returns the coefficient vector times the node values.  Points
   go through in blocks sized by a fixed byte budget, so memory stays flat
   whatever the point count; ``evaluate`` is the one-point case.
-* ``compose`` substitutes affine forms only.  It walks the same tree,
-  carrying each node's image as a dense vector over the graded monomials of
-  the target variables, and sums the images of the terms.
+* ``compose(A)`` is the linear substitution x = A t.  It walks the same
+  tree, carrying each node's image as a dense vector over the graded
+  monomials of the target variables, and sums the images of the terms.
 * :class:`GradientEvaluator` serves the solvers: one tree over p and its
   partials gives value and gradient from a single fill per point.
 
@@ -52,29 +56,38 @@ class DimensionMismatchError(ValueError):
 class Polynomial:
     """Immutable sparse polynomial in ``num_vars`` real variables.
 
-    ``terms`` maps exponent tuples of length ``num_vars`` to coefficients.
-    Duplicate exponents passed to the constructor are merged, and terms with
-    |coefficient| < ``DROP_TOL`` are dropped.
+    The terms are ``coefs[i] * x^exps[i]``: ``exps`` is an (N, num_vars)
+    int64 array of distinct rows in graded-lex order and ``coefs`` an (N,)
+    float array, every entry finite with magnitude at least ``DROP_TOL``.
+
+    ``Polynomial(num_vars, mapping)`` builds one from a map of exponent
+    tuples to coefficients, and :meth:`from_arrays` from the two arrays.
+    Either way repeated exponents are merged, small coefficients dropped, and
+    a non-finite coefficient or a negative or non-integral exponent raises
+    ValueError.
     """
 
-    __slots__ = ("num_vars", "terms", "_cache")
+    __slots__ = ("num_vars", "exps", "coefs", "_cache")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponent, float] | None = None):
-        num_vars = int(num_vars)
-        if num_vars < 0:
-            raise ValueError("num_vars must be nonnegative")
-        merged: dict[Exponent, float] = {}
-        for exp, coef in (terms or {}).items():
-            key = tuple(int(e) for e in exp)
-            if len(key) != num_vars:
-                raise DimensionMismatchError(
-                    f"exponent {key} has length {len(key)}, expected {num_vars}"
-                )
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            merged[key] = merged.get(key, 0.0) + float(coef)
-        self.num_vars = num_vars
-        self.terms = {e: c for e, c in merged.items() if abs(c) >= DROP_TOL}
+        terms = terms or {}
+        keys = list(terms)
+        if len(set(map(len, keys))) > 1:
+            raise DimensionMismatchError(f"exponents of several lengths for {num_vars} vars")
+        exps = np.array(keys) if keys else np.zeros((0, num_vars), dtype=np.int64)
+        self._assign(num_vars, exps, np.fromiter(terms.values(), dtype=float, count=len(keys)))
+
+    @classmethod
+    def from_arrays(cls, num_vars: int, exps, coefs) -> "Polynomial":
+        """The polynomial sum_i coefs[i] x^exps[i] of an (N, num_vars)
+        exponent array and N coefficients, rows in any order."""
+        p = cls.__new__(cls)
+        p._assign(num_vars, exps, coefs)
+        return p
+
+    def _assign(self, num_vars: int, exps, coefs) -> None:
+        self.num_vars = int(num_vars)
+        self.exps, self.coefs = _canonical(self.num_vars, exps, coefs)
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -97,48 +110,35 @@ class Polynomial:
         exp[index] = 1
         return cls(num_vars, {tuple(exp): 1.0})
 
-    @classmethod
-    def linear_form(cls, coeffs: Sequence[float], constant: float = 0.0) -> "Polynomial":
-        """Degree <= 1 polynomial ``constant + sum_j coeffs[j] * x_j``."""
-        k = len(coeffs)
-        terms: dict[Exponent, float] = {}
-        for j, c in enumerate(coeffs):
-            exp = [0] * k
-            exp[j] = 1
-            terms[tuple(exp)] = float(c)
-        if constant:
-            terms[(0,) * k] = float(constant)
-        return cls(k, terms)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponent, float]:
+        """A new map from exponent tuples to coefficients, in graded-lex order."""
+        return dict(zip(map(tuple, self.exps.tolist()), self.coefs.tolist()))
+
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return int(self.exps[-1].sum()) if self.coefs.size else 0
 
     def constant_value(self) -> float:
         """Coefficient of the constant term."""
-        return self.terms.get((0,) * self.num_vars, 0.0)
+        if self.coefs.size and not self.exps[0].any():
+            return float(self.coefs[0])
+        return 0.0
 
     def is_constant(self) -> bool:
         return self.degree() == 0
 
-    def graded_terms(self) -> list[tuple[Exponent, float]]:
-        """Terms sorted in graded-lexicographic order (degree, then lex)."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
     def coefficient_distance(self, other: "Polynomial") -> float:
-        """Max absolute coefficient difference between two term maps."""
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatchError("polynomials live in different variable counts")
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
+        """Max absolute coefficient difference between two polynomials."""
+        self._check_same_space(other)
+        _, diff = _merge(
+            np.vstack([self.exps, other.exps]), np.concatenate([self.coefs, -other.coefs])
+        )
+        return float(np.abs(diff).max(initial=0.0))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -154,35 +154,32 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_space(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0.0) + coef
-        return Polynomial(self.num_vars, out)
+        return Polynomial.from_arrays(
+            self.num_vars,
+            np.vstack([self.exps, other.exps]),
+            np.concatenate([self.coefs, other.coefs]),
+        )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_space(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0.0) - coef
-        return Polynomial(self.num_vars, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial.from_arrays(self.num_vars, self.exps, -self.coefs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial(self.num_vars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial.from_arrays(self.num_vars, self.exps, self.coefs * other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_space(other)
-        out: dict[Exponent, float] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Polynomial(self.num_vars, out)
+        # every pair of terms, self's term major, as the sum of the rows
+        pairs = self.coefs.size * other.coefs.size
+        exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(pairs, self.num_vars)
+        return Polynomial.from_arrays(
+            self.num_vars, exps, np.outer(self.coefs, other.coefs).reshape(pairs)
+        )
 
     __rmul__ = __mul__
 
@@ -204,14 +201,17 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.num_vars == other.num_vars
-            and self.terms == other.terms
+            and np.array_equal(self.exps, other.exps)
+            and np.array_equal(self.coefs, other.coefs)
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coefs.size:
             return f"Polynomial({self.num_vars}, 0)"
-        parts = [f"{c:+g}*x^{list(e)}" for e, c in self.graded_terms()[:6]]
-        suffix = " + ..." if len(self.terms) > 6 else ""
+        parts = [
+            f"{c:+g}*x^{e}" for e, c in zip(self.exps[:6].tolist(), self.coefs[:6].tolist())
+        ]
+        suffix = " + ..." if self.coefs.size > 6 else ""
         return f"Polynomial({self.num_vars}, {' '.join(parts)}{suffix})"
 
     # ------------------------------------------------------------------
@@ -221,9 +221,8 @@ class Polynomial:
     def _kernel(self) -> tuple["_MonomialTree", np.ndarray]:
         """The monomial tree of the terms plus the coefficient of every node."""
         if self._cache is None:
-            exps, coefs = exponent_matrix(self)
-            tree = _MonomialTree(exps)
-            self._cache = (tree, tree.weights(coefs[None, :])[0])
+            tree = _MonomialTree(self.exps)
+            self._cache = (tree, tree.weights(self.coefs[None, :])[0])
         return self._cache
 
     def evaluate(self, point: Sequence[float]) -> float:
@@ -258,61 +257,33 @@ class Polynomial:
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        out: dict[Exponent, float] = {}
-        for exp, coef in self.terms.items():
-            e = exp[index]
-            if e:
-                key = exp[:index] + (e - 1,) + exp[index + 1 :]
-                out[key] = out.get(key, 0.0) + coef * e
-        return Polynomial(self.num_vars, out)
+        var, shifted, coefs = partial_terms(self.exps, self.coefs)
+        mine = var == index
+        return Polynomial.from_arrays(self.num_vars, shifted[mine], coefs[mine])
 
     def gradient(self) -> list["Polynomial"]:
         """All first partial derivatives, one per variable."""
         return [self.partial(i) for i in range(self.num_vars)]
 
-    def compose(
-        self, forms: Sequence["Polynomial"], num_vars: int | None = None
-    ) -> "Polynomial":
-        """Substitute the affine form ``forms[i]`` for variable i.
+    def compose(self, A: np.ndarray) -> "Polynomial":
+        """p(A t): the linear substitution x = A t for an (n, k) matrix A.
 
-        The forms share a variable set of size k; the result q satisfies
-        q(t) = p(forms_1(t), ..., forms_n(t)) identically, with degree(q) <=
-        degree(p).  A form of degree above 1 raises ValueError.  ``num_vars``
-        is only needed when ``forms`` is empty (a 0-variable polynomial
-        composed into a target space).
-
-        With forms_i(t) = c_i + A_i t, the image of every tree node is a dense
-        vector over the graded monomials of degree <= deg(node) in t:
-        image(child) = c_v image(parent) + sum_j A_vj shift_j(image(parent))
-        for the child's variable v, where shift_j multiplies by t_j.  The
-        result is the coefficient-weighted sum of the images, one level at a
-        time, so only two levels are held at once.
+        The result has k variables and degree at most p's.  Entries of A
+        below ``DROP_TOL`` in magnitude count as zero, like every other
+        coefficient.  With x_v = sum_j A_vj t_j, the image of every tree node is a dense vector
+        over the graded monomials of degree <= deg(node) in t:
+        image(child) = sum_j A_vj shift_j(image(parent)) for the child's
+        variable v, where shift_j multiplies by t_j.  The result is the
+        coefficient-weighted sum of the images, one level at a time, so only
+        two levels are held at once.
         """
-        forms = list(forms)
-        if len(forms) != self.num_vars:
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != self.num_vars:
             raise DimensionMismatchError(
-                f"need {self.num_vars} substitution forms, got {len(forms)}"
+                f"substitution matrix must have shape ({self.num_vars}, k), got {A.shape}"
             )
-        if forms:
-            k = forms[0].num_vars
-            if any(f.num_vars != k for f in forms):
-                raise DimensionMismatchError("substitution forms disagree on variable count")
-        elif num_vars is None:
-            raise ValueError("num_vars is required when composing with no forms")
-        else:
-            k = int(num_vars)
-        if any(f.degree() > 1 for f in forms):
-            raise ValueError("compose requires affine forms (degree <= 1)")
-
-        linear = np.zeros((self.num_vars, k))  # A
-        const = np.zeros(self.num_vars)  # c
-        for i, f in enumerate(forms):
-            for exp, coef in f.terms.items():
-                if any(exp):
-                    linear[i, exp.index(1)] = coef
-                else:
-                    const[i] = coef
-
+        A = np.where(np.abs(A) < DROP_TOL, 0.0, A)
+        k = A.shape[1]
         tree, weights = self._kernel()
         top = tree.depth
         basis, ends, shift = _graded_basis(k, top)
@@ -323,12 +294,11 @@ class Polynomial:
             prev = images[:, parent - tree.start[d - 1]]
             width = ends[d - 1]
             images = np.zeros((ends[d], hi - lo))
-            images[:width] = prev * const[var]
             for j in range(k):
-                images[shift[:width, j]] += prev * linear[var, j]
+                images[shift[:width, j]] += prev * A[var, j]
             acc[: ends[d]] += images @ weights[lo:hi]
         keep = np.flatnonzero(acc)
-        return Polynomial(k, dict(zip(map(tuple, basis[keep].tolist()), acc[keep].tolist())))
+        return Polynomial.from_arrays(k, basis[keep], acc[keep])
 
     # ------------------------------------------------------------------
     # serialization
@@ -339,39 +309,74 @@ class Polynomial:
         return {
             "num_vars": self.num_vars,
             "terms": [
-                {"exp": list(exp), "coef": coef} for exp, coef in self.graded_terms()
+                {"exp": exp, "coef": coef}
+                for exp, coef in zip(self.exps.tolist(), self.coefs.tolist())
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
-        """Parse the ``to_json_dict`` format, rejecting what the constructor
-        would repair: non-finite coefficients (dropped), non-integral
-        exponents (truncated) and repeated exponents (merged)."""
-        num_vars = data["num_vars"]
-        terms: dict[Exponent, float] = {}
-        for t in data["terms"]:
-            exp = tuple(t["exp"])
-            if not all(
-                (isinstance(e, int) and not isinstance(e, bool))
-                or (isinstance(e, float) and e.is_integer())
-                for e in exp
-            ):
-                raise ValueError(f"exponent {list(exp)} is not all integers")
-            exp = tuple(int(e) for e in exp)
-            coef = float(t["coef"])
-            if not math.isfinite(coef):
-                raise ValueError(f"coefficient of {list(exp)} is {coef}")
-            if exp in terms:
-                raise ValueError(f"exponent {list(exp)} appears twice")
-            terms[exp] = coef
-        return cls(num_vars, terms)
+        """Parse the ``to_json_dict`` format.
+
+        Besides the checks of every constructor, it rejects what only the
+        JSON form can carry: exponent entries that are not numbers (a
+        boolean would read as 0 or 1) and a repeated exponent, which the
+        constructor would merge.
+        """
+        num_vars = int(data["num_vars"])
+        terms = data["terms"]
+        rows = [t["exp"] for t in terms]
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            raise ValueError("exponent entries must be integers")
+        if len(set(map(tuple, rows))) < len(rows):
+            raise ValueError("an exponent appears twice")
+        exps = np.array(rows, dtype=float) if rows else np.zeros((0, num_vars))
+        return cls.from_arrays(num_vars, exps, [t["coef"] for t in terms])
 
 
-def substitute_linear(p: Polynomial, forms: Sequence[Polynomial]) -> Polynomial:
-    """Compose ``p`` with affine forms over a common variable set; the same
-    as ``p.compose(forms)``."""
-    return p.compose(forms)
+def _merge(exps: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an exponent matrix in graded-lex order, each with
+    the sum of its coefficients taken in row order."""
+    if not exps.shape[0]:
+        return exps, coefs
+    rows, inverse = unique_rows(np.column_stack([exps.sum(axis=1), exps]))
+    return rows[:, 1:], np.bincount(inverse, weights=coefs, minlength=rows.shape[0])
+
+
+def _canonical(num_vars: int, exps, coefs) -> tuple[np.ndarray, np.ndarray]:
+    """The stored form of the terms coefs[i] x^exps[i]: checked, merged,
+    stripped of coefficients below ``DROP_TOL`` and read-only."""
+    if num_vars < 0:
+        raise ValueError("num_vars must be nonnegative")
+    exps = np.asarray(exps)
+    coefs = np.asarray(coefs, dtype=float)
+    if exps.ndim != 2 or exps.shape[1] != num_vars:
+        raise DimensionMismatchError(
+            f"exponents must have shape (N, {num_vars}), got {exps.shape}"
+        )
+    if coefs.shape != exps.shape[:1]:
+        raise DimensionMismatchError(
+            f"{exps.shape[0]} exponents but coefficients of shape {coefs.shape}"
+        )
+    bad = ~np.isfinite(coefs)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"coefficient of {exps[row].tolist()} is {coefs[row]}")
+    if exps.dtype.kind not in "iu":
+        real = exps.astype(float)
+        bad = ~np.all(np.isfinite(real) & (real == np.round(real)), axis=1)
+        if bad.any():
+            raise ValueError(f"exponent {real[np.argmax(bad)].tolist()} is not all integers")
+    exps = exps.astype(np.int64)
+    bad = np.any(exps < 0, axis=1)
+    if bad.any():
+        raise ValueError(f"negative exponent in {exps[np.argmax(bad)].tolist()}")
+    exps, coefs = _merge(exps, coefs)
+    keep = np.abs(coefs) >= DROP_TOL
+    exps, coefs = exps[keep], coefs[keep]
+    exps.flags.writeable = False
+    coefs.flags.writeable = False
+    return exps, coefs
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +503,7 @@ class GradientEvaluator:
     """
 
     def __init__(self, p: Polynomial):
-        exps, coefs = exponent_matrix(p)
+        exps, coefs = p.exps, p.coefs
         var, shifted, partial_coefs = partial_terms(exps, coefs)
         rows = np.zeros((1 + p.num_vars, exps.shape[0] + var.size))
         rows[0, : exps.shape[0]] = coefs
@@ -588,13 +593,6 @@ def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def exponent_matrix(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """p's terms as an (N, num_vars) int exponent matrix and N coefficients,
-    both in term-map order."""
-    exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.num_vars)
-    return exps, np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
-
-
 def partial_terms(
     exps: np.ndarray, coefs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -613,11 +611,7 @@ def partial_terms(
 
 def expectation_uniform_ball(p: Polynomial) -> float:
     """E[p(x)] for x uniform on the unit ball in p.num_vars dimensions."""
-    if p.num_vars == 0:
-        return p.constant_value()
-    return sum(
-        coef * ball_monomial_moment(exp, p.num_vars) for exp, coef in p.terms.items()
-    )
+    return float(p.coefs @ ball_moments(p.exps, p.num_vars))
 
 
 def monomials_up_to(num_vars: int, degree: int) -> Iterator[Exponent]:

@@ -117,9 +117,6 @@ class Polytope:
         weights = rng.dirichlet(np.ones(len(verts)), size=count)
         return weights @ verts
 
-    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.sample(rng, count)
-
 
 @dataclass
 class Cut:

@@ -420,8 +420,7 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
 
     ``region`` must expose ``lmo(direction) -> vertex`` and
-    ``start_points(rng, count) -> array``; both :class:`Hrep` and the
-    standard-form polytope type satisfy this.  Half of the starts are taken
+    ``start_points(rng, count) -> array``, as :class:`Hrep` does.  Half of the starts are taken
     from the best points of a sampled sweep of the objective, which keeps
     deep, narrow basins from being missed; the rest stay exploratory.
     """

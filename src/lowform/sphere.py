@@ -22,7 +22,7 @@ from .linalg import (
     psd_sqrt,
     sym_eig,
 )
-from .poly import Polynomial, substitute_linear
+from .poly import Polynomial
 
 
 class NoSphereLiftError(ValueError):
@@ -50,9 +50,7 @@ def reduce_sphere(sf: SparseForm) -> ReducedBallProblem:
     if m and numeric_rank(sym_eig(gram).eigenvalues, DEFAULT_RANK_TOL) < m:
         raise RankDeficientError("columns of ell are linearly dependent")
     L = psd_sqrt(gram)
-    forms = [Polynomial.linear_form(L[i, :]) for i in range(m)]
-    g = substitute_linear(sf.f, forms) if m else sf.f
-    return ReducedBallProblem(g=g, L=L, source=sf)
+    return ReducedBallProblem(g=sf.f.compose(L), L=L, source=sf)
 
 
 def lift_minimizer(prob: ReducedBallProblem, y_star: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ ball moments are estimated by rejection sampling from the cube (not the
 library's Gaussian sampler), gradients by central finite differences, LPs
 by exhaustive vertex enumeration, the gradient moment matrix by a
 term-pair double loop over scalar moments rather than the library's
-G K G^T form, evaluation by a term-by-term loop over the term map and
-composition by multiplying out powers of the forms, rather than the
+G K G^T form, evaluation by a term-by-term loop over the term map,
+arithmetic by loops over term maps (dicts from exponent tuples to
+coefficients) rather than the library's exponent arrays, and composition by
+multiplying out powers of the forms with that arithmetic, rather than the
 library's monomial tree.  The brute-force minimum oracle samples densely
 and polishes with that term loop, never with the solvers' evaluator.
 """
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from lowform.generate import Instance, generate_instance
-from lowform.poly import Polynomial, ball_monomial_moment, monomials_up_to
+from lowform.poly import DROP_TOL, Polynomial, ball_monomial_moment, monomials_up_to
 from lowform.sampling import sample_ball, sample_sphere
 from lowform.solvers import Hrep, _pgd, _pgd_ball, _pgd_sphere
 
@@ -77,36 +79,109 @@ def reference_evaluate(p: Polynomial, point) -> float | np.ndarray:
     return total if pts.ndim == 1 else np.broadcast_to(total, pts.shape[:1]).copy()
 
 
-def reference_compose(p: Polynomial, forms, num_vars: int | None = None) -> Polynomial:
-    """Substitute ``forms[i]`` for variable i by multiplying out the term map.
+def reference_terms(num_vars: int, pairs) -> dict:
+    """The term map of (exponent, coefficient) pairs: repeated exponents
+    merged in order, coefficients below ``DROP_TOL`` dropped."""
+    merged: dict[tuple, float] = {}
+    for exp, coef in pairs:
+        key = tuple(int(e) for e in exp)
+        if len(key) != num_vars:
+            raise ValueError(f"exponent {key} has length {len(key)}, expected {num_vars}")
+        if any(e < 0 for e in key):
+            raise ValueError(f"negative exponent in {key}")
+        merged[key] = merged.get(key, 0.0) + float(coef)
+    return _reference_drop(merged)
 
-    Each term's product of form powers is expanded by the library's dict
-    multiply, with the powers of each form shared across terms.
+
+def _reference_drop(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if abs(c) >= DROP_TOL}
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, coef in b.items():
+        out[exp] = out.get(exp, 0.0) + coef
+    return _reference_drop(out)
+
+
+def reference_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, coef in b.items():
+        out[exp] = out.get(exp, 0.0) - coef
+    return _reference_drop(out)
+
+
+def reference_mul(a: dict, b) -> dict:
+    """Term-map product with another term map or a scalar."""
+    if isinstance(b, (int, float)):
+        return _reference_drop({e: c * b for e, c in a.items()})
+    out: dict[tuple, float] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return _reference_drop(out)
+
+
+def reference_pow(a: dict, power: int, num_vars: int) -> dict:
+    """Term-map power by repeated squaring."""
+    result = {(0,) * num_vars: 1.0}
+    base = a
+    p = int(power)
+    while p:
+        if p & 1:
+            result = reference_mul(result, base)
+        p >>= 1
+        if p:
+            base = reference_mul(base, base)
+    return result
+
+
+def reference_partial(a: dict, index: int) -> dict:
+    out: dict[tuple, float] = {}
+    for exp, coef in a.items():
+        e = exp[index]
+        if e:
+            key = exp[:index] + (e - 1,) + exp[index + 1 :]
+            out[key] = out.get(key, 0.0) + coef * e
+    return _reference_drop(out)
+
+
+def reference_compose(p: Polynomial, A) -> Polynomial:
+    """p(A t) by multiplying out the term map.
+
+    Variable i becomes the form sum_j A[i, j] t_j, and each term's product of
+    form powers is expanded by ``reference_mul``, with the powers of each
+    form shared across terms.
     """
-    forms = list(forms)
-    if len(forms) != p.num_vars:
-        raise ValueError(f"need {p.num_vars} substitution forms, got {len(forms)}")
-    k = forms[0].num_vars if forms else int(num_vars)
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] != p.num_vars:
+        raise ValueError(f"need {p.num_vars} substitution rows, got {A.shape[0]}")
+    k = A.shape[1]
+    unit = np.eye(k, dtype=int)
+    forms = [
+        reference_terms(k, zip(map(tuple, unit.tolist()), row.tolist())) for row in A
+    ]
 
-    pow_cache: dict[tuple[int, int], Polynomial] = {}
+    pow_cache: dict[tuple[int, int], dict] = {}
 
-    def form_power(i: int, e: int) -> Polynomial:
+    def form_power(i: int, e: int) -> dict:
         key = (i, e)
         if key not in pow_cache:
             if e == 1:
                 pow_cache[key] = forms[i]
             else:
-                pow_cache[key] = form_power(i, e - 1) * forms[i]
+                pow_cache[key] = reference_mul(form_power(i, e - 1), forms[i])
         return pow_cache[key]
 
     acc: dict[tuple, float] = {}
-    one = Polynomial.constant(k, 1.0)
+    one = {(0,) * k: 1.0}
     for exp, coef in p.terms.items():
         prod = one
         for i, e in enumerate(exp):
             if e:
-                prod = prod * form_power(i, e)
-        for pe, pc in prod.terms.items():
+                prod = reference_mul(prod, form_power(i, e))
+        for pe, pc in prod.items():
             acc[pe] = acc.get(pe, 0.0) + coef * pc
     return Polynomial(k, acc)
 

@@ -159,13 +159,38 @@ def test_verify_detects_wrong_form():
 
 
 def test_round_trip_small_corpus():
-    for i in range(10):
-        inst = generate_instance(500 + i, 6, 2, 3)
+    # (seed, n, m, degree): ten m = 2 instances, then m = 0 and m = n, n = 1
+    cases = [(500 + i, 6, 2, 3) for i in range(10)]
+    cases += [(510, 5, 0, 3), (511, 4, 4, 3), (512, 1, 1, 4), (513, 1, 0, 2)]
+    for i, (seed, n, m, degree) in enumerate(cases):
+        inst = generate_instance(seed, n, m, degree)
         rep = detect_exact(inst.h)
-        assert rep.m == 2
+        assert rep.m == m
         sf = extract_sparse_form(inst.h, rep.basis)
+        assert sf.f.num_vars == m
         assert verify_sparse_form(inst.h, sf, 200, seed=i) < 1e-8
         assert sin_principal_angle(rep.basis, inst.ell0) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(0, 3),
+    degree=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, m=2, degree=4, seed=7)
+def test_detection_invariant_under_orthogonal_change_of_variables(n, m, degree, seed):
+    m = min(m, n)
+    inst = generate_instance(seed, n, m, degree)
+    rep = detect_exact(inst.h)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    # h(Q y) = f0((Q^T ell0)^T y): the same m, and the span turned by Q^T
+    turned = detect_exact(inst.h.compose(q))
+    assert turned.m == rep.m == m
+    assert sin_principal_angle(turned.basis, q.T @ rep.basis) < 1e-9
+    top = max(rep.spectrum[0], 1.0)
+    assert np.max(np.abs(np.subtract(turned.spectrum, rep.spectrum))) <= 1e-12 * top
 
 
 def test_subspace_contains_gradients():

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, composition, and exact ball moments."""
 
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,14 @@ from conftest import (
     mc_ball_points,
     mc_expectation,
     random_polynomial,
+    reference_add,
     reference_compose,
     reference_evaluate,
+    reference_mul,
+    reference_partial,
+    reference_pow,
+    reference_sub,
+    reference_terms,
 )
 from lowform.poly import (
     DROP_TOL,
@@ -24,7 +31,6 @@ from lowform.poly import (
     ball_moments,
     expectation_uniform_ball,
     monomials_up_to,
-    substitute_linear,
 )
 
 
@@ -58,36 +64,44 @@ def test_gradient_examples():
     assert gy.terms == {(1, 0): 2.0, (0, 1): 2.0}
 
 
-def test_substitute_linear_examples():
+def test_compose_examples():
     # X^2 with X := x1 + x2
     p = Polynomial(1, {(2,): 1.0})
-    q = substitute_linear(p, [Polynomial.linear_form([1.0, 1.0])])
+    q = p.compose(np.array([[1.0, 1.0]]))
     assert q.terms == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
 
     # identity substitution leaves the polynomial unchanged
     rng = np.random.default_rng(0)
     p = random_polynomial(rng, 3, 3)
-    identity = [Polynomial.variable(3, i) for i in range(3)]
-    assert substitute_linear(p, identity) == p
+    assert p.compose(np.eye(3)) == p
 
     # X1 X2 with X1 := x1, X2 := c * x2
     p = Polynomial(2, {(1, 1): 1.0})
-    q = substitute_linear(
-        p, [Polynomial.linear_form([1.0, 0.0]), Polynomial.linear_form([0.0, 2.5])]
-    )
-    assert q.terms == {(1, 1): 2.5}
+    assert p.compose(np.diag([1.0, 2.5])).terms == {(1, 1): 2.5}
+
+    # no target variables: the constant p(0)
+    p = Polynomial(2, {(0, 0): 3.0, (1, 1): 1.0})
+    assert p.compose(np.zeros((2, 0))) == Polynomial.constant(0, 3.0)
 
 
-def test_substitute_linear_rejects_bad_forms():
+def test_compose_rejects_bad_shapes():
     p = Polynomial(2, {(1, 1): 1.0})
-    with pytest.raises(DimensionMismatchError):
-        substitute_linear(p, [Polynomial.linear_form([1.0])])  # wrong count
-    with pytest.raises(DimensionMismatchError):
-        substitute_linear(
-            p, [Polynomial.linear_form([1.0]), Polynomial.linear_form([1.0, 2.0])]
-        )
+    for bad in (np.ones((1, 2)), np.ones((3, 2)), np.ones(2), np.ones((2, 2, 1))):
+        with pytest.raises(DimensionMismatchError):
+            p.compose(bad)
     with pytest.raises(ValueError):
-        substitute_linear(p, [Polynomial(1, {(2,): 1.0}), Polynomial.linear_form([1.0])])
+        p.compose([[1.0], [1.0, 2.0]])  # rows of different widths
+
+
+def test_compose_rejects_forms_above_degree_one():
+    # the substitution is a matrix, so only linear forms can be written;
+    # forms given as polynomials, such as a square, are refused
+    p = Polynomial(2, {(1, 1): 1.0})
+    square = Polynomial(1, {(2,): 1.0})
+    with pytest.raises(TypeError):
+        p.compose([square, Polynomial.variable(1, 0)])
+    with pytest.raises(TypeError):
+        Polynomial.zero(1).compose([square])
 
 
 def test_ball_moment_examples():
@@ -164,11 +178,8 @@ def test_substitution_is_ring_homomorphism():
         k = int(rng.integers(1, 4))
         p = random_polynomial(rng, n, 2)
         q = random_polynomial(rng, n, 2)
-        forms = [
-            Polynomial.linear_form(rng.standard_normal(k), constant=float(rng.standard_normal()))
-            for _ in range(n)
-        ]
-        sub = lambda r: r.compose(forms)
+        A = rng.standard_normal((n, k))
+        sub = lambda r: r.compose(A)
         assert sub(p * q).coefficient_distance(sub(p) * sub(q)) < 1e-10
         assert sub(p + q).coefficient_distance(sub(p) + sub(q)) < 1e-10
 
@@ -176,11 +187,11 @@ def test_substitution_is_ring_homomorphism():
 def test_evaluate_commutes_with_substitution():
     rng = np.random.default_rng(17)
     p = random_polynomial(rng, 3, 4)
-    forms = [Polynomial.linear_form(rng.standard_normal(2)) for _ in range(3)]
-    q = substitute_linear(p, forms)
+    A = rng.standard_normal((3, 2))
+    q = p.compose(A)
     for _ in range(50):
         t = rng.uniform(-1, 1, 2)
-        via_forms = p.evaluate([f.evaluate(t) for f in forms])
+        via_forms = p.evaluate(A @ t)
         direct = q.evaluate(t)
         assert abs(direct - via_forms) <= 1e-9 * max(1.0, abs(via_forms))
 
@@ -224,13 +235,28 @@ def test_from_json_dict_accepts_integral_float_exponents():
     assert Polynomial.from_json_dict(data).terms == {(2, 0): 1.5}
 
 
+@pytest.mark.parametrize("terms", [
+    {(1, 0): float("nan"), (0, 1): 1.0},
+    {(1, 0): float("inf")},
+    {(1, 0): -float("inf"), (0, 1): 1.0},
+    {(1.7, 0): 1.0},
+    {(1, float("inf")): 1.0},
+    {(-1, 0): 1.0},
+])
+def test_constructors_reject_instead_of_repairing(terms):
+    with pytest.raises(ValueError):
+        Polynomial(2, terms)
+    with pytest.raises(ValueError):
+        Polynomial.from_arrays(2, np.array(list(terms)), list(terms.values()))
+
+
 def test_monomials_up_to_counts():
     assert len(list(monomials_up_to(3, 2))) == 10  # C(5,3)
     assert list(monomials_up_to(0, 4)) == [()]
 
 
 def test_power_and_degree():
-    p = Polynomial.linear_form([1.0, 1.0])
+    p = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
     assert (p**2).terms == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
     assert (p**0).terms == {(0, 0): 1.0}
     assert p.degree() == 1 and (p**3).degree() == 3
@@ -260,6 +286,57 @@ def _magnitude(p: Polynomial, x) -> float:
 _KINDS = st.sampled_from(["zero", "constant", "sparse", "dense"])
 
 
+def _assert_same_terms(got: Polynomial, want: dict, num_vars: int) -> None:
+    """got holds exactly the term map ``want``, rows in graded-lex order.  The
+    array operations sum each coefficient in the reference's order, so the
+    coefficients agree bit for bit."""
+    assert got.num_vars == num_vars
+    assert got.terms == want
+    assert list(got.terms) == sorted(want, key=lambda e: (sum(e), e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    degree=st.integers(0, 5),
+    kind_p=_KINDS,
+    kind_q=_KINDS,
+    power=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, degree=0, kind_p="constant", kind_q="zero", power=2, seed=0)
+@example(n=6, degree=5, kind_p="dense", kind_q="dense", power=1, seed=1)
+@example(n=3, degree=2, kind_p="sparse", kind_q="constant", power=3, seed=2)
+def test_arithmetic_matches_reference(n, degree, kind_p, kind_q, power, seed):
+    rng = np.random.default_rng(seed)
+    p = _poly_case(n, degree, kind_p, rng)
+    q = _poly_case(n, degree, kind_q, rng)
+    a, b = p.terms, q.terms
+    _assert_same_terms(p + q, reference_add(a, b), n)
+    _assert_same_terms(p - q, reference_sub(a, b), n)
+    _assert_same_terms(-p, reference_mul(a, -1.0), n)
+    _assert_same_terms(p * q, reference_mul(a, b), n)
+    c = float(rng.standard_normal())
+    _assert_same_terms(p * c, reference_mul(a, c), n)
+    _assert_same_terms(c * p, reference_mul(a, c), n)
+    power = min(power, 6 // max(p.degree(), 1))  # keeps p**power small
+    _assert_same_terms(p**power, reference_pow(a, power, n), n)
+    for i in range(n):
+        _assert_same_terms(p.partial(i), reference_partial(a, i), n)
+
+    # merging: repeated exponents in any row order, summed in that order
+    exps = np.vstack([p.exps, q.exps, p.exps[::-1]])
+    coefs = np.concatenate([p.coefs, q.coefs, rng.standard_normal(p.coefs.size)])
+    order = rng.permutation(coefs.size)
+    merged = Polynomial.from_arrays(n, exps[order], coefs[order])
+    pairs = zip(map(tuple, exps[order].tolist()), coefs[order].tolist())
+    _assert_same_terms(merged, reference_terms(n, pairs), n)
+    assert Polynomial(n, merged.terms) == merged
+
+    for r in (p, q, merged):
+        assert Polynomial.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) == r
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(0, 6),
@@ -269,33 +346,21 @@ _KINDS = st.sampled_from(["zero", "constant", "sparse", "dense"])
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=0, k=3, degree=0, kind="constant", seed=0)
-@example(n=4, k=0, degree=3, kind="dense", seed=1)  # every form a constant
+@example(n=4, k=0, degree=3, kind="dense", seed=1)  # no target variables: p(0)
 @example(n=5, k=5, degree=4, kind="dense", seed=2)  # k = n
 @example(n=3, k=2, degree=3, kind="zero", seed=3)
 def test_compose_matches_reference(n, k, degree, kind, seed):
     rng = np.random.default_rng(seed)
     p = _poly_case(n, degree, kind, rng)
-    forms = [
-        Polynomial.linear_form(rng.standard_normal(k), constant=float(rng.standard_normal()))
-        for _ in range(n)
-    ]
-    got = p.compose(forms, num_vars=k)
-    want = reference_compose(p, forms, num_vars=k)
+    A = rng.standard_normal((n, k))
+    got = p.compose(A)
+    want = reference_compose(p, A)
     assert got.num_vars == k
     # every coefficient of the image is a sum of products bounded by p's
-    # magnitude at the forms' coefficient 1-norms
-    norms = [sum(abs(c) for c in f.terms.values()) for f in forms]
+    # magnitude at the 1-norms of the rows of A
+    norms = np.abs(A).sum(axis=1)
     assert got.coefficient_distance(want) <= 1e-12 * max(1.0, _magnitude(p, norms))
     assert all(abs(c) >= DROP_TOL for c in got.terms.values())
-
-
-def test_compose_rejects_forms_above_degree_one():
-    p = Polynomial(2, {(1, 1): 1.0})
-    square = Polynomial(1, {(2,): 1.0})
-    with pytest.raises(ValueError):
-        p.compose([square, Polynomial.linear_form([1.0])])
-    with pytest.raises(ValueError):
-        Polynomial.zero(1).compose([square])
 
 
 @settings(max_examples=80, deadline=None)

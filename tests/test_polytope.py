@@ -190,8 +190,7 @@ def test_box_cut_loop_matches_full_dimension_oracle():
         res = box_cut_loop(sf, SolveOptions(seed=i))
         assert res.converged
 
-        forms = [Polynomial.linear_form(ell[:, j]) for j in range(m)]
-        h = f.compose(forms)
+        h = f.compose(ell.T)
         box = Hrep(a_ub=np.zeros((0, n)), b_ub=np.zeros(0), lo=[-1.0] * n, hi=[1.0] * n)
         oracle = brute_force_min(h, box, 100_000, seed=60 + i)
         assert abs(res.rho - oracle) < 1e-6
