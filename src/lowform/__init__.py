@@ -50,13 +50,14 @@ from .polytope import (
     box_support,
     cut_loop,
     separation_lp,
-    simplex_projection,
     simplex_reduce,
+    vertex_reduce,
 )
 from .solvers import (
     Hrep,
     SolveOptions,
     SolveResult,
+    VertexTable,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,

@@ -12,6 +12,7 @@ domain, 4 solver non-convergence (a partial report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -50,6 +51,7 @@ from .polytope import (
     box_cut_loop,
     cut_loop,
     simplex_reduce,
+    vertex_reduce,
 )
 from .solvers import (
     Hrep,
@@ -408,7 +410,7 @@ def cmd_pipeline(args) -> int:
                     b=np.asarray(_load_json(args.b), dtype=float),
                 )
                 inputs += [args.A, args.b]
-                result = cut_loop(sf, poly, opts)
+                result = vertex_reduce(sf, poly, opts)
             report["rho"] = result.rho
             report["X_star"] = result.x_star
             report["iterations"] = result.iterations
@@ -464,6 +466,7 @@ def cmd_gen(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lowform",

@@ -319,11 +319,14 @@ class Polynomial:
         """Parse the ``to_json_dict`` format.
 
         Besides the checks of every constructor, it rejects what only the
-        JSON form can carry: exponent entries that are not numbers (a
-        boolean would read as 0 or 1) and a repeated exponent, which the
-        constructor would merge.
+        JSON form can carry: a ``num_vars`` or exponent entries that are not
+        integral numbers (a boolean would read as 0 or 1, 2.5 as 2) and a
+        repeated exponent, which the constructor would merge.
         """
-        num_vars = int(data["num_vars"])
+        num_vars = data["num_vars"]
+        if not (type(num_vars) is int or type(num_vars) is float and num_vars.is_integer()):
+            raise ValueError(f"num_vars must be an integer, got {num_vars!r}")
+        num_vars = int(num_vars)
         terms = data["terms"]
         rows = [t["exp"] for t in terms]
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:

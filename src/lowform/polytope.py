@@ -1,17 +1,25 @@
-"""Reduce sparse polynomial optimization over polytopes via Farkas cuts.
+"""Reduce sparse polynomial optimization over polytopes to the projection.
 
 For a standard-form feasible set Omega = {x >= 0 : A x = b} and a sparse
-objective h(x) = f(ell^T x), every valid inequality on the projected point
-X = ell^T x has the shape u . X <= lambda . b with (lambda, u) in the cone
+objective h(x) = f(ell^T x), the minimum of h over Omega is the minimum of f
+over the projection P = ell^T Omega.  P is the convex hull of the images of
+Omega's vertices, the basic feasible solutions, so :func:`vertex_reduce`
+enumerates them in one batched solve and minimizes f once over that vertex
+table; a convex mixture of the same vertices is the witness.  The canonical
+simplex goes the same way.
+
+The paper's Farkas cut loop stays for the cases the table cannot answer (too
+many bases, a row-rank-deficient A) and as the ``reduce-polytope`` command.
+Every valid inequality on the projected point X = ell^T x has the shape
+u . X <= lambda . b with (lambda, u) in the cone
 
     C = {(lambda, u) : A^T lambda - ell u >= 0}.
 
 The cut loop alternates between minimizing f over the current outer
 polyhedron and solving a separation LP over a normalized section of C; a
 negative separation value certifies that the current minimizer lies outside
-the projected feasible set and yields a violated cut.  The canonical simplex
-and the unit box admit exact shortcuts (vertex images, zonotope support)
-which are provided alongside the general loop.
+the projected feasible set and yields a violated cut.  The unit box has its
+own loop with zonotope support cuts.
 """
 
 from __future__ import annotations
@@ -22,8 +30,15 @@ import numpy as np
 
 from .detection import SparseForm
 from .linalg import LpProblem, lp_solve
-from .poly import Polynomial
-from .solvers import Hrep, SolveOptions, _VRepRegion, minimize_polytope
+from .poly import GradientEvaluator, Polynomial
+from .solvers import (
+    Hrep,
+    SolveOptions,
+    VertexTable,
+    basic_feasible_solutions,
+    frank_wolfe,
+    minimize_polytope,
+)
 
 # Sign-robust replacement for the exact "separation value is zero" stop rule.
 SEPARATION_TOL = 1e-8
@@ -106,16 +121,6 @@ class Polytope:
             lo[i] = direction @ self.lmo(direction)
             hi[i] = direction @ self.lmo(-direction)
         return lo, hi
-
-    def vertices(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Vertices found by linear programs with random objectives."""
-        return np.array([self.lmo(rng.standard_normal(self.num_vars)) for _ in range(count)])
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Feasible points: convex mixtures of randomly discovered vertices."""
-        verts = self.vertices(rng, max(2 * self.num_vars, 8))
-        weights = rng.dirichlet(np.ones(len(verts)), size=count)
-        return weights @ verts
 
 
 @dataclass
@@ -284,16 +289,6 @@ def _box_separation(ell: np.ndarray, x_star: np.ndarray) -> tuple[float, Cut]:
     return float(res.value), Cut(u=u, rhs=box_support(ell, u), lam=None)
 
 
-def simplex_projection(ell: np.ndarray) -> list[np.ndarray]:
-    """Images of the canonical simplex vertices: the rows of ell.
-
-    The projected feasible set {ell^T x : x in Delta_n} is exactly the convex
-    hull of these n points, a direct V-representation that bypasses cuts.
-    """
-    ell = np.asarray(ell, dtype=float)
-    return [ell[i, :].copy() for i in range(ell.shape[0])]
-
-
 # ----------------------------------------------------------------------
 # cut loop
 # ----------------------------------------------------------------------
@@ -356,7 +351,7 @@ def _generic_cut_loop(
         inner_values.append(rho)
         tau, cut = separate(x_star)
         if tau >= -tol:
-            converged = True
+            converged = res.status == "converged"
             break
         cuts.cuts.append(cut)
     return PolytopeReduceResult(
@@ -435,14 +430,60 @@ def box_cut_loop(
     return result
 
 
-def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
-    """Exact reduction on the canonical simplex via the vertex-image hull."""
+def vertex_reduce(
+    sf: SparseForm, poly: Polytope, opts: SolveOptions | None = None
+) -> PolytopeReduceResult:
+    """Minimize f(ell^T x) over a bounded standard-form polytope, exactly.
+
+    P = ell^T Omega is the hull of the images of Omega's basic feasible
+    solutions, so one :func:`minimize_polytope` call over that vertex table
+    finds X*; ``converged`` is that solve's status.  LPs: one confirms that
+    Omega is bounded (else UnboundedDomainError), one checks the table at X*
+    and one finds the weights of the witness, a convex mixture of Omega's
+    vertices whose image is X*.  The check fails when an LP over Omega finds
+    a point of P that beats every table row in the direction grad f(X*),
+    that is, when the Frank-Wolfe gap over the true P exceeds the table's.
+    The result then comes from :func:`cut_loop`, as it does when the table
+    is over its cap or empty (a row-rank-deficient A).  A constant f returns
+    at once, as in the cut loop.
+    """
     opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
-    points = np.array(simplex_projection(ell))
-    region = _VRepRegion(points)
+    poly.lmo(-np.ones(poly.num_vars))  # Omega is bounded iff sum(x) is
+    if sf.f.is_constant():
+        x = poly.feasible_point()
+        return PolytopeReduceResult(
+            rho=sf.f.constant_value(),
+            x_star=ell.T @ x,
+            cuts=CutSet(),
+            iterations=0,
+            converged=True,
+            inner_values=[],
+            witness=x,
+            witness_gap=0.0,
+        )
+    vertices = basic_feasible_solutions(poly.a, poly.b)
+    if vertices is None or not vertices.shape[0]:
+        return cut_loop(sf, poly, opts)
+    region = VertexTable(vertices @ ell)
     res = minimize_polytope(sf.f, region, opts)
-    weights = _hull_weights(points, res.point)
+    # The starts come from a sweep of vertex mixtures, which crowd the
+    # table's centroid and can miss a basin at a vertex; the table names
+    # the best vertex, so a run from it covers that basin.
+    values = sf.f.evaluate_many(region.points)
+    best = int(np.argmin(values))
+    if values[best] < res.value - opts.tol * max(1.0, abs(res.value)):
+        res = frank_wolfe(sf.f, region, region.points[best], opts)
+    grad = GradientEvaluator(sf.f).grad(res.point)
+    table_best = float(np.min(region.points @ grad))
+    lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
+    if lp_best < table_best - SEPARATION_TOL * max(1.0, abs(table_best)):
+        return cut_loop(sf, poly, opts)
+    weights = region.weights(res.point)
+    witness = witness_gap = None
+    if weights is not None:
+        witness = weights @ vertices
+        witness_gap = float(np.abs(ell.T @ witness - res.point).sum())
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -450,20 +491,14 @@ def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> Polytope
         iterations=res.iterations,
         converged=res.status == "converged",
         inner_values=[res.value],
-        witness=weights,
-        witness_gap=0.0 if weights is not None else None,
+        witness=witness,
+        witness_gap=witness_gap,
     )
 
 
-def _hull_weights(points: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Convex weights representing target in the hull of points, or None."""
-    k, m = points.shape
-    a_eq = np.vstack([points.T, np.ones((1, k))])
-    b_eq = np.concatenate([target, [1.0]])
-    res = lp_solve(
-        LpProblem(c=np.zeros(k), a_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * k)
-    )
-    return res.point if res.status == "optimal" else None
+def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
+    """:func:`vertex_reduce` on the canonical simplex {x >= 0 : sum(x) = 1}."""
+    return vertex_reduce(sf, Polytope(np.ones((1, sf.ell.shape[0])), [1.0]), opts)
 
 
 def _lift_witness(poly: Polytope, ell: np.ndarray, x_star: np.ndarray):

@@ -5,8 +5,10 @@ Armijo backtracking on the ball and sphere, and Frank-Wolfe on polyhedra.
 Objective values and gradients come from one
 :class:`~lowform.poly.GradientEvaluator` per solve, a monomial tree over p and
 its partials filled once per point.  The Frank-Wolfe linear-minimization
-oracle scans a vertex table, enumerated once per region in dimension <= 3,
-and solves one LP per call otherwise.  The brute-force oracle that checks
+oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
+dimension <= 3 and solves one LP per call otherwise, and
+:func:`basic_feasible_solutions` enumerates the vertices of a standard-form
+polytope in one batched solve.  The brute-force oracle that checks
 these solvers lives with the tests, apart from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
@@ -78,8 +80,12 @@ class SolveResult:
 
 
 @dataclass
-class _VRepRegion:
-    """Convex hull of finitely many points, with an enumeration LMO."""
+class VertexTable:
+    """Convex hull of the rows of ``points``; a scan of them answers the LMO.
+
+    Rows need not all be extreme points of the hull: a repeated or inner row
+    only lengthens the scan.
+    """
 
     points: np.ndarray
 
@@ -90,6 +96,62 @@ class _VRepRegion:
     def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         weights = rng.dirichlet(np.ones(len(self.points)), size=count)
         return weights @ self.points
+
+    def weights(self, target: np.ndarray) -> np.ndarray | None:
+        """Convex weights w with w @ points = target (one LP), or None when
+        the LP finds target outside the hull."""
+        k = self.points.shape[0]
+        res = lp_solve(
+            LpProblem(
+                c=np.zeros(k),
+                a_eq=np.vstack([self.points.T, np.ones((1, k))]),
+                b_eq=np.concatenate([np.asarray(target, dtype=float), [1.0]]),
+                bounds=[(0.0, None)] * k,
+            )
+        )
+        return res.point if res.status == "optimal" else None
+
+
+def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the regular systems mats[k] @ x = rhs[k] and, in one
+    batched call, their solutions.
+
+    A system is regular when |det mats[k]| exceeds ``_SINGULAR_DET``, a
+    threshold that presumes unit-normalized rows.
+    """
+    regular = np.abs(np.linalg.det(mats)) > _SINGULAR_DET
+    return regular, np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
+
+
+def basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The vertices of {x >= 0 : a @ x = b} as the rows of a table.
+
+    Every s-column subset B of the s-row matrix a with a regular a_B gives
+    the basic solution x_B = a_B^-1 b, zero elsewhere.  The solutions within
+    ``_VERTEX_TOL`` of x >= 0 and of a @ x = b are kept, clipped at 0, in
+    subset order; a degenerate vertex appears once per basis.  A
+    row-rank-deficient a has no regular subset, so its table is empty.
+    None when the C(n, s) subsets exceed ``_TABLE_MAX_SUBSETS``.
+    """
+    s, n = a.shape
+    count = math.comb(n, s)
+    if count > _TABLE_MAX_SUBSETS:
+        return None
+    norms = np.linalg.norm(a, axis=1)
+    norms[norms == 0.0] = 1.0
+    a, b = a / norms[:, None], b / norms
+    subsets = np.array(list(itertools.combinations(range(n), s)), dtype=np.intp)
+    subsets = subsets.reshape(count, s)
+    regular, x_basic = _solve_regular(
+        a[:, subsets].transpose(1, 0, 2), np.broadcast_to(b, subsets.shape)
+    )
+    points = np.zeros((x_basic.shape[0], n))
+    np.put_along_axis(points, subsets[regular], x_basic, axis=1)
+    scale = 1.0 + np.abs(points).max(axis=1, initial=0.0)
+    keep = np.all(points >= -_VERTEX_TOL * scale[:, None], axis=1) & np.all(
+        np.abs(points @ a.T - b) <= _VERTEX_TOL * (1.0 + np.abs(b)), axis=1
+    )
+    return np.maximum(points[keep], 0.0)
 
 
 @dataclass
@@ -157,7 +219,7 @@ class Hrep:
         return res.point
 
     @cached_property
-    def _vertex_table(self) -> _VRepRegion | None:
+    def _vertex_table(self) -> VertexTable | None:
         """The feasible solutions of every regular dim-subset of the halfspaces.
 
         Every vertex of the bounded region solves some such subset, so the
@@ -178,15 +240,13 @@ class Hrep:
         norms[norms == 0.0] = 1.0
         rows, rhs = rows / norms[:, None], rhs / norms
         subsets = np.array(list(itertools.combinations(range(rows.shape[0]), dim)))
-        mats = rows[subsets]
-        regular = np.abs(np.linalg.det(mats)) > _SINGULAR_DET
-        points = np.linalg.solve(mats[regular], rhs[subsets[regular]][..., None])[..., 0]
+        _, points = _solve_regular(rows[subsets], rhs[subsets])
         slack = _VERTEX_TOL * (1.0 + np.abs(rhs))
         points = points[np.all(points @ rows.T <= rhs + slack, axis=1)]
         if points.shape[0] == 0:
             self._lp_lmo(np.zeros(dim))
             return None
-        return _VRepRegion(points)
+        return VertexTable(points)
 
     def _vertex_mixtures(self, rng: np.random.Generator, count: int) -> np.ndarray:
         num_dirs = max(2 * self.dim, 8)
@@ -420,9 +480,10 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
 
     ``region`` must expose ``lmo(direction) -> vertex`` and
-    ``start_points(rng, count) -> array``, as :class:`Hrep` does.  Half of the starts are taken
-    from the best points of a sampled sweep of the objective, which keeps
-    deep, narrow basins from being missed; the rest stay exploratory.
+    ``start_points(rng, count) -> array``, as :class:`Hrep` and
+    :class:`VertexTable` do.  Half of the starts are taken from the best
+    points of a sampled sweep of the objective, which keeps deep, narrow
+    basins from being missed; the rest stay exploratory.
     """
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
@@ -444,3 +505,21 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     res = _multi_start(run_one, draw, opts)
     res.value = p.evaluate(res.point)
     return res
+
+
+def frank_wolfe(
+    p: Polynomial, region, x0: np.ndarray, opts: SolveOptions | None = None
+) -> SolveResult:
+    """One Frank-Wolfe run of p over ``region`` from the feasible point x0."""
+    opts = opts or SolveOptions()
+    evaluator = GradientEvaluator(p)
+    x, _, iterations, converged = _frank_wolfe(
+        evaluator.value, evaluator.grad, region.lmo, x0, opts.max_iter, opts.tol
+    )
+    return SolveResult(
+        value=p.evaluate(x),
+        point=np.asarray(x, dtype=float),
+        status="converged" if converged else "max_iter",
+        iterations=iterations,
+        starts_used=1,
+    )

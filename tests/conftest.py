@@ -23,6 +23,7 @@ import pytest
 
 from lowform.generate import Instance, generate_instance
 from lowform.poly import DROP_TOL, Polynomial, ball_monomial_moment, monomials_up_to
+from lowform.polytope import Polytope
 from lowform.sampling import sample_ball, sample_sphere
 from lowform.solvers import Hrep, _pgd, _pgd_ball, _pgd_sphere
 
@@ -417,6 +418,19 @@ def _hrep_projector(region: Hrep):
     return project
 
 
+def polytope_vertices(poly: Polytope, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Vertices of a standard-form polytope found by LPs with random
+    objectives, independent of the library's basis enumeration."""
+    return np.array([poly.lmo(rng.standard_normal(poly.num_vars)) for _ in range(count)])
+
+
+def polytope_sample(poly: Polytope, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Feasible points: convex mixtures of randomly discovered vertices."""
+    verts = polytope_vertices(poly, rng, max(2 * poly.num_vars, 8))
+    weights = rng.dirichlet(np.ones(len(verts)), size=count)
+    return weights @ verts
+
+
 def _is_canonical_simplex(domain) -> bool:
     return (
         domain.a.shape[0] == 1
@@ -432,7 +446,7 @@ def brute_force_min(
     """Independent low-dimensional oracle: dense sampling plus local polish.
 
     ``domain`` is "ball", "sphere", an :class:`Hrep`, or a standard-form
-    polytope object exposing ``sample(rng, count)`` and ``lmo``.  The best
+    :class:`Polytope`, sampled by :func:`polytope_sample`.  The best
     ``_POLISH_FROM`` sampled points each get ``_POLISH_STEPS`` local steps.
     """
     rng = np.random.default_rng(seed)
@@ -471,11 +485,11 @@ def brute_force_min(
             best = min(best, fx)
         return best
 
-    # standard-form polytope (duck-typed): sampled mixtures plus local polish
-    if hasattr(domain, "sample") and hasattr(domain, "lmo"):
+    # standard-form polytope: sampled mixtures plus local polish
+    if isinstance(domain, Polytope):
         if p.num_vars > 3 * _ORACLE_MAX_DIM_POLY:
             raise ValueError("oracle limited to desk-scale polytopes")
-        pts = domain.sample(rng, int(resolution))
+        pts = polytope_sample(domain, rng, int(resolution))
         vals = reference_evaluate(p, pts)
         best_idx = np.argsort(vals)[:_POLISH_FROM]
         best = float(vals[best_idx[0]])

@@ -16,6 +16,7 @@ from conftest import (
     finite_difference_gradient,
     lp_vertex_enumeration,
     mc_ball_points,
+    polytope_sample,
     random_polynomial,
     sin_principal_angle,
 )
@@ -138,7 +139,7 @@ def test_criterion_4_polytope_cut_loop():
         gap = abs(result.rho - oracle)
         worst_gap = max(worst_gap, gap)
         assert gap < 1e-6, (inst.seed, result.rho, oracle)
-        samples = poly.sample(rng, 200)
+        samples = polytope_sample(poly, rng, 200)
         projected = samples @ sf.ell
         for cut in result.cuts.cuts:
             assert np.all(projected @ cut.u <= cut.rhs + 1e-8), inst.seed
@@ -165,7 +166,7 @@ def test_criterion_4_polytope_cut_loop():
         direct = box_cut_loop(sf, SolveOptions(seed=inst.seed))
         assert direct.converged
         assert abs(direct.rho - result.rho) < 1e-6, inst.seed
-        samples = poly.sample(rng, 200)
+        samples = polytope_sample(poly, rng, 200)
         projected = samples @ ell_lifted
         for cut in result.cuts.cuts:
             assert np.all(projected @ cut.u <= cut.rhs + 1e-8), inst.seed

@@ -231,6 +231,74 @@ def test_malformed_input_exits_2(tmp_path):
         assert run(["detect", "--input", bad_term, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("num_vars", [2.5, True, "2"])
+def test_non_integral_num_vars_exits_2(tmp_path, num_vars):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"num_vars": num_vars, "terms": [{"exp": [1, 0], "coef": 1.0}]}))
+    assert _rejected(["detect", "--input", bad], tmp_path / "o")
+
+
+def _polytope_files(tmp_path, a, b):
+    a_path, b_path = tmp_path / "A.json", tmp_path / "b.json"
+    a_path.write_text(json.dumps(a))
+    b_path.write_text(json.dumps(b))
+    return ["--A", a_path, "--b", b_path]
+
+
+@pytest.mark.parametrize("route", ["simplex", "box", "polytope", "reduce-polytope"])
+def test_inner_max_iter_exits_4_on_polytope_routes(tmp_path, sparse_instance, route):
+    polytope = _polytope_files(tmp_path, [[1.0] * 5], [1.0])
+    if route == "reduce-polytope":
+        ext = tmp_path / "ext"
+        run(["detect", "--input", sparse_instance, "--out", tmp_path / "det"])
+        run(["extract", "--input", sparse_instance,
+             "--report", tmp_path / "det" / "report.json", "--out", ext])
+        argv = ["reduce-polytope", "--sparse", ext / "report.json"] + polytope
+    else:
+        argv = ["pipeline", "--input", sparse_instance, "--domain", route]
+        argv += polytope if route == "polytope" else []
+    out = tmp_path / "out"
+    assert run(argv + ["--max-iter", 1, "--out", out]) == 4
+    report = read(out / "report.json")
+    assert report["converged"] is False and (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1.0, 1.0, 1.0, -1.0, 0.0]], [1.0]),  # x4 and x1 can grow together
+    ([[1.0] * 5], [-1.0]),  # x >= 0 cannot sum to -1
+])
+def test_unbounded_or_empty_polytope_exits_3(tmp_path, sparse_instance, a, b):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", sparse_instance, "--domain", "polytope"]
+    assert run(argv + _polytope_files(tmp_path, a, b) + ["--out", out]) == 3
+    assert not (out / "report.json").exists()
+
+
+def test_polytope_pipeline_solves_at_most_4_lps(tmp_path, sparse_instance, monkeypatch):
+    import sys
+
+    from lowform.linalg import lp_solve
+
+    calls = []
+
+    def counting(problem, **kwargs):
+        calls.append(problem)
+        return lp_solve(problem, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lowform" and getattr(module, "lp_solve", None) is lp_solve:
+            monkeypatch.setattr(module, "lp_solve", counting)
+    rng = np.random.default_rng(5)
+    a = np.vstack([np.ones((1, 5)), rng.uniform(0.0, 1.0, (2, 5))])
+    b = a @ rng.dirichlet(np.ones(5))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", sparse_instance, "--domain", "polytope"]
+    assert run(argv + _polytope_files(tmp_path, a.tolist(), b.tolist()) + ["--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["route"] == "exact/polytope" and report["converged"]
+    assert 0 < len(calls) <= 4
+
+
 @pytest.fixture()
 def perturbed_instance(tmp_path):
     out = tmp_path / "pert"

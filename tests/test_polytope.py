@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_min
+import lowform.polytope as polytope
+from conftest import brute_force_min, polytope_sample
 from lowform.detection import SparseForm
 from lowform.linalg import LpProblem, lp_solve
 from lowform.poly import Polynomial
@@ -18,10 +21,10 @@ from lowform.polytope import (
     box_support,
     cut_loop,
     separation_lp,
-    simplex_projection,
     simplex_reduce,
+    vertex_reduce,
 )
-from lowform.solvers import Hrep, SolveOptions
+from lowform.solvers import Hrep, SolveOptions, basic_feasible_solutions
 
 
 def simplex3() -> Polytope:
@@ -123,24 +126,29 @@ def test_cuts_valid_on_feasible_samples():
     poly = simplex3()
     res = cut_loop(sf, poly, OPTS)
     rng = np.random.default_rng(1)
-    samples = poly.sample(rng, 200)
+    samples = polytope_sample(poly, rng, 200)
     projected = samples @ ell
     for cut in res.cuts.cuts:
         assert np.all(projected @ cut.u <= cut.rhs + 1e-8)
 
 
+def simplex_images(ell: np.ndarray) -> np.ndarray:
+    """The vertex table of ell^T Delta_n: images of the simplex's vertices."""
+    return basic_feasible_solutions(np.ones((1, ell.shape[0])), np.array([1.0])) @ ell
+
+
 def test_simplex_projection_examples():
-    pts = simplex_projection(ELL_DIFF)
+    pts = simplex_images(ELL_DIFF)
     assert [p[0] for p in pts] == [1.0, -1.0, 0.0]
     ell = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    pts = simplex_projection(ell)
+    pts = simplex_images(ell)
     assert np.allclose(pts, [[1, 0], [0, 1], [0, 0]])
 
 
 def test_simplex_projection_hull_membership():
     rng = np.random.default_rng(3)
     ell = rng.standard_normal((5, 2))
-    pts = np.array(simplex_projection(ell))
+    pts = simplex_images(ell)
     weights = rng.dirichlet(np.ones(5), size=100)
     images = (weights @ np.eye(5)) @ ell
     # membership LP: each projected feasible point is a hull combination
@@ -225,3 +233,123 @@ def test_cut_dataclass_box_cuts_have_no_multiplier():
     for cut in res.cuts.cuts:
         assert isinstance(cut, Cut) and cut.lam is None
         assert cut.rhs == pytest.approx(box_support(sf.ell, cut.u), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# vertex_reduce: one solve over the images of Omega's basic solutions
+# ----------------------------------------------------------------------
+
+
+def concave_quadratic(rng: np.random.Generator, m: int) -> Polynomial:
+    """c . X - X^T Q X with Q positive definite: its minima sit at vertices."""
+    g = rng.standard_normal((m, m))
+    q = g @ g.T / m + 0.1 * np.eye(m)
+    terms = {tuple(int(i == j) for i in range(m)): float(c)
+             for j, c in enumerate(rng.standard_normal(m))}
+    for j in range(m):
+        for k in range(j, m):
+            exp = [0] * m
+            exp[j] += 1
+            exp[k] += 1
+            terms[tuple(exp)] = -float(q[j, k]) * (1.0 if j == k else 2.0)
+    return Polynomial(m, terms)
+
+
+def random_standard_form(rng: np.random.Generator, n: int, s: int) -> Polytope:
+    """{x >= 0 : A x = A x0}: a positive first row keeps it bounded, and the
+    interior point x0 keeps it nonempty."""
+    a = np.vstack([rng.uniform(0.1, 1.0, (1, n)), rng.uniform(-1.0, 1.0, (s - 1, n))])
+    return Polytope(a=a, b=a @ rng.dirichlet(np.ones(n)))
+
+
+@st.composite
+def standard_form_problems(draw):
+    n = draw(st.integers(2, 7))
+    s = draw(st.integers(1, min(3, n - 1)))
+    m = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = random_standard_form(rng, n, s)
+    return SparseForm(f=concave_quadratic(rng, m), ell=rng.standard_normal((n, m))), poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(standard_form_problems())
+def test_vertex_reduce_matches_cut_loop(case):
+    sf, poly = case
+    res = vertex_reduce(sf, poly, OPTS)
+    ref = cut_loop(sf, poly, OPTS)
+    assert res.converged and not res.cuts.cuts
+    assert abs(res.rho - ref.rho) <= 1e-6 * max(1.0, abs(res.rho))
+    w = res.witness
+    assert np.abs(poly.a @ w - poly.b).max() <= 1e-9
+    assert w.min() >= 0.0
+    assert np.allclose(sf.ell.T @ w, res.x_star, rtol=0.0, atol=1e-9)
+    assert res.witness_gap <= 1e-9
+
+
+def _spy_cut_loop(monkeypatch):
+    calls = []
+    real = polytope.cut_loop
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "cut_loop", spied)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["duplicated_row", "over_cap"])
+def test_vertex_reduce_falls_back_to_cut_loop(monkeypatch, kind):
+    rng = np.random.default_rng(17)
+    if kind == "duplicated_row":
+        # A is row-rank-deficient: no basis is regular, the table is empty
+        base = random_standard_form(rng, 5, 2)
+        poly = Polytope(a=np.vstack([base.a, base.a[1]]), b=np.append(base.b, base.b[1]))
+        assert basic_feasible_solutions(poly.a, poly.b).shape == (0, 5)
+    else:
+        # C(18, 9) = 48,620 bases exceed the table cap
+        poly = random_standard_form(rng, 18, 9)
+        assert basic_feasible_solutions(poly.a, poly.b) is None
+    sf = SparseForm(f=concave_quadratic(rng, 2), ell=rng.standard_normal((poly.num_vars, 2)))
+    calls = _spy_cut_loop(monkeypatch)
+    res = vertex_reduce(sf, poly, OPTS)
+    assert len(calls) == 1
+    assert res.converged and res.rho == cut_loop(sf, poly, OPTS).rho
+
+
+def test_vertex_reduce_gap_check_catches_incomplete_table(monkeypatch):
+    # drop the vertex e2, whose image -1 is where f = X is least: the LP at
+    # X* = 0 finds it, so the table is not P and the cut loop answers
+    def without_e2(a, b):
+        return basic_feasible_solutions(a, b)[[0, 2]]
+
+    monkeypatch.setattr(polytope, "basic_feasible_solutions", without_e2)
+    calls = _spy_cut_loop(monkeypatch)
+    sf = SparseForm(f=Polynomial(1, {(1,): 1.0}), ell=ELL_DIFF)
+    res = vertex_reduce(sf, simplex3(), OPTS)
+    assert len(calls) == 1 and res.rho == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_vertex_reduce_constant_objective(monkeypatch):
+    calls = _spy_cut_loop(monkeypatch)
+    sf = SparseForm(f=Polynomial(1, {(0,): 7.5}), ell=ELL_DIFF)
+    poly = simplex3()
+    res = vertex_reduce(sf, poly, OPTS)
+    assert res.converged and res.rho == 7.5
+    assert res.iterations == 0 and res.inner_values == [] and not calls
+    assert np.allclose(poly.a @ res.witness, poly.b) and res.witness.min() >= 0.0
+    assert np.allclose(res.x_star, ELL_DIFF.T @ res.witness)
+
+
+def test_vertex_reduce_rejects_unbounded_polytope():
+    sf = SparseForm(f=Polynomial(1, {(1,): 1.0}), ell=np.array([[1.0], [0.0]]))
+    with pytest.raises(UnboundedDomainError):
+        vertex_reduce(sf, Polytope(a=np.array([[1.0, -1.0]]), b=np.array([0.0])), OPTS)
+
+
+def test_basic_feasible_solutions_are_the_vertices():
+    # {x >= 0 : x1 + x2 + x3 = 1, x1 - x2 = 0}: vertices (1/2, 1/2, 0) and e3
+    a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    verts = basic_feasible_solutions(a, np.array([1.0, 0.0]))
+    assert np.allclose(np.unique(verts.round(12), axis=0), [[0, 0, 1], [0.5, 0.5, 0]])
