@@ -16,9 +16,10 @@ cubature rule on the (n-m)-ball provides an alternative source that must
 agree coefficientwise.  Ball symmetry makes fhat even in Y, so the surrogate
 restricted to Y^2 = 1 - |X|^2 is a genuine polynomial model of h.
 
-Minimizing the surrogate over the ball or sphere reduces to two polynomial
-problems on half-spheres in R^(m+1) (the Y >= 0 and Y <= 0 branches), whose
-minimum is the surrogate's exact minimum.
+Minimizing the surrogate is one polynomial problem Q on the half-sphere
+{|(X, Y)| = 1, Y >= 0} in R^(m+1), as Y is the nonnegative root.  The Y <= 0
+branch of fhat with Y negated is Q mirrored through Y = 0, point for point
+and value for value, so it is not solved.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ class LiftedPolynomial:
     def y_mass(self) -> float:
         """Total |coefficient| mass of Y-dependent terms."""
         return float(np.abs(self.poly.coefs[self.poly.exps[:, -1] > 0]).sum())
-
-    def flip_y(self) -> "LiftedPolynomial":
-        """Negate Y: coefficients of odd-Y terms change sign."""
-        exps, coefs = self.poly.exps, self.poly.coefs
-        flipped = np.where(exps[:, -1] % 2 == 1, -coefs, coefs)
-        return LiftedPolynomial(self.m, Polynomial.from_arrays(self.m + 1, exps, flipped))
 
     def to_ball_polynomial(self) -> Polynomial:
         """Eliminate Y via Y^2 = 1 - |X|^2; requires an even-Y lift."""
@@ -298,33 +293,28 @@ def conditional_expectation_cubature(
 
 @dataclass
 class SurrogateMinimum:
+    """Minimum of problem Q; ``rho_plus`` and ``rho_minus``, the Y >= 0 branch
+    and its mirror, both equal ``rho``."""
+
     rho: float
     rho_plus: float
     rho_minus: float
-    point: np.ndarray  # (X, |Y|) on the unit sphere in R^(m+1)
+    point: np.ndarray  # (X, Y) on the unit sphere in R^(m+1), Y >= 0
+    status: str  # the sphere solve's status: "converged" | "max_iter"
 
 
 def solve_Q(fhat: LiftedPolynomial, opts: SolveOptions | None = None) -> SurrogateMinimum:
-    """Minimize fhat(X, |Y|) over the unit sphere in R^(m+1).
+    """Minimize fhat(X, Y) over the half-sphere |(X, Y)| = 1, Y >= 0.
 
-    Split into the Y >= 0 branch of fhat and the Y <= 0 branch of fhat with Y
-    negated; the minimum of the two is the surrogate minimum.  For even-Y
-    lifts the branches agree by symmetry.
+    Minimizing fhat(X, -Y) over Y <= 0 is the same problem: (X, Y) -> (X, -Y)
+    maps one feasible set onto the other and keeps the objective's value, and
+    the solver's starts, steps and projections commute with that map up to
+    exact sign flips.  So one half-sphere solve gives the surrogate minimum
+    (the mirrored solve differs only in which of several starts tied exactly
+    in value it returns).
     """
-    opts = opts or SolveOptions()
-    plus = minimize_sphere(fhat.poly, opts, half="y_nonneg")
-    minus = minimize_sphere(fhat.flip_y().poly, opts, half="y_nonpos")
-    if plus.value <= minus.value:
-        point = plus.point
-    else:
-        point = minus.point.copy()
-        point[-1] = -point[-1]  # report |Y|
-    return SurrogateMinimum(
-        rho=float(min(plus.value, minus.value)),
-        rho_plus=float(plus.value),
-        rho_minus=float(minus.value),
-        point=point,
-    )
+    res = minimize_sphere(fhat.poly, opts, half="y_nonneg")
+    return SurrogateMinimum(res.value, res.value, res.value, res.point, res.status)
 
 
 def hhat_eval(fhat: LiftedPolynomial, split: SpectrumSplit, x: np.ndarray) -> float:

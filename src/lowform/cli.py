@@ -304,24 +304,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK if res.status == "converged" else EXIT_NO_CONVERGENCE
 
 
-def cmd_approx(args) -> int:
-    started = time.monotonic()
-    h = _load_polynomial(args.input)
+def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
+                  degree: int | None = None) -> tuple[dict, int]:
+    """Split at m (clamped to [1, n - 1]), surrogate, problem Q, L2 error.
+
+    The approx route of ``approx`` and ``pipeline``.  The "cubature" ``path``
+    builds a rule of ``degree``.  Returns the ``approx`` report, which the
+    pipeline's report draws on, and the Q solve's exit code.
+    """
     n = h.num_vars
     if n < 2:
-        raise CliInputError("approx needs a polynomial in at least 2 variables")
-    degree = args.degree if args.degree is not None else h.degree()
-    if degree < h.degree():
-        raise CliInputError(f"--degree {degree} is below the degree {h.degree()} of h")
-    if args.m is not None and not 1 <= args.m <= n - 1:
-        raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
-    eig = gradient_spectrum(h)
-    if args.m is not None:
-        m = args.m
-    else:
-        m = max(1, min(choose_m(h, threshold=args.m_threshold, eig=eig), n - 1))
+        raise CliInputError("the approx route needs a polynomial in at least 2 variables")
+    m = max(1, min(m, n - 1))
     split = split_spectrum(h, m, eig=eig)
-    path = args.path
     if path == "cubature":
         try:
             rule = build_cubature(n - m, degree, seed=args.seed)
@@ -333,8 +328,7 @@ def cmd_approx(args) -> int:
             raise CliInputError(f"cubature path rejected: {exc}") from exc
     else:
         fhat = conditional_expectation_exact(h, split)
-    opts = _solve_options(args)
-    minimum = solve_Q(fhat, opts)
+    minimum = solve_Q(fhat, _solve_options(args))
     err = l2_error(h, fhat, split, num_samples=args.l2_samples, seed=args.seed)
     report = {
         "m": m,
@@ -352,8 +346,23 @@ def cmd_approx(args) -> int:
         "point": minimum.point,
         "l2_error": {"value": err.value, "stderr": err.stderr},
     }
+    return report, EXIT_OK if minimum.status == "converged" else EXIT_NO_CONVERGENCE
+
+
+def cmd_approx(args) -> int:
+    started = time.monotonic()
+    h = _load_polynomial(args.input)
+    n = h.num_vars
+    degree = args.degree if args.degree is not None else h.degree()
+    if degree < h.degree():
+        raise CliInputError(f"--degree {degree} is below the degree {h.degree()} of h")
+    if args.m is not None and not 1 <= args.m <= n - 1:
+        raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
+    eig = gradient_spectrum(h)
+    m = args.m if args.m is not None else choose_m(h, threshold=args.m_threshold, eig=eig)
+    report, status = _approx_route(h, eig, m, args, args.path, degree)
     _write_outputs(args, report, [args.input], started)
-    return EXIT_OK
+    return status
 
 
 def cmd_pipeline(args) -> int:
@@ -420,17 +429,11 @@ def cmd_pipeline(args) -> int:
                 status = EXIT_NO_CONVERGENCE
     else:
         report["route"] = "approx"
-        m_approx = max(1, min(m if 1 <= m < n else choose_m(h, eig=eig), n - 1))
-        split = split_spectrum(h, m_approx, eig=eig)
-        fhat = conditional_expectation_exact(h, split)
-        minimum = solve_Q(fhat, opts)
-        err = l2_error(h, fhat, split, num_samples=args.l2_samples, seed=args.seed)
-        report["m_approx"] = m_approx
-        report["fhat"] = fhat.poly.to_json_dict()
-        report["rho"] = minimum.rho
-        report["rho_plus"] = minimum.rho_plus
-        report["rho_minus"] = minimum.rho_minus
-        report["l2_error"] = {"value": err.value, "stderr": err.stderr}
+        m_hint = m if 1 <= m < n else choose_m(h, eig=eig)
+        approx, status = _approx_route(h, eig, m_hint, args)
+        report["m_approx"] = approx["m"]
+        for key in ("fhat", "rho", "rho_plus", "rho_minus", "l2_error"):
+            report[key] = approx[key]
     _write_outputs(args, report, inputs, started)
     return status
 

@@ -321,12 +321,7 @@ def _generic_cut_loop(
 ) -> PolytopeReduceResult:
     m = f.num_vars
     cuts = CutSet()
-
-    # Seed with one cut from separating the origin, when it yields one.
-    tau0, cut0 = separate(np.zeros(m))
-    if tau0 < -tol and np.abs(cut0.u).sum() > 1e-12:
-        cuts.cuts.append(cut0)
-
+    # Before any separation: with m = 0 there is no cut direction to separate.
     if f.is_constant():
         return PolytopeReduceResult(
             rho=f.constant_value(),
@@ -336,6 +331,11 @@ def _generic_cut_loop(
             converged=True,
             inner_values=[],
         )
+
+    # Seed with one cut from separating the origin, when it yields one.
+    tau0, cut0 = separate(np.zeros(m))
+    if tau0 < -tol and np.abs(cut0.u).sum() > 1e-12:
+        cuts.cuts.append(cut0)
 
     inner_values: list[float] = []
     x_star = None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +264,59 @@ def test_inner_max_iter_exits_4_on_polytope_routes(tmp_path, sparse_instance, ro
     assert report["converged"] is False and (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx", "--path", "exact"],
+    ["approx", "--path", "cubature"],
+    ["pipeline", "--domain", "sphere"],
+], ids=["approx-exact", "approx-cubature", "pipeline"])
+def test_inner_max_iter_exits_4_on_approx_routes(tmp_path, perturbed_instance, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--input", perturbed_instance, "--max-iter", 1,
+                       "--l2-samples", 20000, "--out", out]) == 4
+    report = read(out / "report.json")
+    assert report.get("route", "approx") == "approx" and "rho" in report
+    assert (out / "manifest.json").exists()
+
+
+def _assert_feasible(witness, box):
+    """witness lies in [-1, 1]^3 (box) or in {x >= 0 : x1 + x2 + x3 = 1}."""
+    w = np.asarray(witness)
+    assert w.shape == (3,)
+    if box:
+        assert np.abs(w).max() <= 1.0
+    else:
+        assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["sphere", "simplex", "box", "polytope"])
+def test_constant_h_on_every_route(tmp_path, domain):
+    # m = 0: the cut loops must not try to separate in R^0
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"num_vars": 3, "terms": [{"exp": [0, 0, 0], "coef": 2.5}]}))
+    polytope = _polytope_files(tmp_path, [[1.0] * 3], [1.0])
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", h, "--domain", domain]
+    assert run(argv + (polytope if domain == "polytope" else []) + ["--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["route"] == f"exact/{domain}" and report["rho"] == 2.5
+    if domain != "sphere":
+        _assert_feasible(report["witness"], domain == "box")
+
+
+@pytest.mark.parametrize("preset", [None, "simplex", "box"])
+def test_reduce_polytope_constant_sparse_form(tmp_path, preset):
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps({
+        "f": {"num_vars": 0, "terms": [{"exp": [], "coef": 2.5}]}, "ell": [[], [], []]}))
+    argv = ["reduce-polytope", "--sparse", sparse]
+    argv += ["--preset", preset] if preset else _polytope_files(tmp_path, [[1.0] * 3], [1.0])
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["rho"] == 2.5 and report["converged"] and report["X_star"] == []
+    _assert_feasible(report["witness"], preset == "box")
+
+
 @pytest.mark.parametrize("a, b", [
     ([[1.0, 1.0, 1.0, -1.0, 0.0]], [1.0]),  # x4 and x1 can grow together
     ([[1.0] * 5], [-1.0]),  # x >= 0 cannot sum to -1
@@ -274,20 +328,24 @@ def test_unbounded_or_empty_polytope_exits_3(tmp_path, sparse_instance, a, b):
     assert not (out / "report.json").exists()
 
 
-def test_polytope_pipeline_solves_at_most_4_lps(tmp_path, sparse_instance, monkeypatch):
-    import sys
-
-    from lowform.linalg import lp_solve
-
+def _spy(monkeypatch, fn) -> list:
+    """Record (args, kwargs) of every call of fn, at every lowform module that holds it."""
     calls = []
 
-    def counting(problem, **kwargs):
-        calls.append(problem)
-        return lp_solve(problem, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lowform" and getattr(module, "lp_solve", None) is lp_solve:
-            monkeypatch.setattr(module, "lp_solve", counting)
+        if name.split(".")[0] == "lowform" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, recording)
+    return calls
+
+
+def test_polytope_pipeline_solves_at_most_4_lps(tmp_path, sparse_instance, monkeypatch):
+    from lowform.linalg import lp_solve
+
+    calls = _spy(monkeypatch, lp_solve)
     rng = np.random.default_rng(5)
     a = np.vstack([np.ones((1, 5)), rng.uniform(0.0, 1.0, (2, 5))])
     b = a @ rng.dirichlet(np.ones(5))
@@ -334,6 +392,22 @@ def test_zero_tol_exits_2(tmp_path, sparse_instance):
                       "--tol", 0], tmp_path / "o")
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx"],
+    ["pipeline", "--domain", "sphere"],
+    ["pipeline", "--domain", "simplex"],
+    ["pipeline", "--domain", "box"],
+    ["pipeline", "--domain", "polytope"],
+], ids=["approx", "sphere", "simplex", "box", "polytope"])
+def test_one_variable_approx_route_exits_2(tmp_path, argv):
+    # nonconstant in n = 1: detection finds m = n, which only the approx route takes
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"num_vars": 1, "terms": [
+        {"exp": [2], "coef": 1.0}, {"exp": [1], "coef": -0.5}]}))
+    polytope = _polytope_files(tmp_path, [[1.0]], [1.0]) if "polytope" in argv else []
+    assert _rejected(argv + ["--input", h] + polytope, tmp_path / "o")
+
+
 def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
     assert _rejected(["approx", "--input", perturbed_instance, "--m", 2,
                       "--path", "cubature", "--degree", 0], tmp_path / "o")
@@ -347,23 +421,30 @@ def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
     ["pipeline", "--domain", "sphere", "--method", "randomized"],
 ])
 def test_one_moment_matrix_per_request(tmp_path, perturbed_instance, monkeypatch, argv):
-    import sys
-
     from lowform.detection import moment_matrix
 
-    calls = []
-
-    def counting(h):
-        calls.append(h)
-        return moment_matrix(h)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lowform" and getattr(module, "moment_matrix", None) is moment_matrix:
-            monkeypatch.setattr(module, "moment_matrix", counting)
+    calls = _spy(monkeypatch, moment_matrix)
     out = tmp_path / "out"
     assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
                + ["--l2-samples", 20000, "--out", out]) == 0
     assert len(calls) == 1
+    if argv[0] == "pipeline":
+        assert read(out / "report.json")["route"] == "approx"
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--path", "exact"],
+    ["approx", "--path", "cubature"],
+    ["pipeline", "--domain", "sphere"],
+], ids=["approx-exact", "approx-cubature", "pipeline"])
+def test_one_sphere_solve_per_approx_request(tmp_path, perturbed_instance, monkeypatch, argv):
+    from lowform.solvers import minimize_sphere
+
+    calls = _spy(monkeypatch, minimize_sphere)
+    out = tmp_path / "out"
+    assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
+               + ["--l2-samples", 20000, "--out", out]) == 0
+    assert len(calls) == 1 and calls[0][1]["half"] == "y_nonneg"
     if argv[0] == "pipeline":
         assert read(out / "report.json")["route"] == "approx"
 

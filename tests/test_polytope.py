@@ -99,6 +99,21 @@ def test_cut_loop_constant_objective():
     assert len(res.cuts) <= 1 and res.iterations == 0
 
 
+@pytest.mark.parametrize("loop", ["cut_loop", "box_cut_loop"])
+def test_cut_loops_constant_objective_with_no_forms(loop):
+    # m = 0: there is no cut direction, so the loop must return before separating
+    sf = SparseForm(f=Polynomial.constant(0, 2.5), ell=np.zeros((3, 0)))
+    if loop == "cut_loop":
+        poly = simplex3()
+        res = cut_loop(sf, poly, OPTS)
+        feasible = np.allclose(poly.a @ res.witness, poly.b) and res.witness.min() >= 0.0
+    else:
+        res = box_cut_loop(sf, OPTS)
+        feasible = np.abs(res.witness).max() <= 1.0
+    assert res.converged and res.rho == 2.5 and feasible
+    assert res.x_star.shape == (0,) and res.iterations == 0 and len(res.cuts) == 0
+
+
 def test_cut_loops_reject_zero_cut_budget():
     sf = SparseForm(f=Polynomial(1, {(2,): 1.0}), ell=ELL_DIFF)
     with pytest.raises(ValueError, match="max_cuts"):
