@@ -46,8 +46,7 @@ from .polytope import (
     CutSet,
     Polytope,
     PolytopeReduceResult,
-    box_cut_loop,
-    box_support,
+    box_reduce,
     cut_loop,
     separation_lp,
     simplex_reduce,
@@ -58,6 +57,7 @@ from .solvers import (
     SolveOptions,
     SolveResult,
     VertexTable,
+    Zonotope,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,

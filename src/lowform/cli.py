@@ -48,7 +48,7 @@ from .polytope import (
     InfeasibleDomainError,
     Polytope,
     UnboundedDomainError,
-    box_cut_loop,
+    box_reduce,
     cut_loop,
     simplex_reduce,
     vertex_reduce,
@@ -248,7 +248,7 @@ def cmd_reduce_polytope(args) -> int:
     if args.preset == "simplex":
         result = simplex_reduce(sf, opts)
     elif args.preset == "box":
-        result = box_cut_loop(sf, opts, tol=args.sep_tol)
+        result = box_reduce(sf, opts)
     else:
         if not (args.A and args.b):
             raise CliInputError("general polytopes need --A and --b (or use --preset)")
@@ -369,6 +369,8 @@ def cmd_pipeline(args) -> int:
     started = time.monotonic()
     h = _load_polynomial(args.input)
     n = h.num_vars
+    if n == 0:
+        raise CliInputError("the pipeline needs a polynomial in at least 1 variable")
     inputs = [args.input]
     opts = _solve_options(args)
 
@@ -410,7 +412,7 @@ def cmd_pipeline(args) -> int:
             if args.domain == "simplex":
                 result = simplex_reduce(sf, opts)
             elif args.domain == "box":
-                result = box_cut_loop(sf, opts)
+                result = box_reduce(sf, opts)
             else:
                 if not (args.A and args.b):
                     raise CliInputError("polytope domain needs --A and --b")
@@ -428,6 +430,13 @@ def cmd_pipeline(args) -> int:
             if not result.converged:
                 status = EXIT_NO_CONVERGENCE
     else:
+        if args.domain != "sphere":
+            # problem Q is posed on the sphere; its minimum bounds nothing on
+            # another domain
+            raise CliInputError(
+                f"h is not exactly sparse, and the approx route only solves on "
+                f"the sphere, not on --domain {args.domain}"
+            )
         report["route"] = "approx"
         m_hint = m if 1 <= m < n else choose_m(h, eig=eig)
         approx, status = _approx_route(h, eig, m_hint, args)

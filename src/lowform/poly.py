@@ -506,6 +506,7 @@ class GradientEvaluator:
     """
 
     def __init__(self, p: Polynomial):
+        self.degree = p.degree()
         exps, coefs = p.exps, p.coefs
         var, shifted, partial_coefs = partial_terms(exps, coefs)
         rows = np.zeros((1 + p.num_vars, exps.shape[0] + var.size))
@@ -521,7 +522,8 @@ class GradientEvaluator:
         array of a few points (in one block)."""
         return self._coefs @ self._tree.fill(np.asarray(points, dtype=float).T)
 
-    def _at(self, x: np.ndarray) -> np.ndarray:
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """(1 + n,) array: p, then its partials, at one point (read only)."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if key != self._key:
@@ -530,10 +532,10 @@ class GradientEvaluator:
         return self._at_key
 
     def value(self, x: np.ndarray) -> float:
-        return float(self._at(x)[0])
+        return float(self.at(x)[0])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self._at(x)[1:].copy()
+        return self.at(x)[1:].copy()
 
 
 # ----------------------------------------------------------------------

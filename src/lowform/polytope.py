@@ -18,8 +18,11 @@ u . X <= lambda . b with (lambda, u) in the cone
 The cut loop alternates between minimizing f over the current outer
 polyhedron and solving a separation LP over a normalized section of C; a
 negative separation value certifies that the current minimizer lies outside
-the projected feasible set and yields a violated cut.  The unit box has its
-own loop with zonotope support cuts.
+the projected feasible set and yields a violated cut.
+
+For the unit box, P is the zonotope ell^T [-1, 1]^n, whose linear
+minimization oracle is closed-form, so :func:`box_reduce` minimizes f over
+it directly, with no LP before the witness.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .poly import GradientEvaluator, Polynomial
 from .solvers import (
     Hrep,
     SolveOptions,
+    SolveResult,
     VertexTable,
+    Zonotope,
     basic_feasible_solutions,
     frank_wolfe,
     minimize_polytope,
@@ -125,15 +130,12 @@ class Polytope:
 
 @dataclass
 class Cut:
-    """Valid inequality u . X <= rhs on the projected feasible set.
-
-    ``lam`` is the cone multiplier for general polytopes (rhs = lam . b) and
-    None for box cuts, whose rhs is the zonotope support value.
-    """
+    """Valid inequality u . X <= rhs = lam . b on the projected feasible set,
+    with (lam, u) in the cone C."""
 
     u: np.ndarray
     rhs: float
-    lam: np.ndarray | None = None
+    lam: np.ndarray
 
 
 @dataclass
@@ -171,41 +173,30 @@ class PolytopeReduceResult:
 # ----------------------------------------------------------------------
 
 
-def _cone_constraints(poly: Polytope, ell: np.ndarray):
-    """Inequality rows for (lam+, lam-, u+, u-) >= 0 encoding A^T lam >= ell u."""
-    s, n = poly.a.shape
-    m = ell.shape[1]
-    at = poly.a.T  # n x s
-    # -(A^T lam - ell u) <= 0 componentwise
-    rows = np.hstack([-at, at, ell, -ell])
-    rhs = np.zeros(n)
-    norm_row = np.ones(2 * s + 2 * m)
-    return rows, rhs, norm_row, s, m
+def _cone_lp(poly: Polytope, ell: np.ndarray, c: np.ndarray):
+    """Minimize c . z over z = (lam+, lam-, u+, u-) >= 0 with entries summing
+    to 1 and A^T lam >= ell u: a normalized section of the cone C."""
+    at = poly.a.T
+    return lp_solve(
+        LpProblem(
+            c=c,
+            a_ub=np.hstack([-at, at, ell, -ell]),
+            b_ub=np.zeros(at.shape[0]),
+            a_eq=np.ones((1, c.size)),
+            b_eq=np.array([1.0]),
+            bounds=[(0.0, None)] * c.size,
+        )
+    )
 
 
 def _cone_has_cut_directions(poly: Polytope, ell: np.ndarray) -> bool:
     """True when some cone element has u != 0 (the projection is constrained)."""
-    rows, rhs, norm_row, s, m = _cone_constraints(poly, ell)
-    c = np.concatenate([np.zeros(2 * s), -np.ones(2 * m)])
-    res = lp_solve(
-        LpProblem(
-            c=c,
-            a_ub=rows,
-            b_ub=rhs,
-            a_eq=norm_row.reshape(1, -1),
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * (2 * s + 2 * m),
-        )
-    )
+    s, m = poly.a.shape[0], ell.shape[1]
+    res = _cone_lp(poly, ell, np.concatenate([np.zeros(2 * s), -np.ones(2 * m)]))
     return res.status == "optimal" and -res.value > 1e-12
 
 
-def separation_lp(
-    poly: Polytope,
-    ell: np.ndarray,
-    x_star: np.ndarray,
-    check_cone: bool = True,
-) -> tuple[float, Cut]:
+def separation_lp(poly: Polytope, ell: np.ndarray, x_star: np.ndarray) -> tuple[float, Cut]:
     """Minimize lambda . b - u . X* over the normalized cone section.
 
     A value >= -SEPARATION_TOL certifies (Farkas) that X* lies in the closure
@@ -214,22 +205,8 @@ def separation_lp(
     """
     ell = np.asarray(ell, dtype=float)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    if check_cone and not _cone_has_cut_directions(poly, ell):
-        raise UnconstrainedProjectionError(
-            "the cone contains no usable cut: projection is unconstrained"
-        )
-    rows, rhs, norm_row, s, m = _cone_constraints(poly, ell)
-    c = np.concatenate([poly.b, -poly.b, -x_star, x_star])
-    res = lp_solve(
-        LpProblem(
-            c=c,
-            a_ub=rows,
-            b_ub=rhs,
-            a_eq=norm_row.reshape(1, -1),
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * (2 * s + 2 * m),
-        )
-    )
+    s, m = poly.a.shape[0], ell.shape[1]
+    res = _cone_lp(poly, ell, np.concatenate([poly.b, -poly.b, -x_star, x_star]))
     if res.status != "optimal":
         raise InfeasibleDomainError(f"separation LP ended with status {res.status}")
     z = res.point
@@ -240,53 +217,6 @@ def separation_lp(
         lam = lam / scale
         u = u / scale
     return float(res.value), Cut(u=u, rhs=float(lam @ poly.b), lam=lam)
-
-
-def box_support(ell: np.ndarray, u: np.ndarray) -> float:
-    """Support function of the projected box [-1, 1]^n in direction u.
-
-    The projection is the zonotope {ell^T x : x in [-1,1]^n}, whose support
-    in direction u is the l1 norm of ell @ u.
-    """
-    ell = np.asarray(ell, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    return float(np.abs(ell @ u).sum())
-
-
-def _box_separation(ell: np.ndarray, x_star: np.ndarray) -> tuple[float, Cut]:
-    """Minimize |ell u|_1 - u . X* over |u|_1 = 1 (box specialization)."""
-    ell = np.asarray(ell, dtype=float)
-    n, m = ell.shape
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    # variables: u+, u- (m each), t (n), all >= 0 with t >= +-(ell u)
-    zeros_t = np.zeros((n, n))
-    rows = np.vstack(
-        [
-            np.hstack([ell, -ell, -np.eye(n)]),
-            np.hstack([-ell, ell, -np.eye(n)]),
-        ]
-    )
-    rhs = np.zeros(2 * n)
-    c = np.concatenate([-x_star, x_star, np.ones(n)])
-    norm_row = np.concatenate([np.ones(2 * m), np.zeros(n)])
-    res = lp_solve(
-        LpProblem(
-            c=c,
-            a_ub=rows,
-            b_ub=rhs,
-            a_eq=norm_row.reshape(1, -1),
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * (2 * m + n),
-        )
-    )
-    if res.status != "optimal":
-        raise InfeasibleDomainError(f"box separation LP status {res.status}")
-    z = res.point
-    u = z[:m] - z[m : 2 * m]
-    scale = float(np.abs(u).sum())
-    if scale > 1e-12:
-        u = u / scale
-    return float(res.value), Cut(u=u, rhs=box_support(ell, u), lam=None)
 
 
 # ----------------------------------------------------------------------
@@ -303,67 +233,6 @@ def _interval_box(ell: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return low - pad, high + pad
 
 
-def _check_max_cuts(max_cuts: int) -> None:
-    # Each round solves the inner problem once, so zero rounds has no minimizer.
-    if max_cuts < 1:
-        raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
-
-
-def _generic_cut_loop(
-    f: Polynomial,
-    separate,
-    box_lo: np.ndarray,
-    box_hi: np.ndarray,
-    feasible_x_star: np.ndarray,
-    opts: SolveOptions,
-    tol: float,
-    max_cuts: int,
-) -> PolytopeReduceResult:
-    m = f.num_vars
-    cuts = CutSet()
-    # Before any separation: with m = 0 there is no cut direction to separate.
-    if f.is_constant():
-        return PolytopeReduceResult(
-            rho=f.constant_value(),
-            x_star=np.asarray(feasible_x_star, dtype=float),
-            cuts=cuts,
-            iterations=0,
-            converged=True,
-            inner_values=[],
-        )
-
-    # Seed with one cut from separating the origin, when it yields one.
-    tau0, cut0 = separate(np.zeros(m))
-    if tau0 < -tol and np.abs(cut0.u).sum() > 1e-12:
-        cuts.cuts.append(cut0)
-
-    inner_values: list[float] = []
-    x_star = None
-    rho = np.inf
-    converged = False
-    iterations = 0
-    for k in range(max_cuts):
-        region = cuts.to_hrep(box_lo, box_hi)
-        res = minimize_polytope(f, region, opts)
-        iterations += 1
-        rho = res.value
-        x_star = res.point
-        inner_values.append(rho)
-        tau, cut = separate(x_star)
-        if tau >= -tol:
-            converged = res.status == "converged"
-            break
-        cuts.cuts.append(cut)
-    return PolytopeReduceResult(
-        rho=float(rho),
-        x_star=np.asarray(x_star, dtype=float),
-        cuts=cuts,
-        iterations=iterations,
-        converged=converged,
-        inner_values=inner_values,
-    )
-
-
 def cut_loop(
     sf: SparseForm,
     poly: Polytope,
@@ -376,58 +245,48 @@ def cut_loop(
     Requires Omega nonempty (checked at construction) and bounded (checked by
     coordinate-range LPs here).  The outer polyhedron starts from an interval
     box derived from Omega's coordinate ranges and tightens by one Farkas cut
-    per iteration until the separation value is >= -tol.
+    per iteration until the separation value is >= -tol.  A constant f
+    returns before any separation: with m = 0 there is no cut direction.
     """
-    _check_max_cuts(max_cuts)
+    # Each round solves the inner problem once, so zero rounds has no minimizer.
+    if max_cuts < 1:
+        raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
     opts = opts or SolveOptions()
-    ell = np.asarray(sf.ell, dtype=float)
+    f, ell = sf.f, np.asarray(sf.ell, dtype=float)
     lo, hi = poly.coordinate_ranges()
+    if f.is_constant():
+        return _constant_result(f, ell, poly.feasible_point())
+    if not _cone_has_cut_directions(poly, ell):
+        raise UnconstrainedProjectionError(
+            "the cone contains no usable cut: projection is unconstrained"
+        )
     box_lo, box_hi = _interval_box(ell, lo, hi)
-
-    first_call = [True]
-
-    def separate(x_point):
-        check = first_call[0]
-        first_call[0] = False
-        return separation_lp(poly, ell, x_point, check_cone=check)
-
-    result = _generic_cut_loop(
-        sf.f,
-        separate,
-        box_lo,
-        box_hi,
-        ell.T @ poly.feasible_point(),
-        opts,
-        tol,
-        max_cuts,
+    cuts = CutSet()
+    # Seed with one cut from separating the origin, when it yields one.
+    tau0, cut0 = separation_lp(poly, ell, np.zeros(f.num_vars))
+    if tau0 < -tol and np.abs(cut0.u).sum() > 1e-12:
+        cuts.cuts.append(cut0)
+    inner_values: list[float] = []
+    converged = False
+    for _ in range(max_cuts):
+        res = minimize_polytope(f, cuts.to_hrep(box_lo, box_hi), opts)
+        inner_values.append(res.value)
+        tau, cut = separation_lp(poly, ell, res.point)
+        if tau >= -tol:
+            converged = res.status == "converged"
+            break
+        cuts.cuts.append(cut)
+    witness, witness_gap = _lift_witness(poly, ell, res.point)
+    return PolytopeReduceResult(
+        rho=res.value,
+        x_star=res.point,
+        cuts=cuts,
+        iterations=len(inner_values),
+        converged=converged,
+        inner_values=inner_values,
+        witness=witness,
+        witness_gap=witness_gap,
     )
-    result.witness, result.witness_gap = _lift_witness(poly, ell, result.x_star)
-    return result
-
-
-def box_cut_loop(
-    sf: SparseForm,
-    opts: SolveOptions | None = None,
-    tol: float = SEPARATION_TOL,
-    max_cuts: int = _MAX_CUTS,
-) -> PolytopeReduceResult:
-    """Cut loop specialization for Omega = [-1, 1]^n using support cuts."""
-    _check_max_cuts(max_cuts)
-    opts = opts or SolveOptions()
-    ell = np.asarray(sf.ell, dtype=float)
-    m = ell.shape[1]
-    support = np.array([box_support(ell, e) for e in np.eye(m)])
-    box_hi = support + 1e-12 * np.maximum(1.0, support)
-    box_lo = -box_hi
-
-    def separate(x_point):
-        return _box_separation(ell, x_point)
-
-    result = _generic_cut_loop(
-        sf.f, separate, box_lo, box_hi, np.zeros(m), opts, tol, max_cuts
-    )
-    result.witness, result.witness_gap = _box_witness(ell, result.x_star)
-    return result
 
 
 def vertex_reduce(
@@ -451,17 +310,7 @@ def vertex_reduce(
     ell = np.asarray(sf.ell, dtype=float)
     poly.lmo(-np.ones(poly.num_vars))  # Omega is bounded iff sum(x) is
     if sf.f.is_constant():
-        x = poly.feasible_point()
-        return PolytopeReduceResult(
-            rho=sf.f.constant_value(),
-            x_star=ell.T @ x,
-            cuts=CutSet(),
-            iterations=0,
-            converged=True,
-            inner_values=[],
-            witness=x,
-            witness_gap=0.0,
-        )
+        return _constant_result(sf.f, ell, poly.feasible_point())
     vertices = basic_feasible_solutions(poly.a, poly.b)
     if vertices is None or not vertices.shape[0]:
         return cut_loop(sf, poly, opts)
@@ -484,6 +333,45 @@ def vertex_reduce(
     if weights is not None:
         witness = weights @ vertices
         witness_gap = float(np.abs(ell.T @ witness - res.point).sum())
+    return _one_solve_result(res, witness, witness_gap)
+
+
+def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
+    """:func:`vertex_reduce` on the canonical simplex {x >= 0 : sum(x) = 1}."""
+    return vertex_reduce(sf, Polytope(np.ones((1, sf.ell.shape[0])), [1.0]), opts)
+
+
+def box_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
+    """Minimize f(ell^T x) over the box [-1, 1]^n.
+
+    One :func:`minimize_polytope` call over the zonotope ell^T [-1, 1]^n
+    finds X*; ``converged`` is that solve's status and ``iterations`` its
+    Frank-Wolfe steps.  One LP finds the witness.  A constant f returns at
+    once, with the box's center as the witness.
+    """
+    ell = np.asarray(sf.ell, dtype=float)
+    if sf.f.is_constant():
+        return _constant_result(sf.f, ell, np.zeros(ell.shape[0]))
+    res = minimize_polytope(sf.f, Zonotope(ell), opts)
+    return _one_solve_result(res, *_box_witness(ell, res.point))
+
+
+def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):
+    """A constant f: every feasible point, ``witness`` among them, is a minimizer."""
+    return PolytopeReduceResult(
+        rho=f.constant_value(),
+        x_star=ell.T @ witness,
+        cuts=CutSet(),
+        iterations=0,
+        converged=True,
+        inner_values=[],
+        witness=witness,
+        witness_gap=0.0,
+    )
+
+
+def _one_solve_result(res: SolveResult, witness, witness_gap) -> PolytopeReduceResult:
+    """The result of one inner solve over P itself: no cuts."""
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -494,11 +382,6 @@ def vertex_reduce(
         witness=witness,
         witness_gap=witness_gap,
     )
-
-
-def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
-    """:func:`vertex_reduce` on the canonical simplex {x >= 0 : sum(x) = 1}."""
-    return vertex_reduce(sf, Polytope(np.ones((1, sf.ell.shape[0])), [1.0]), opts)
 
 
 def _lift_witness(poly: Polytope, ell: np.ndarray, x_star: np.ndarray):

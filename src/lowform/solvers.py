@@ -1,15 +1,16 @@
 """Desk-scale minimization of polynomials on balls, spheres, and polyhedra.
 
 All solvers are multi-start local methods: projected gradient descent with
-Armijo backtracking on the ball and sphere, and Frank-Wolfe on polyhedra.
-Objective values and gradients come from one
+Armijo backtracking on the ball and sphere, and pairwise Frank-Wolfe with an
+exact step on polyhedra.  Objective values and gradients come from one
 :class:`~lowform.poly.GradientEvaluator` per solve, a monomial tree over p and
 its partials filled once per point.  The Frank-Wolfe linear-minimization
 oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
 dimension <= 3 and solves one LP per call otherwise, and
 :func:`basic_feasible_solutions` enumerates the vertices of a standard-form
-polytope in one batched solve.  The brute-force oracle that checks
-these solvers lives with the tests, apart from the code it checks.
+polytope in one batched solve.  A :class:`Zonotope`, the image of a box,
+answers in closed form.  The brute-force oracle that checks these solvers
+lives with the tests, apart from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
@@ -18,6 +19,7 @@ candidate results are reduced by (value, lexicographic point), so identical
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .linalg import LpProblem, lp_solve
 from .poly import GradientEvaluator, Polynomial
 from .sampling import sample_ball, sample_sphere
 
-# Armijo backtracking parameters, fixed across all solvers.
+# Armijo backtracking parameters of the projected-gradient solvers.
 ARMIJO_INIT = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -40,6 +42,11 @@ _MIN_STEP = 1e-16
 _RESTART_GAP = 1e-4
 
 _BOUNDARY_EPS = 1e-13
+
+# Leading coefficients of a fitted restriction's derivative this small,
+# relative to its largest, are rounding noise and are left out of the root
+# search.
+_FIT_NOISE = 1e-12
 
 # Vertex-table limits: larger regions answer every LMO call with an LP.
 _TABLE_MAX_DIM = 3
@@ -110,6 +117,23 @@ class VertexTable:
             )
         )
         return res.point if res.status == "optimal" else None
+
+
+@dataclass
+class Zonotope:
+    """The image ell^T [-1, 1]^n of the box under the (n, m) matrix ell.
+
+    Its linear minimization oracle is closed-form: ell^T x over the box is
+    least in direction c at x = -sign(ell c).
+    """
+
+    ell: np.ndarray
+
+    def lmo(self, direction: np.ndarray) -> np.ndarray:
+        return -(np.sign(self.ell @ direction) @ self.ell)
+
+    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.uniform(-1.0, 1.0, size=(count, self.ell.shape[0])) @ self.ell
 
 
 def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,30 +401,116 @@ def _pgd_sphere(value, grad, x0, max_iter, tol, half="none", trace=None):
     return x, fx, max_iter, False
 
 
-def _frank_wolfe(value, grad, lmo, x0, max_iter, tol, trace=None):
+@functools.cache
+def _hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equispaced nodes of [0, 1] after 0, as a column, and the matrix
+    that maps the values, then the slopes, of a polynomial of degree
+    2 * nodes - 1 at all the nodes to its coefficients, lowest first."""
+    s = np.linspace(0.0, 1.0, nodes)[:, None]
+    powers = np.arange(2 * nodes)
+    slopes = powers * s ** np.maximum(powers - 1, 0)
+    return s[1:], np.linalg.inv(np.vstack([s**powers, slopes]))
+
+
+def _horner(coefs: list[float], s: float) -> float:
+    out = 0.0
+    for c in reversed(coefs):
+        out = out * s + c
+    return out
+
+
+def _fit_minimum(coefs: list[float]) -> tuple[float, float] | None:
+    """(value, s) at the lowest local minimum in (0, 1) of the polynomial
+    with coefficients ``coefs`` (lowest first), or None."""
+    dc = [i * c for i, c in enumerate(coefs[1:], 1)]
+    ddc = [i * c for i, c in enumerate(dc[1:], 1)]
+    top, noise = len(dc), _FIT_NOISE * max(map(abs, dc))
+    while top > 1 and abs(dc[top - 1]) <= noise:
+        top -= 1
+    if top == 2:
+        roots = [-dc[0] / dc[1]]
+    elif top == 3:
+        # the quadratic formula in its cancellation-free form
+        c, b, a = dc[:3]
+        disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+        roots = [q / a, c / q] if disc >= 0.0 and q != 0.0 else []
+    elif top > 3:
+        found = np.roots(dc[top - 1 :: -1])
+        roots = found.real[np.abs(found.imag) <= 1e-6 * (1.0 + np.abs(found))].tolist()
+        for _ in range(3):  # Newton polish on the whole derivative
+            roots = [r - _horner(dc, r) / h if (h := _horner(ddc, r)) else r for r in roots]
+    else:
+        roots = []
+    minima = [(_horner(coefs, r), r) for r in roots if 0.0 < r < 1.0 and _horner(ddc, r) > 0.0]
+    return min(minima, default=None)
+
+
+def _exact_step(evaluator, x: np.ndarray, at_x: np.ndarray, d: np.ndarray, w: float):
+    """Exact minimizer t of phi(t) = p(x + t d) on [0, w], with the point
+    y = x + t d and ``evaluator.at(y)``.
+
+    phi has the degree of p, so the Hermite interpolant of its values and
+    slopes at k equispaced nodes of [0, w], with 2k > degree, is phi
+    itself.  Node 0 is x; every other node, and an interior minimizer that
+    is not a node, costs one tree fill.
+    """
+    k = max(2, (evaluator.degree + 2) // 2)
+    if k == 2:  # the cubic Hermite interpolant, in closed form
+        ys = [x + w * d]
+        at_nodes = evaluator.at(ys[0])[:, None]
+        f0, f1 = float(at_x[0]), float(at_nodes[0, 0])
+        s0, s1 = w * float(d @ at_x[1:]), w * float(d @ at_nodes[1:, 0])
+        coefs = [f0, s0, 3.0 * (f1 - f0) - 2.0 * s0 - s1, 2.0 * (f0 - f1) + s0 + s1]
+    else:
+        nodes, inverse = _hermite(k)
+        ys = x + (w * nodes) * d
+        at_nodes = evaluator.values(ys)
+        slopes = w * (d @ np.hstack([at_x[1:, None], at_nodes[1:]]))
+        coefs = (inverse @ np.concatenate(([at_x[0]], at_nodes[0], slopes))).tolist()
+    fit = _fit_minimum(coefs)
+    if fit is not None and fit[0] < at_nodes[0, -1]:
+        t = w * fit[1]
+        y = x + t * d
+        return t, y, evaluator.at(y)
+    return w, ys[-1], at_nodes[:, -1]
+
+
+def _frank_wolfe(evaluator, lmo, x0, max_iter, tol, trace=None):
+    """Pairwise Frank-Wolfe from x0 with an exact step.
+
+    The run keeps x0 and every vertex the oracle has returned as weighted
+    atoms whose mixture is x.  Each step moves weight t from the atom worst
+    along the gradient (away) to the oracle's vertex, with t the exact
+    minimizer on [0, w_away] (:func:`_exact_step`); t = w_away drops the
+    away atom.  Lacoste-Julien & Jaggi, "On the global linear convergence
+    of Frank-Wolfe optimization variants", NeurIPS 2015.
+
+    Exits "converged" at Frank-Wolfe gap < tol, or when an exact step
+    inside [0, w_away] does not lower p at float resolution.  A drop step
+    never ends a run.
+    """
     x = np.array(x0, dtype=float)
-    fx = value(x)
+    at_x = evaluator.at(x)
+    fx = float(at_x[0])
+    atoms = {x.tobytes(): [x, 1.0]}
     if trace is not None:
         trace.append(fx)
     for it in range(1, max_iter + 1):
-        g = grad(x)
+        g = at_x[1:]
         v = lmo(g)
-        gap = float(g @ (x - v))
-        if gap < tol:
+        if float(g @ (x - v)) < tol:
             return x, fx, it, True
-        d = v - x
-        t = ARMIJO_INIT
-        accepted = False
-        while t >= _MIN_STEP:
-            cand = x + t * d
-            fc = value(cand)
-            if fc < fx - ARMIJO_DECREASE * t * gap:
-                accepted = True
-                break
-            t *= ARMIJO_SHRINK
-        if not accepted:
+        key, (a, w) = max(atoms.items(), key=lambda item: g @ item[1][0])
+        t, y, at_y = _exact_step(evaluator, x, at_x, v - a, w)
+        if t == w:
+            del atoms[key]
+        elif at_y[0] >= fx:
             return x, fx, it, True
-        x, fx = cand, fc
+        else:
+            atoms[key][1] = w - t
+        atoms.setdefault(v.tobytes(), [v, 0.0])[1] += t
+        x, at_x, fx = y, at_y, float(at_y[0])
         if trace is not None:
             trace.append(fx)
     return x, fx, max_iter, False
@@ -412,7 +522,19 @@ def _best_candidate(candidates):
     return min(candidates, key=lambda c: (c[1], tuple(c[0])))
 
 
-def _multi_start(run_one, draw_starts, opts: SolveOptions) -> SolveResult:
+def _result(p: Polynomial, candidate, starts_used: int) -> SolveResult:
+    """The result of a run (x, value, iterations, converged), valued by p."""
+    x, _, iterations, converged = candidate
+    return SolveResult(
+        value=p.evaluate(x),
+        point=np.asarray(x, dtype=float),
+        status="converged" if converged else "max_iter",
+        iterations=iterations,
+        starts_used=starts_used,
+    )
+
+
+def _multi_start(p: Polynomial, run_one, draw_starts, opts: SolveOptions) -> SolveResult:
     rng = np.random.default_rng(opts.seed)
     starts = draw_starts(rng, opts.starts)
     candidates = [run_one(x0) for x0 in starts]
@@ -422,14 +544,7 @@ def _multi_start(run_one, draw_starts, opts: SolveOptions) -> SolveResult:
         extra = draw_starts(rng, opts.starts)
         candidates += [run_one(x0) for x0 in extra]
         starts_used += opts.starts
-    x, fx, iters, converged = _best_candidate(candidates)
-    return SolveResult(
-        value=float(fx),
-        point=np.asarray(x, dtype=float),
-        status="converged" if converged else "max_iter",
-        iterations=iters,
-        starts_used=starts_used,
-    )
+    return _result(p, _best_candidate(candidates), starts_used)
 
 
 def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
@@ -442,9 +557,7 @@ def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResul
     def run_one(x0):
         return _pgd_ball(value, grad, x0, opts.max_iter, opts.tol)
 
-    res = _multi_start(run_one, lambda rng, k: sample_ball(rng, k, dim), opts)
-    res.value = p.evaluate(res.point)
-    return res
+    return _multi_start(p, run_one, lambda rng, k: sample_ball(rng, k, dim), opts)
 
 
 def minimize_sphere(
@@ -471,26 +584,23 @@ def minimize_sphere(
             pts = np.array([_reflect_half(x, half) for x in pts])
         return pts
 
-    res = _multi_start(run_one, draw, opts)
-    res.value = p.evaluate(res.point)
-    return res
+    return _multi_start(p, run_one, draw, opts)
 
 
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
 
     ``region`` must expose ``lmo(direction) -> vertex`` and
-    ``start_points(rng, count) -> array``, as :class:`Hrep` and
-    :class:`VertexTable` do.  Half of the starts are taken from the best
-    points of a sampled sweep of the objective, which keeps deep, narrow
-    basins from being missed; the rest stay exploratory.
+    ``start_points(rng, count) -> array``, as :class:`Hrep`,
+    :class:`VertexTable` and :class:`Zonotope` do.  Half of the starts are
+    taken from the best points of a sampled sweep of the objective, which
+    keeps deep, narrow basins from being missed; the rest stay exploratory.
     """
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
-    value, grad = evaluator.value, evaluator.grad
 
     def run_one(x0):
-        return _frank_wolfe(value, grad, region.lmo, x0, opts.max_iter, opts.tol)
+        return _frank_wolfe(evaluator, region.lmo, x0, opts.max_iter, opts.tol)
 
     def draw(rng, count):
         pool = np.asarray(region.start_points(rng, max(64 * count, 1024)))
@@ -502,9 +612,7 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
         diverse = np.asarray(region.start_points(rng, rest))
         return np.vstack([informed, diverse])
 
-    res = _multi_start(run_one, draw, opts)
-    res.value = p.evaluate(res.point)
-    return res
+    return _multi_start(p, run_one, draw, opts)
 
 
 def frank_wolfe(
@@ -512,14 +620,5 @@ def frank_wolfe(
 ) -> SolveResult:
     """One Frank-Wolfe run of p over ``region`` from the feasible point x0."""
     opts = opts or SolveOptions()
-    evaluator = GradientEvaluator(p)
-    x, _, iterations, converged = _frank_wolfe(
-        evaluator.value, evaluator.grad, region.lmo, x0, opts.max_iter, opts.tol
-    )
-    return SolveResult(
-        value=p.evaluate(x),
-        point=np.asarray(x, dtype=float),
-        status="converged" if converged else "max_iter",
-        iterations=iterations,
-        starts_used=1,
-    )
+    run = _frank_wolfe(GradientEvaluator(p), region.lmo, x0, opts.max_iter, opts.tol)
+    return _result(p, run, starts_used=1)

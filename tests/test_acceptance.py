@@ -39,7 +39,7 @@ from lowform.detection import (
 from lowform.generate import generate_instance
 from lowform.linalg import LpProblem, lp_solve, sym_eig
 from lowform.poly import ball_monomial_moment
-from lowform.polytope import Polytope, SparseForm, box_cut_loop, cut_loop
+from lowform.polytope import Polytope, SparseForm, box_reduce, cut_loop
 from lowform.solvers import Hrep, SolveOptions, minimize_ball
 from lowform.sphere import lift_minimizer, reduce_sphere
 
@@ -163,7 +163,7 @@ def test_criterion_4_polytope_cut_loop():
         gap = abs(result.rho - oracle)
         worst_gap = max(worst_gap, gap)
         assert gap < 1e-6, (inst.seed, result.rho, oracle)
-        direct = box_cut_loop(sf, SolveOptions(seed=inst.seed))
+        direct = box_reduce(sf, SolveOptions(seed=inst.seed))
         assert direct.converged
         assert abs(direct.rho - result.rho) < 1e-6, inst.seed
         samples = polytope_sample(poly, rng, 200)

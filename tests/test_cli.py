@@ -93,7 +93,8 @@ def test_reduce_polytope_presets(tmp_path, sparse_instance):
         ["reduce-polytope", "--sparse", ext / "report.json", "--preset", "box", "--out", box]
     ) == 0
     assert read(simplex / "report.json")["converged"]
-    assert read(box / "report.json")["converged"]
+    box_report = read(box / "report.json")
+    assert box_report["converged"] and box_report["cuts"] == []
 
 
 def test_reduce_polytope_general_and_infeasible(tmp_path, sparse_instance):
@@ -406,6 +407,32 @@ def test_one_variable_approx_route_exits_2(tmp_path, argv):
         {"exp": [2], "coef": 1.0}, {"exp": [1], "coef": -0.5}]}))
     polytope = _polytope_files(tmp_path, [[1.0]], [1.0]) if "polytope" in argv else []
     assert _rejected(argv + ["--input", h] + polytope, tmp_path / "o")
+
+
+@pytest.mark.parametrize("domain", ["simplex", "box", "polytope"])
+def test_approx_route_off_the_sphere_exits_2(tmp_path, perturbed_instance, domain):
+    # problem Q lives on the sphere; its minimum says nothing about this domain
+    polytope = _polytope_files(tmp_path, [[1.0] * 4], [1.0]) if domain == "polytope" else []
+    assert _rejected(["pipeline", "--input", perturbed_instance, "--domain", domain]
+                     + polytope, tmp_path / "o")
+
+
+@pytest.mark.parametrize("domain", ["sphere", "simplex", "box", "polytope"])
+def test_pipeline_on_zero_variables_exits_2(tmp_path, domain):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"num_vars": 0, "terms": [{"exp": [], "coef": 1.0}]}))
+    polytope = _polytope_files(tmp_path, [[1.0]], [1.0]) if domain == "polytope" else []
+    assert _rejected(["pipeline", "--input", h, "--domain", domain] + polytope, tmp_path / "o")
+
+
+def test_box_route_reaches_the_minimum(tmp_path):
+    gen = tmp_path / "gen"
+    assert run(["gen", "--seed", 42, "--n", 6, "--m", 2, "--degree", 3, "--out", gen]) == 0
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", gen / "h.json", "--domain", "box", "--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["route"] == "exact/box" and report["converged"]
+    assert report["rho"] <= -0.7081964 + 1e-6
 
 
 def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 
 import lowform.polytope as polytope
 from conftest import brute_force_min, polytope_sample
-from lowform.detection import SparseForm
+from lowform.detection import SparseForm, detect_exact, extract_sparse_form
+from lowform.generate import generate_instance
 from lowform.linalg import LpProblem, lp_solve
 from lowform.poly import Polynomial
 from lowform.polytope import (
-    Cut,
     InfeasibleDomainError,
     Polytope,
     UnboundedDomainError,
-    box_cut_loop,
-    box_support,
+    box_reduce,
     cut_loop,
     separation_lp,
     simplex_reduce,
     vertex_reduce,
 )
-from lowform.solvers import Hrep, SolveOptions, basic_feasible_solutions
+from lowform.solvers import Hrep, SolveOptions, Zonotope, basic_feasible_solutions
 
 
 def simplex3() -> Polytope:
@@ -99,7 +98,7 @@ def test_cut_loop_constant_objective():
     assert len(res.cuts) <= 1 and res.iterations == 0
 
 
-@pytest.mark.parametrize("loop", ["cut_loop", "box_cut_loop"])
+@pytest.mark.parametrize("loop", ["cut_loop", "box_reduce"])
 def test_cut_loops_constant_objective_with_no_forms(loop):
     # m = 0: there is no cut direction, so the loop must return before separating
     sf = SparseForm(f=Polynomial.constant(0, 2.5), ell=np.zeros((3, 0)))
@@ -108,7 +107,7 @@ def test_cut_loops_constant_objective_with_no_forms(loop):
         res = cut_loop(sf, poly, OPTS)
         feasible = np.allclose(poly.a @ res.witness, poly.b) and res.witness.min() >= 0.0
     else:
-        res = box_cut_loop(sf, OPTS)
+        res = box_reduce(sf, OPTS)
         feasible = np.abs(res.witness).max() <= 1.0
     assert res.converged and res.rho == 2.5 and feasible
     assert res.x_star.shape == (0,) and res.iterations == 0 and len(res.cuts) == 0
@@ -118,8 +117,6 @@ def test_cut_loops_reject_zero_cut_budget():
     sf = SparseForm(f=Polynomial(1, {(2,): 1.0}), ell=ELL_DIFF)
     with pytest.raises(ValueError, match="max_cuts"):
         cut_loop(sf, simplex3(), OPTS, max_cuts=0)
-    with pytest.raises(ValueError, match="max_cuts"):
-        box_cut_loop(sf, OPTS, max_cuts=0)
 
 
 def test_cut_loop_generates_needed_facet():
@@ -185,8 +182,11 @@ def test_simplex_reduce_matches_cut_loop():
 
 
 def test_box_support_examples():
-    assert box_support(np.array([[1.0], [1.0]]), np.array([1.0])) == 2.0
-    assert box_support(np.array([[1.0], [1.0]]), np.array([0.0])) == 0.0
+    # the support of the zonotope ell^T [-1, 1]^n in direction u is u . lmo(-u)
+    zono = Zonotope(np.array([[1.0], [1.0]]))
+    assert np.array([1.0]) @ zono.lmo(np.array([-1.0])) == 2.0
+    assert np.array([1.0]) @ zono.lmo(np.array([1.0])) == -2.0
+    assert np.array([0.0]) @ zono.lmo(np.array([0.0])) == 0.0
 
 
 def test_box_support_matches_vertex_enumeration():
@@ -194,23 +194,22 @@ def test_box_support_matches_vertex_enumeration():
     for _ in range(5):
         n, m = 6, 2
         ell = rng.standard_normal((n, m))
-        u = rng.standard_normal(m)
-        direction = ell @ u
-        best = max(
-            float(direction @ np.array(v))
+        c = rng.standard_normal(m)
+        best = min(
+            float(c @ (ell.T @ np.array(v)))
             for v in itertools.product([-1.0, 1.0], repeat=n)
         )
-        assert box_support(ell, u) == pytest.approx(best, abs=1e-12)
+        assert c @ Zonotope(ell).lmo(c) == pytest.approx(best, abs=1e-12)
 
 
-def test_box_cut_loop_matches_full_dimension_oracle():
+def test_box_reduce_matches_full_dimension_oracle():
     rng = np.random.default_rng(11)
     for i in range(3):
         n, m = 5, 2
         ell = rng.standard_normal((n, m))
         f = Polynomial(2, {(2, 0): 1.0, (0, 2): 0.5, (1, 0): float(rng.standard_normal()), (0, 1): 1.0})
         sf = SparseForm(f=f, ell=ell)
-        res = box_cut_loop(sf, SolveOptions(seed=i))
+        res = box_reduce(sf, SolveOptions(seed=i))
         assert res.converged
 
         h = f.compose(ell.T)
@@ -219,35 +218,44 @@ def test_box_cut_loop_matches_full_dimension_oracle():
         assert abs(res.rho - oracle) < 1e-6
 
 
+def _box_as_standard_form(sf: SparseForm) -> tuple[SparseForm, Polytope]:
+    """[-1,1]^n rewritten as {z >= 0 : [I I I] z = e} with x = z+ - z-."""
+    n, m = sf.ell.shape
+    poly = Polytope(a=np.hstack([np.eye(n), np.eye(n), np.eye(n)]), b=np.ones(n))
+    return SparseForm(f=sf.f, ell=np.vstack([sf.ell, -sf.ell, np.zeros((n, m))])), poly
+
+
 def test_box_consistency_with_standard_form_rewrite():
-    # [-1,1]^n rewritten as {z >= 0 : [I I I] z = e} with x = z+ - z-;
-    # the support-function loop and the general Farkas loop must agree.
+    # the zonotope route and the general Farkas loop must agree.
     rng = np.random.default_rng(13)
     n, m = 4, 2
     ell = rng.standard_normal((n, m))
     f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -0.5, (1, 0): 0.3})
     sf_box = SparseForm(f=f, ell=ell)
-    direct = box_cut_loop(sf_box, SolveOptions(seed=1))
-
-    a = np.hstack([np.eye(n), np.eye(n), np.eye(n)])
-    poly = Polytope(a=a, b=np.ones(n))
-    ell_lifted = np.vstack([ell, -ell, np.zeros((n, m))])
-    sf_std = SparseForm(f=f, ell=ell_lifted)
-    general = cut_loop(sf_std, poly, SolveOptions(seed=1))
+    direct = box_reduce(sf_box, SolveOptions(seed=1))
+    general = cut_loop(*_box_as_standard_form(sf_box), SolveOptions(seed=1))
 
     assert direct.converged and general.converged
     assert abs(direct.rho - general.rho) < 1e-6
 
 
-def test_cut_dataclass_box_cuts_have_no_multiplier():
-    sf = SparseForm(
-        f=Polynomial(1, {(1,): 1.0}), ell=np.array([[1.0], [0.5], [-0.25]])
-    )
-    res = box_cut_loop(sf, OPTS)
-    assert res.converged
-    for cut in res.cuts.cuts:
-        assert isinstance(cut, Cut) and cut.lam is None
-        assert cut.rhs == pytest.approx(box_support(sf.ell, cut.u), abs=1e-12)
+def test_box_reduce_corpus_matches_cut_loop_and_oracle():
+    # m from 1 to 3, degrees 3 and 4.  On case 57 (m = 2, degree 4), steps
+    # fitted as cubics let the cut loop report convergence at -1.17260; the
+    # minimum is -1.17974.
+    for s in [*range(16), 57]:
+        m = [1, 2, 2, 3][s % 4]
+        n = m + 2 + s % 5
+        inst = generate_instance(s, n, m, [3, 4][s % 2])
+        sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+        res = box_reduce(sf, SolveOptions(seed=s))
+        general = cut_loop(*_box_as_standard_form(sf), SolveOptions(seed=s))
+        assert res.converged and general.converged, s
+        assert abs(res.rho - general.rho) <= 1e-6 * max(1.0, abs(res.rho)), s
+        box = Hrep(a_ub=np.zeros((0, n)), b_ub=np.zeros(0), lo=[-1.0] * n, hi=[1.0] * n)
+        assert res.rho <= brute_force_min(inst.h, box, 100_000, seed=s + 1) + 1e-6, s
+        assert np.abs(res.witness).max() <= 1.0 + 1e-9 and res.witness_gap < 1e-8, s
+        assert len(res.cuts) == 0 and res.inner_values == [res.rho]
 
 
 # ----------------------------------------------------------------------

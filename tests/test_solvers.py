@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lowform.solvers as solvers
-from conftest import brute_force_min, random_polynomial
+from conftest import brute_force_min, random_polynomial, reference_evaluate
 from lowform.poly import GradientEvaluator, Polynomial
 from lowform.solvers import (
     Hrep,
     InfeasibleRegionError,
     SolveOptions,
+    VertexTable,
+    _exact_step,
+    _fit_minimum,
     _frank_wolfe,
     _pgd_ball,
     _pgd_sphere,
@@ -149,8 +152,53 @@ def test_monotone_descent_traces():
 
     region = Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1, -1], hi=[1, 1])
     trace = []
-    _frank_wolfe(value, grad, region.lmo, np.zeros(2), 200, 1e-9, trace=trace)
+    _frank_wolfe(evaluator, region.lmo, np.zeros(2), 200, 1e-9, trace=trace)
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+
+
+SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("region", [
+    VertexTable(SQUARE),
+    Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+], ids=["VertexTable", "Hrep"])
+def test_frank_wolfe_reaches_interior_minimizer(region):
+    # x^2 + 1.8xy + y^2 - 0.24x - 0.14y: Hessian eigenvalues 3.8 and 0.2, and
+    # its minimizer (0.3, -0.2) lies inside the square, off every vertex
+    p = Polynomial(2, {(2, 0): 1.0, (1, 1): 1.8, (0, 2): 1.0, (1, 0): -0.24, (0, 1): -0.14})
+    res = minimize_polytope(p, region, OPTS)
+    assert res.status == "converged"
+    assert np.abs(res.point - [0.3, -0.2]).max() < 1e-7
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_exact_step_matches_dense_grid(degree):
+    # the step minimizes phi(t) = p(x + t d) over [0, w]: no point of a dense
+    # grid, evaluated by the reference term loop, is lower
+    for seed in range(20):
+        rng = np.random.default_rng([degree, seed])
+        p = random_polynomial(rng, 2, degree)
+        evaluator = GradientEvaluator(p)
+        x, d, w = rng.uniform(-1.0, 1.0, 2), rng.standard_normal(2), rng.uniform(0.05, 1.5)
+        at_x = evaluator.at(x).copy()
+        d = -d if at_x[1:] @ d > 0 else d  # Frank-Wolfe steps descend
+        t, y, at_y = _exact_step(evaluator, x, at_x, d, w)
+        grid = np.linspace(0.0, w, 20_001)
+        phi = reference_evaluate(p, x + grid[:, None] * d)
+        assert 0.0 < t <= w and np.array_equal(y, x + t * d)
+        assert at_y[0] == pytest.approx(reference_evaluate(p, y), abs=1e-12)
+        assert reference_evaluate(p, y) <= phi.min() + 1e-12, seed
+
+
+@pytest.mark.parametrize("cubic", [0.0, 1e-10, 1e-6])
+def test_fit_minimum_of_a_near_quadratic(cubic):
+    # p(s) = (s - 0.3)^2 + cubic s^3: the textbook quadratic formula loses
+    # about 1e-16 / cubic of the root of p' to cancellation
+    value, s = _fit_minimum([0.09, -0.6, 1.0, cubic])
+    root = 0.6 / (1.0 + math.sqrt(1.0 + 1.8 * cubic))
+    assert s == pytest.approx(root, abs=1e-14)
+    assert value == pytest.approx((root - 0.3) ** 2 + cubic * root**3, abs=1e-15)
 
 
 def test_determinism_bitwise():
