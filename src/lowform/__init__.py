@@ -2,7 +2,6 @@
 
 from .approx import (
     CubatureRule,
-    L2Estimate,
     LiftedPolynomial,
     SpectrumSplit,
     SurrogateMinimum,

@@ -20,6 +20,10 @@ Minimizing the surrogate is one polynomial problem Q on the half-sphere
 {|(X, Y)| = 1, Y >= 0} in R^(m+1), as Y is the nonnegative root.  The Y <= 0
 branch of fhat with Y negated is Q mirrored through Y = 0, point for point
 and value for value, so it is not solved.
+
+The L2 error E[(h - hhat)^2] of hhat(x) = fhat(ell^T x, sqrt(1 - |ell^T x|^2))
+is exact: hhat is a polynomial, as fhat is even in Y, so the error is a sum
+of ball moments, taken by the kernel of detection's moment matrix.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from scipy.optimize import nnls
 
 from .detection import gradient_spectrum
 from .linalg import SymEig
-from .poly import Polynomial, ball_moments, monomials_up_to, unique_rows
+from .poly import Polynomial, ball_moment_gram, ball_moments, monomials_up_to, unique_rows
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_sphere
 
 _ODD_Y_TOL = 1e-12
-# Fewest Monte Carlo samples l2_error accepts.
-MIN_L2_SAMPLES = 10_000
 
 
 class CubatureConstructionError(RuntimeError):
@@ -95,15 +97,20 @@ class LiftedPolynomial:
         return float(np.abs(self.poly.coefs[self.poly.exps[:, -1] > 0]).sum())
 
     def to_ball_polynomial(self) -> Polynomial:
-        """Eliminate Y via Y^2 = 1 - |X|^2; requires an even-Y lift."""
-        if self.odd_y_violation() > _ODD_Y_TOL:
+        """Eliminate Y via Y^2 = 1 - |X|^2; requires an even-Y lift.
+
+        Odd-Y coefficients up to ``_ODD_Y_TOL`` times the largest one are
+        rounding noise (as a cubature rule's odd moments are) and dropped.
+        """
+        if self.odd_y_violation() > _ODD_Y_TOL * np.abs(self.poly.coefs).max(initial=0.0):
             raise ValueError("lift has odd-Y terms; Y cannot be eliminated")
         m = self.m
         one_minus_norm = Polynomial.constant(m, 1.0) - sum(
             (Polynomial.variable(m, j) ** 2 for j in range(m)),
             Polynomial.zero(m),
         )
-        exps, coefs = self.poly.exps, self.poly.coefs
+        even = self.poly.exps[:, -1] % 2 == 0
+        exps, coefs = self.poly.exps[even], self.poly.coefs[even]
         half = exps[:, -1] // 2
         return sum(
             (
@@ -335,26 +342,13 @@ def hhat_eval_many(
     return fhat.poly.evaluate_many(np.hstack([proj, y[:, None]]))
 
 
-@dataclass
-class L2Estimate:
-    value: float
-    stderr: float
+def l2_error(h: Polynomial, fhat: LiftedPolynomial, split: SpectrumSplit) -> float:
+    """E[(h - hhat)^2] on the uniform unit ball, exactly.
 
-
-def l2_error(
-    h: Polynomial,
-    fhat: LiftedPolynomial,
-    split: SpectrumSplit,
-    num_samples: int = 100_000,
-    seed: int = 0,
-) -> L2Estimate:
-    """Monte Carlo estimate of E[(h - hhat)^2] on the uniform unit ball."""
-    if num_samples < MIN_L2_SAMPLES:
-        raise ValueError(f"num_samples must be at least {MIN_L2_SAMPLES}")
-    rng = np.random.default_rng(seed)
-    pts = sample_ball(rng, num_samples, h.num_vars)
-    diff_sq = (h.evaluate_many(pts) - hhat_eval_many(fhat, split, pts)) ** 2
-    return L2Estimate(
-        value=float(diff_sq.mean()),
-        stderr=float(diff_sq.std(ddof=1) / np.sqrt(num_samples)),
-    )
+    fhat is even in Y, so hhat(x) = fhat(ell^T x, sqrt(1 - |ell^T x|^2)) is
+    the polynomial B(ell^T x), with B = ``fhat.to_ball_polynomial()``.  For
+    D = h - B(ell^T x) = sum_a c_a x^a the error is the sum of
+    c_a c_b E[x^(a + b)] over the pairs (a, b) that share a parity pattern.
+    """
+    d = h - fhat.to_ball_polynomial().compose(split.ell.T)
+    return float(ball_moment_gram(d.exps, d.coefs[None, :])[0, 0])

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .approx import (
-    MIN_L2_SAMPLES,
     CubatureConstructionError,
     build_cubature,
     choose_m,
@@ -180,9 +179,6 @@ def _check_options(args) -> None:
             f"--starts, --max-iter and --tol must be positive, got "
             f"{args.starts}, {args.max_iter} and {args.tol}"
         ) from exc
-    l2_samples = getattr(args, "l2_samples", MIN_L2_SAMPLES)
-    if l2_samples < MIN_L2_SAMPLES:
-        raise CliInputError(f"--l2-samples must be at least {MIN_L2_SAMPLES}, got {l2_samples}")
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +325,6 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
     else:
         fhat = conditional_expectation_exact(h, split)
     minimum = solve_Q(fhat, _solve_options(args))
-    err = l2_error(h, fhat, split, num_samples=args.l2_samples, seed=args.seed)
     report = {
         "m": m,
         "path": path,
@@ -344,7 +339,7 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
         "rho_plus": minimum.rho_plus,
         "rho_minus": minimum.rho_minus,
         "point": minimum.point,
-        "l2_error": {"value": err.value, "stderr": err.stderr},
+        "l2_error": {"value": l2_error(h, fhat, split)},
     }
     return report, EXIT_OK if minimum.status == "converged" else EXIT_NO_CONVERGENCE
 
@@ -528,7 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-threshold", type=float, default=1e-2)
     p.add_argument("--path", choices=["exact", "cubature"], default="exact")
     p.add_argument("--degree", type=int)
-    p.add_argument("--l2-samples", type=int, default=100_000)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("pipeline", parents=[common], help="detect, route, reduce, solve")
@@ -539,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "randomized"], default="exact")
     p.add_argument("--route-residual-tol", type=float, default=1e-8)
     p.add_argument("--route-tail-tol", type=float, default=1e-10)
-    p.add_argument("--l2-samples", type=int, default=100_000)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("gen", parents=[common], help="generate a test instance")

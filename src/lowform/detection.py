@@ -34,7 +34,7 @@ from .linalg import (
 from .poly import (
     GradientEvaluator,
     Polynomial,
-    ball_moments,
+    ball_moment_gram,
     partial_terms,
     unique_rows,
 )
@@ -76,10 +76,7 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
     The gradient is read off h's exponent matrix by index shift, as a
     coefficient matrix G (n x u) over the u distinct gradient monomials, so
     the result is G K G^T with K[a, b] the ball moment of monomial a times
-    monomial b.  K[a, b] is zero unless the two monomials share a parity
-    pattern, so only those pairs (a, b) are formed, and with their exact
-    moments w (see ``ball_moments``) the matrix is (G[:, a] * w) @ G[:, b]^T.
-    It is symmetrized at the end, so it is exactly symmetric.
+    monomial b (see ``ball_moment_gram``).
     """
     n = h.num_vars
     var, shifted, partial_coefs = partial_terms(h.exps, h.coefs)
@@ -88,21 +85,7 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
     monos, column = unique_rows(shifted)
     grad = np.zeros((n, monos.shape[0]))
     grad[var, column] = partial_coefs
-
-    # pair every monomial a with each member b of its parity group; group g
-    # is order[start[g] : start[g] + sizes[g]], and `within` counts 0..size-1
-    # along each run of a's copies
-    _, group = unique_rows(monos & 1)
-    order = np.argsort(group, kind="stable")
-    sizes = np.bincount(group)
-    start = np.cumsum(sizes) - sizes
-    reps = sizes[group]
-    a = np.repeat(np.arange(monos.shape[0]), reps)
-    within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    b = order[np.repeat(start[group], reps) + within]
-    w = ball_moments(monos[a] + monos[b], n)
-    matrix = (grad[:, a] * w) @ grad[:, b].T
-    return (matrix + matrix.T) / 2.0
+    return ball_moment_gram(monos, grad)
 
 
 def gradient_spectrum(h: Polynomial) -> SymEig:

@@ -30,7 +30,8 @@ The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
 one exponent at a time or for a whole exponent matrix.  The formula is
 evaluated in exact rational arithmetic and converted to float at the end, so
-results are correctly rounded doubles.
+results are correctly rounded doubles.  ``ball_moment_gram`` gives the
+second moments E[p_i p_j] of polynomials over one set of monomials.
 """
 
 from __future__ import annotations
@@ -596,6 +597,31 @@ def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
         values = np.array([_even_moment(tuple(row), n) for row in halves.tolist()])
         out[even] = values[inverse]
     return out
+
+
+def ball_moment_gram(monos: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """C K C^T for a (k, u) coefficient matrix C over the u rows of ``monos``,
+    with K[a, b] the ball moment of monomial a times monomial b.
+
+    Entry (i, j) is E[p_i p_j] on the unit ball for p_i = sum_a C[i, a]
+    x^monos[a].  K[a, b] is zero unless the two monomials share a parity
+    pattern, so only those pairs (a, b) are formed, and with their exact
+    moments w the result is (C[:, a] * w) @ C[:, b]^T, symmetrized exactly.
+    """
+    # pair every monomial a with each member b of its parity group; group g
+    # is order[start[g] : start[g] + sizes[g]], and `within` counts 0..size-1
+    # along each run of a's copies
+    _, group = unique_rows(monos & 1)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    start = np.cumsum(sizes) - sizes
+    reps = sizes[group]
+    a = np.repeat(np.arange(monos.shape[0]), reps)
+    within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    b = order[np.repeat(start[group], reps) + within]
+    w = ball_moments(monos[a] + monos[b], monos.shape[1])
+    matrix = (coefs[:, a] * w) @ coefs[:, b].T
+    return (matrix + matrix.T) / 2.0
 
 
 def partial_terms(

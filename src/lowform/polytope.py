@@ -415,4 +415,5 @@ def _box_witness(ell: np.ndarray, x_star: np.ndarray):
     res = lp_solve(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=bounds))
     if res.status != "optimal":
         return None, None
-    return res.point[:n], float(res.value)
+    witness = np.clip(res.point[:n], -1.0, 1.0)  # HiGHS may overstep by its tolerance
+    return witness, float(np.abs(ell.T @ witness - b_eq).sum())

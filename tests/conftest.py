@@ -5,8 +5,9 @@ ball moments are estimated by rejection sampling from the cube (not the
 library's Gaussian sampler), gradients by central finite differences, LPs
 by exhaustive vertex enumeration, the gradient moment matrix by a
 term-pair double loop over scalar moments rather than the library's
-G K G^T form, evaluation by a term-by-term loop over the term map,
-arithmetic by loops over term maps (dicts from exponent tuples to
+G K G^T form, the surrogate's L2 error by Monte Carlo over the lift rather
+than the exact ball-moment sum, evaluation by a term-by-term loop over the
+term map, arithmetic by loops over term maps (dicts from exponent tuples to
 coefficients) rather than the library's exponent arrays, and composition by
 multiplying out powers of the forms with that arithmetic, rather than the
 library's monomial tree.  The brute-force minimum oracle samples densely
@@ -191,6 +192,20 @@ def mc_expectation(p: Polynomial, pts: np.ndarray):
     """(estimate, standard error) of E[p] over precomputed ball samples."""
     vals = reference_evaluate(p, pts)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
+def mc_l2_error(h: Polynomial, fhat, split, num_samples: int, seed: int):
+    """(estimate, standard error) of E[(h - hhat)^2] on the unit ball.
+
+    hhat(x) = fhat(ell^T x, sqrt(1 - |ell^T x|^2)) is evaluated from the
+    lift itself, never through its ball polynomial, on rejection samples.
+    """
+    pts = mc_ball_points(h.num_vars, num_samples, seed)
+    proj = pts @ split.ell
+    y = np.sqrt(np.clip(1.0 - (proj**2).sum(axis=1), 0.0, None))
+    hhat = reference_evaluate(fhat.poly, np.hstack([proj, y[:, None]]))
+    diff_sq = (reference_evaluate(h, pts) - hhat) ** 2
+    return float(diff_sq.mean()), float(diff_sq.std(ddof=1) / np.sqrt(num_samples))
 
 
 def finite_difference_gradient(p: Polynomial, x: np.ndarray, step: float = 1e-5):

@@ -262,7 +262,7 @@ def test_criterion_7_limit_case():
         fhat = conditional_expectation_exact(inst.h, split)
         tails.append(split.tail_sum())
         masses.append(fhat.y_mass())
-        errors.append(l2_error(inst.h, fhat, split, 1_000_000, seed=2).value)
+        errors.append(l2_error(inst.h, fhat, split))
         rho = solve_Q(fhat, SolveOptions(seed=3)).rho
         gaps.append(abs(rho - f_min))
     for series, label in ((tails, "tail"), (masses, "y-mass"), (errors, "l2"), (gaps, "rho gap")):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowform.solvers as solvers
-from conftest import mc_ball_points, random_polynomial, sin_principal_angle
+from conftest import (
+    mc_ball_points,
+    mc_l2_error,
+    random_polynomial,
+    reference_compose,
+    sin_principal_angle,
+)
 from lowform.approx import (
     LiftedPolynomial,
     SpectrumSplit,
@@ -24,7 +30,12 @@ from lowform.approx import (
 )
 from lowform.detection import extract_sparse_form
 from lowform.generate import generate_instance
-from lowform.poly import Polynomial, ball_monomial_moment, monomials_up_to
+from lowform.poly import (
+    Polynomial,
+    ball_monomial_moment,
+    expectation_uniform_ball,
+    monomials_up_to,
+)
 from lowform.solvers import SolveOptions, minimize_ball, minimize_sphere
 
 OPTS = SolveOptions(seed=0)
@@ -257,11 +268,7 @@ def test_l2_error_examples():
     inst = generate_instance(46, 5, 2, 3)
     split = split_spectrum(inst.h, 2)
     fhat = conditional_expectation_exact(inst.h, split)
-    est = l2_error(inst.h, fhat, split, num_samples=20_000, seed=0)
-    assert est.value < 1e-12
-
-    with pytest.raises(ValueError):
-        l2_error(inst.h, fhat, split, num_samples=100, seed=0)
+    assert l2_error(inst.h, fhat, split) < 1e-12
 
 
 def test_l2_error_monotone_in_epsilon():
@@ -270,18 +277,46 @@ def test_l2_error_monotone_in_epsilon():
         inst = generate_instance(47, 4, 2, 3, epsilon=eps)
         split = split_spectrum(inst.h, 2)
         fhat = conditional_expectation_exact(inst.h, split)
-        values[eps] = l2_error(inst.h, fhat, split, num_samples=200_000, seed=1).value
+        values[eps] = l2_error(inst.h, fhat, split)
     assert values[0.01] < values[0.1]
 
 
-def test_l2_stderr_scales_with_samples():
-    inst = generate_instance(48, 4, 2, 3, epsilon=0.2)
-    split = split_spectrum(inst.h, 2)
-    fhat = conditional_expectation_exact(inst.h, split)
-    small = l2_error(inst.h, fhat, split, num_samples=10_000, seed=2)
-    large = l2_error(inst.h, fhat, split, num_samples=160_000, seed=2)
-    ratio = small.stderr / large.stderr
-    assert 2.0 < ratio < 8.0  # expect ~4 = sqrt(16)
+def _surrogate_on_path(inst, m: int, path: str):
+    split = split_spectrum(inst.h, m)
+    if path == "exact":
+        return split, conditional_expectation_exact(inst.h, split)
+    rule = build_cubature(inst.n - m, inst.h.degree(), seed=inst.seed)
+    return split, conditional_expectation_cubature(inst.h, split, rule)
+
+
+# Derandomized: a 4-standard-error bound is a statistical test, and a fixed
+# example set keeps it from failing at random.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    extra=st.integers(1, 3),
+    degree=st.integers(2, 4),
+    epsilon=st.floats(0.01, 0.3),
+    path=st.sampled_from(["exact", "cubature"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_l2_error_matches_monte_carlo(m, extra, degree, epsilon, path, seed):
+    inst = generate_instance(seed, m + extra, m, degree, epsilon=epsilon)
+    split, fhat = _surrogate_on_path(inst, m, path)
+    exact = l2_error(inst.h, fhat, split)
+    estimate, se = mc_l2_error(inst.h, fhat, split, 200_000, seed=seed)
+    assert abs(exact - estimate) <= 4.0 * se, (exact, estimate, se)
+
+
+@pytest.mark.parametrize("path", ["exact", "cubature"])
+def test_l2_error_matches_expectation_of_square(path):
+    for i in range(6):
+        m = 1 + i % 3
+        inst = generate_instance(60 + i, m + 1 + i % 3, m, 2 + i % 3, epsilon=0.1)
+        split, fhat = _surrogate_on_path(inst, m, path)
+        d = inst.h - reference_compose(fhat.to_ball_polynomial(), split.ell.T)
+        expected = expectation_uniform_ball(d * d)
+        assert abs(l2_error(inst.h, fhat, split) - expected) <= 1e-12 * expected, i
 
 
 def test_tower_property_mean_preserved():
@@ -323,6 +358,12 @@ def test_to_ball_polynomial_eliminates_y():
     odd = LiftedPolynomial(1, Polynomial(2, {(0, 1): 1.0}))
     with pytest.raises(ValueError):
         odd.to_ball_polynomial()
+    # an odd-Y coefficient 1e-13 of the largest is rounding noise: dropped,
+    # not folded into the Y^0 terms
+    noisy = LiftedPolynomial(
+        2, Polynomial(3, {(0, 0, 2): 1e10 / 3, (1, 0, 0): 5e9, (0, 1, 1): 1e-3})
+    )
+    assert noisy.to_ball_polynomial().coefficient_distance(expected * 1e10) < 1e-5
 
 
 def test_equality_of_surrogate_minima_mini():
@@ -341,7 +382,7 @@ def test_l2_ratio_stays_bounded_over_epsilon_family():
         inst = generate_instance(99, 4, 2, 3, epsilon=eps)
         split = split_spectrum(inst.h, 2)
         fhat = conditional_expectation_exact(inst.h, split)
-        err = l2_error(inst.h, fhat, split, num_samples=100_000, seed=3).value
+        err = l2_error(inst.h, fhat, split)
         ratios.append(err / split.tail_sum())
     assert max(ratios) / min(ratios) < 100.0
     assert max(ratios) < 50.0

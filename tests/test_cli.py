@@ -160,8 +160,7 @@ def test_approx_command(tmp_path):
     run(["gen", "--seed", 11, "--n", 4, "--m", 2, "--degree", 3,
          "--epsilon", 0.05, "--out", gen])
     out = tmp_path / "approx"
-    assert run(["approx", "--input", gen / "h.json", "--m", 2,
-                "--l2-samples", 20000, "--out", out]) == 0
+    assert run(["approx", "--input", gen / "h.json", "--m", 2, "--out", out]) == 0
     report = read(out / "report.json")
     assert report["m"] == 2 and report["path"] == "exact"
     assert abs(report["rho_plus"] - report["rho_minus"]) < 1e-8
@@ -169,7 +168,7 @@ def test_approx_command(tmp_path):
 
     cub = tmp_path / "cub"
     assert run(["approx", "--input", gen / "h.json", "--m", 2, "--path", "cubature",
-                "--l2-samples", 20000, "--out", cub]) == 0
+                "--out", cub]) == 0
     exact_f = {tuple(t["exp"]): t["coef"] for t in report["fhat"]["terms"]}
     cub_f = {tuple(t["exp"]): t["coef"]
              for t in read(cub / "report.json")["fhat"]["terms"]}
@@ -190,7 +189,7 @@ def test_pipeline_routes(tmp_path, sparse_instance):
          "--epsilon", 0.1, "--out", gen])
     approx = tmp_path / "approx"
     assert run(["pipeline", "--input", gen / "h.json", "--domain", "sphere",
-                "--l2-samples", 20000, "--out", approx]) == 0
+                "--out", approx]) == 0
     r = read(approx / "report.json")
     assert r["route"] == "approx"
     assert "rho_plus" in r and "l2_error" in r
@@ -273,7 +272,7 @@ def test_inner_max_iter_exits_4_on_polytope_routes(tmp_path, sparse_instance, ro
 def test_inner_max_iter_exits_4_on_approx_routes(tmp_path, perturbed_instance, argv):
     out = tmp_path / "out"
     assert run(argv + ["--input", perturbed_instance, "--max-iter", 1,
-                       "--l2-samples", 20000, "--out", out]) == 4
+                       "--out", out]) == 4
     report = read(out / "report.json")
     assert report.get("route", "approx") == "approx" and "rho" in report
     assert (out / "manifest.json").exists()
@@ -371,13 +370,6 @@ def _rejected(argv, out):
     return run(argv + ["--out", out]) == 2 and not (out / "report.json").exists()
 
 
-def test_l2_samples_below_minimum_exits_2(tmp_path, perturbed_instance):
-    assert _rejected(["approx", "--input", perturbed_instance, "--l2-samples", 5000],
-                     tmp_path / "approx")
-    assert _rejected(["pipeline", "--input", perturbed_instance, "--domain", "sphere",
-                      "--l2-samples", 5000], tmp_path / "pipeline")
-
-
 def test_zero_starts_exits_2(tmp_path, sparse_instance):
     assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
                       "--starts", 0], tmp_path / "o")
@@ -453,7 +445,7 @@ def test_one_moment_matrix_per_request(tmp_path, perturbed_instance, monkeypatch
     calls = _spy(monkeypatch, moment_matrix)
     out = tmp_path / "out"
     assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
-               + ["--l2-samples", 20000, "--out", out]) == 0
+               + ["--out", out]) == 0
     assert len(calls) == 1
     if argv[0] == "pipeline":
         assert read(out / "report.json")["route"] == "approx"
@@ -470,7 +462,7 @@ def test_one_sphere_solve_per_approx_request(tmp_path, perturbed_instance, monke
     calls = _spy(monkeypatch, minimize_sphere)
     out = tmp_path / "out"
     assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
-               + ["--l2-samples", 20000, "--out", out]) == 0
+               + ["--out", out]) == 0
     assert len(calls) == 1 and calls[0][1]["half"] == "y_nonneg"
     if argv[0] == "pipeline":
         assert read(out / "report.json")["route"] == "approx"
@@ -500,3 +492,22 @@ def test_golden_reports(tmp_path, case):
     assert run(argv + ["--out", run_out]) == spec["exit"]
     with open(os.path.join(case_dir, "report.json"), "rb") as fh:
         assert fh.read() == (run_out / "report.json").read_bytes()
+
+
+def test_approx_cubature_l2_error_scales_with_h(tmp_path):
+    # The cubature rule's odd moments are rounding noise, so the surrogate of
+    # a large h carries odd-Y coefficients far above any absolute tolerance;
+    # relative to fhat they stay noise.
+    with open(os.path.join(GOLDEN_DIR, "case_approx", "h.json")) as fh:
+        h = json.load(fh)
+    values = {}
+    for scale in (1.0, 1e10):
+        path = tmp_path / f"h{scale:g}.json"
+        path.write_text(json.dumps({"num_vars": h["num_vars"], "terms": [
+            {"exp": t["exp"], "coef": t["coef"] * scale} for t in h["terms"]]}))
+        out = tmp_path / f"out{scale:g}"
+        assert run(["approx", "--input", path, "--path", "cubature", "--out", out]) == 0
+        report = read(out / "report.json")
+        assert report["path"] == "cubature"
+        values[scale] = report["l2_error"]["value"]
+    assert values[1e10] == pytest.approx(1e20 * values[1.0], rel=1e-12)
