@@ -16,10 +16,9 @@ cubature rule on the (n-m)-ball provides an alternative source that must
 agree coefficientwise.  Ball symmetry makes fhat even in Y, so the surrogate
 restricted to Y^2 = 1 - |X|^2 is a genuine polynomial model of h.
 
-Minimizing the surrogate is one polynomial problem Q on the half-sphere
-{|(X, Y)| = 1, Y >= 0} in R^(m+1), as Y is the nonnegative root.  The Y <= 0
-branch of fhat with Y negated is Q mirrored through Y = 0, point for point
-and value for value, so it is not solved.
+Minimizing the surrogate is one polynomial problem Q over the m-ball: on
+Y = sqrt(1 - |X|^2), fhat equals B(X) = ``fhat.to_ball_polynomial()``, as
+fhat is even in Y, so Q minimizes B over |X| <= 1.
 
 The L2 error E[(h - hhat)^2] of hhat(x) = fhat(ell^T x, sqrt(1 - |ell^T x|^2))
 is exact: hhat is a polynomial, as fhat is even in Y, so the error is a sum
@@ -38,7 +37,7 @@ from .detection import gradient_spectrum
 from .linalg import SymEig
 from .poly import Polynomial, ball_moment_gram, ball_moments, monomials_up_to, unique_rows
 from .sampling import sample_ball
-from .solvers import SolveOptions, minimize_sphere
+from .solvers import SolveOptions, minimize_ball
 
 _ODD_Y_TOL = 1e-12
 
@@ -300,28 +299,22 @@ def conditional_expectation_cubature(
 
 @dataclass
 class SurrogateMinimum:
-    """Minimum of problem Q; ``rho_plus`` and ``rho_minus``, the Y >= 0 branch
-    and its mirror, both equal ``rho``."""
+    """Minimum of problem Q."""
 
     rho: float
-    rho_plus: float
-    rho_minus: float
     point: np.ndarray  # (X, Y) on the unit sphere in R^(m+1), Y >= 0
-    status: str  # the sphere solve's status: "converged" | "max_iter"
+    status: str  # the ball solve's status: "converged" | "max_iter"
 
 
 def solve_Q(fhat: LiftedPolynomial, opts: SolveOptions | None = None) -> SurrogateMinimum:
-    """Minimize fhat(X, Y) over the half-sphere |(X, Y)| = 1, Y >= 0.
+    """Minimize B = ``fhat.to_ball_polynomial()`` over the m-ball.
 
-    Minimizing fhat(X, -Y) over Y <= 0 is the same problem: (X, Y) -> (X, -Y)
-    maps one feasible set onto the other and keeps the objective's value, and
-    the solver's starts, steps and projections commute with that map up to
-    exact sign flips.  So one half-sphere solve gives the surrogate minimum
-    (the mirrored solve differs only in which of several starts tied exactly
-    in value it returns).
+    The minimizer X is returned lifted to (X, sqrt(1 - |X|^2)), where fhat
+    takes the value B(X).
     """
-    res = minimize_sphere(fhat.poly, opts, half="y_nonneg")
-    return SurrogateMinimum(res.value, res.value, res.value, res.point, res.status)
+    res = minimize_ball(fhat.to_ball_polynomial(), opts)
+    y = np.sqrt(max(0.0, 1.0 - res.point @ res.point))
+    return SurrogateMinimum(res.value, np.append(res.point, y), res.status)
 
 
 def hhat_eval(fhat: LiftedPolynomial, split: SpectrumSplit, x: np.ndarray) -> float:

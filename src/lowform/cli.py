@@ -171,7 +171,9 @@ def _solve_options(args) -> SolveOptions:
 
 
 def _check_options(args) -> None:
-    """Reject out-of-range numeric options before any work is done."""
+    """Reject out-of-range solver options before any work is done."""
+    if not hasattr(args, "starts"):
+        return
     try:
         _solve_options(args)
     except ValueError as exc:
@@ -275,7 +277,7 @@ def cmd_solve(args) -> int:
     if args.domain == "ball":
         res = minimize_ball(p, opts)
     elif args.domain == "sphere":
-        res = minimize_sphere(p, opts, half=args.half)
+        res = minimize_sphere(p, opts)
     else:
         data = _load_json(args.domain)
         try:
@@ -336,8 +338,8 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
             "eigenvalues_tail": split.lambda_tail,
         },
         "rho": minimum.rho,
-        "rho_plus": minimum.rho_plus,
-        "rho_minus": minimum.rho_minus,
+        "rho_plus": minimum.rho,
+        "rho_minus": minimum.rho,
         "point": minimum.point,
         "l2_error": {"value": l2_error(h, fhat, split)},
     }
@@ -481,29 +483,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--rank-tol", type=float, default=1e-8)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--out", default=".")
-    common.add_argument("--starts", type=int, default=32)
-    common.add_argument("--max-iter", type=int, default=500)
+    # each command takes only the option groups it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--rank-tol", type=float, default=1e-8)
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-9)
+    solver.add_argument("--starts", type=int, default=32)
+    solver.add_argument("--max-iter", type=int, default=500)
 
-    p = sub.add_parser("detect", parents=[common], help="detect sparse structure")
+    p = sub.add_parser("detect", parents=[out, seed, rank], help="detect sparse structure")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["exact", "randomized"], default="exact")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("extract", parents=[common], help="extract f from a detection report")
+    p = sub.add_parser("extract", parents=[out, seed], help="extract f from a detection report")
     p.add_argument("--input", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("reduce-sphere", parents=[common], help="build the reduced ball problem")
+    p = sub.add_parser("reduce-sphere", parents=[out], help="build the reduced ball problem")
     p.add_argument("--sparse", required=True)
     p.set_defaults(func=cmd_reduce_sphere)
 
-    p = sub.add_parser("reduce-polytope", parents=[common], help="cut-generation reduction")
+    p = sub.add_parser("reduce-polytope", parents=[out, seed, solver], help="cut-generation reduction")
     p.add_argument("--sparse", required=True)
     p.add_argument("--A")
     p.add_argument("--b")
@@ -511,13 +517,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sep-tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_reduce_polytope)
 
-    p = sub.add_parser("solve", parents=[common], help="minimize a polynomial on a domain")
+    p = sub.add_parser("solve", parents=[out, seed, solver], help="minimize a polynomial on a domain")
     p.add_argument("--objective", required=True)
     p.add_argument("--domain", required=True, help="ball | sphere | region.json")
-    p.add_argument("--half", choices=["none", "y_nonneg", "y_nonpos"], default="none")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("approx", parents=[common], help="conditional-expectation surrogate")
+    p = sub.add_parser("approx", parents=[out, seed, solver], help="conditional-expectation surrogate")
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--m-threshold", type=float, default=1e-2)
@@ -525,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int)
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("pipeline", parents=[common], help="detect, route, reduce, solve")
+    p = sub.add_parser("pipeline", parents=[out, seed, rank, solver], help="detect, route, reduce, solve")
     p.add_argument("--input", required=True)
     p.add_argument("--domain", required=True, help="sphere | simplex | box | polytope")
     p.add_argument("--A")
@@ -535,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route-tail-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a test instance")
+    p = sub.add_parser("gen", parents=[out, seed], help="generate a test instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--degree", type=int, default=4)

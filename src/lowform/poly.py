@@ -29,8 +29,8 @@ one variable.  The tree is built once per instance, on first use.
 The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
 one exponent at a time or for a whole exponent matrix.  The formula is
-evaluated in exact rational arithmetic and converted to float at the end, so
-results are correctly rounded doubles.  ``ball_moment_gram`` gives the
+evaluated as a ratio of exact integers divided once at the end, so results
+are correctly rounded doubles.  ``ball_moment_gram`` gives the
 second moments E[p_i p_j] of polynomials over one set of monomials.
 """
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -546,17 +545,17 @@ class GradientEvaluator:
 
 @lru_cache(maxsize=None)
 def _even_moment(beta: Exponent, n: int) -> float:
-    # E[x^(2*beta)] over the uniform unit ball in R^n, as an exact rational:
-    #   n * prod_i (2 b_i)! / (4^{b_i} b_i!)  /  ((n + 2k) * prod_{j<k} (n/2 + j))
-    # with k = |beta|.
+    # E[x^(2*beta)] over the uniform unit ball in R^n, as a ratio of integers:
+    #   n * prod_i (2 b_i)! / b_i!  /  (2^k (n + 2k) prod_{j<k} (n + 2j))
+    # with k = |beta|; int true division rounds the exact quotient correctly.
     k = sum(beta)
-    num = Fraction(n)
+    num = n
     for b in beta:
-        num *= Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
-    den = Fraction(n + 2 * k)
+        num *= math.factorial(2 * b) // math.factorial(b)
+    den = 2**k * (n + 2 * k)
     for j in range(k):
-        den *= Fraction(n, 2) + j
-    return float(num / den)
+        den *= n + 2 * j
+    return num / den
 
 
 def ball_monomial_moment(alpha: Sequence[int], n: int) -> float:
@@ -581,7 +580,7 @@ def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
 
     The array form of :func:`ball_monomial_moment`, equal to it bit for bit:
     rows with an odd entry are 0, and every other distinct row is evaluated
-    once by the same exact rational formula.
+    once by the same exact integer formula.
     """
     exps = np.asarray(exponents)
     if exps.ndim != 2 or exps.shape[1] != n:

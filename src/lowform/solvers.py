@@ -2,7 +2,8 @@
 
 All solvers are multi-start local methods: projected gradient descent with
 Armijo backtracking on the ball and sphere, and pairwise Frank-Wolfe with an
-exact step on polyhedra.  Objective values and gradients come from one
+exact step on polyhedra.  The ball solver also minimizes the surrogate's
+problem Q (:func:`lowform.approx.solve_Q`).  Objective values and gradients come from one
 :class:`~lowform.poly.GradientEvaluator` per solve, a monomial tree over p and
 its partials filled once per point.  The Frank-Wolfe linear-minimization
 oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
@@ -40,8 +41,6 @@ _MIN_STEP = 1e-16
 # If the two best multi-start values disagree by more than this, the start
 # count is doubled once.
 _RESTART_GAP = 1e-4
-
-_BOUNDARY_EPS = 1e-13
 
 # Leading coefficients of a fitted restriction's derivative this small,
 # relative to its largest, are rounding noise and are left out of the root
@@ -344,37 +343,17 @@ def _pgd_ball(value, grad, x0, max_iter, tol, trace=None):
     return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace)
 
 
-def _reflect_half(x: np.ndarray, half: str) -> np.ndarray:
-    if half == "y_nonneg" and x[-1] < 0:
-        x = x.copy()
-        x[-1] = -x[-1]
-    elif half == "y_nonpos" and x[-1] > 0:
-        x = x.copy()
-        x[-1] = -x[-1]
-    return x
+def _tangent(x, g):
+    return g - float(g @ x) * x
 
 
-def _half_tangent(x, g, half):
-    gt = g - float(g @ x) * x
-    # On the half-sphere boundary the blocked tangent component does not
-    # count toward stationarity.
-    if half == "y_nonneg" and abs(x[-1]) <= _BOUNDARY_EPS and gt[-1] > 0:
-        gt = gt.copy()
-        gt[-1] = 0.0
-    elif half == "y_nonpos" and abs(x[-1]) <= _BOUNDARY_EPS and gt[-1] < 0:
-        gt = gt.copy()
-        gt[-1] = 0.0
-    return gt
-
-
-def _pgd_sphere(value, grad, x0, max_iter, tol, half="none", trace=None):
+def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None):
     x = np.array(x0, dtype=float)
     x = x / np.linalg.norm(x)
-    x = _reflect_half(x, half)
     fx = value(x)
     if trace is not None:
         trace.append(fx)
-    gt = _half_tangent(x, grad(x), half)
+    gt = _tangent(x, grad(x))
     trial = ARMIJO_INIT
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(gt))
@@ -385,7 +364,6 @@ def _pgd_sphere(value, grad, x0, max_iter, tol, half="none", trace=None):
         while t >= _MIN_STEP:
             cand = x - t * gt
             cand = cand / np.linalg.norm(cand)
-            cand = _reflect_half(cand, half)
             fc = value(cand)
             if fc < fx - ARMIJO_DECREASE * t * gnorm**2:
                 accepted = True
@@ -393,7 +371,7 @@ def _pgd_sphere(value, grad, x0, max_iter, tol, half="none", trace=None):
             t *= ARMIJO_SHRINK
         if not accepted:
             return x, fx, it, True
-        gt_new = _half_tangent(cand, grad(cand), half)
+        gt_new = _tangent(cand, grad(cand))
         trial = _bb_step(cand - x, gt_new - gt, 2.0 * t)
         x, fx, gt = cand, fc, gt_new
         if trace is not None:
@@ -560,31 +538,17 @@ def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResul
     return _multi_start(p, run_one, lambda rng, k: sample_ball(rng, k, dim), opts)
 
 
-def minimize_sphere(
-    p: Polynomial, opts: SolveOptions | None = None, half: str = "none"
-) -> SolveResult:
-    """Minimize p over the unit sphere, optionally on a half-sphere.
-
-    ``half`` constrains the sign of the last coordinate: "y_nonneg",
-    "y_nonpos", or "none".
-    """
-    if half not in ("none", "y_nonneg", "y_nonpos"):
-        raise ValueError(f"unknown half-sphere constraint {half!r}")
+def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
+    """Minimize p over the unit sphere in p.num_vars dimensions."""
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
     value, grad = evaluator.value, evaluator.grad
     dim = p.num_vars
 
     def run_one(x0):
-        return _pgd_sphere(value, grad, x0, opts.max_iter, opts.tol, half)
+        return _pgd_sphere(value, grad, x0, opts.max_iter, opts.tol)
 
-    def draw(rng, k):
-        pts = sample_sphere(rng, k, dim)
-        if half != "none":
-            pts = np.array([_reflect_half(x, half) for x in pts])
-        return pts
-
-    return _multi_start(p, run_one, draw, opts)
+    return _multi_start(p, run_one, lambda rng, k: sample_sphere(rng, k, dim), opts)
 
 
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:

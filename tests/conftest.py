@@ -2,10 +2,11 @@
 
 Oracles here deliberately avoid library code paths they are checking:
 ball moments are estimated by rejection sampling from the cube (not the
-library's Gaussian sampler), gradients by central finite differences, LPs
-by exhaustive vertex enumeration, the gradient moment matrix by a
-term-pair double loop over scalar moments rather than the library's
-G K G^T form, the surrogate's L2 error by Monte Carlo over the lift rather
+library's Gaussian sampler) and computed by the rational formula in
+``Fraction`` arithmetic (not the library's integer ratio), gradients by
+central finite differences, LPs by exhaustive vertex enumeration, the
+gradient moment matrix by a term-pair double loop over scalar moments
+rather than the library's G K G^T form, the surrogate's L2 error by Monte Carlo over the lift rather
 than the exact ball-moment sum, evaluation by a term-by-term loop over the
 term map, arithmetic by loops over term maps (dicts from exponent tuples to
 coefficients) rather than the library's exponent arrays, and composition by
@@ -17,7 +18,9 @@ and polishes with that term loop, never with the solvers' evaluator.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +57,20 @@ def mc_ball_moment(alpha, n: int, num: int, seed: int):
         if a:
             vals = vals * pts[:, i] ** a
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(num))
+
+
+def fraction_ball_moment(alpha, n: int) -> float:
+    """E[x^alpha] on the unit n-ball from the rational formula in Fraction
+    arithmetic, for even alpha = 2 beta with k = |beta|:
+    n prod_i (2 b_i)! / (4^b_i b_i!)  /  ((n + 2k) prod_{j<k} (n/2 + j))."""
+    beta = [a // 2 for a in alpha]
+    num = Fraction(n)
+    for b in beta:
+        num *= Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
+    den = Fraction(n + 2 * sum(beta))
+    for j in range(sum(beta)):
+        den *= Fraction(n, 2) + j
+    return float(num / den)
 
 
 def reference_evaluate(p: Polynomial, point) -> float | np.ndarray:

@@ -215,13 +215,16 @@ def test_criterion_5_conditional_expectation_exactness(approx_corpus):
 def test_criterion_6_equality_lemma(approx_corpus):
     """Surrogate minima over the sphere, ball, and problem Q all coincide."""
     worst_gap = 0.0
-    worst_split = 0.0
+    worst_oracle = 0.0
     for idx, inst in enumerate(approx_corpus):
         split = split_spectrum(inst.h, inst.m)
         fhat = conditional_expectation_exact(inst.h, split)
         minimum = solve_Q(fhat, SolveOptions(seed=idx))
-        worst_split = max(worst_split, abs(minimum.rho_plus - minimum.rho_minus))
-        assert abs(minimum.rho_plus - minimum.rho_minus) < 1e-8, inst.seed
+        # fhat is even in Y, so its sphere minimum is its Y >= 0 minimum, the
+        # minimum of problem Q; the oracle evaluates fhat itself, not B
+        sphere_oracle = brute_force_min(fhat.poly, "sphere", 100_000, seed=7000 + idx)
+        worst_oracle = max(worst_oracle, abs(minimum.rho - sphere_oracle))
+        assert abs(minimum.rho - sphere_oracle) < 1e-6, inst.seed
 
         # the surrogate depends on x only through y = ell^T x, so its minima
         # over the ball and over the sphere are both attained on the
@@ -246,7 +249,7 @@ def test_criterion_6_equality_lemma(approx_corpus):
         assert gap < 1e-6, (inst.seed, min_ball, min_sphere, minimum.rho)
     report(
         "criterion 6: equality lemma",
-        f"max |min - rho| {worst_gap:.2e}, max |rho+-rho-| {worst_split:.2e}",
+        f"max |min - rho| {worst_gap:.2e}, max |rho - sphere oracle| {worst_oracle:.2e}",
     )
 
 

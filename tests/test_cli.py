@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, routing, determinism."""
 
+import argparse
 import json
 import os
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lowform.cli import main
+from lowform.cli import _build_parser, main
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -367,7 +368,11 @@ def perturbed_instance(tmp_path):
 
 def _rejected(argv, out):
     """The command exits 2 and writes no report."""
-    return run(argv + ["--out", out]) == 2 and not (out / "report.json").exists()
+    try:
+        code = run(argv + ["--out", out])
+    except SystemExit as exc:  # argparse rejects an unknown option
+        code = exc.code
+    return code == 2 and not (out / "report.json").exists()
 
 
 def test_zero_starts_exits_2(tmp_path, sparse_instance):
@@ -383,6 +388,54 @@ def test_zero_max_iter_exits_2(tmp_path, sparse_instance):
 def test_zero_tol_exits_2(tmp_path, sparse_instance):
     assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
                       "--tol", 0], tmp_path / "o")
+
+
+SOLVER = {"--seed", "--tol", "--starts", "--max-iter"}
+COMMAND_OPTIONS = {
+    "detect": {"--input", "--method", "--seed", "--rank-tol"},
+    "extract": {"--input", "--report", "--seed"},
+    "reduce-sphere": {"--sparse"},
+    "reduce-polytope": {"--sparse", "--A", "--b", "--preset", "--sep-tol"} | SOLVER,
+    "solve": {"--objective", "--domain"} | SOLVER,
+    "approx": {"--input", "--m", "--m-threshold", "--path", "--degree"} | SOLVER,
+    "pipeline": {"--input", "--domain", "--A", "--b", "--method", "--route-residual-tol",
+                 "--route-tail-tol", "--rank-tol"} | SOLVER,
+    "gen": {"--n", "--m", "--degree", "--epsilon", "--seed"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(COMMAND_OPTIONS)
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help", "--out"} == COMMAND_OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([command] + argv + [option, "1"], id=f"{command}{option}")
+    for command, argv in [
+        ("detect", ["--input", "h.json"]),
+        ("extract", ["--input", "h.json", "--report", "r.json"]),
+        ("reduce-sphere", ["--sparse", "s.json"]),
+        ("reduce-polytope", ["--sparse", "s.json", "--preset", "box"]),
+        ("solve", ["--objective", "p.json", "--domain", "ball"]),
+        ("approx", ["--input", "h.json"]),
+        ("gen", ["--n", "3", "--m", "1"]),
+    ]
+    for option in ["--seed", "--rank-tol", "--tol", "--starts", "--max-iter"]
+    if option not in COMMAND_OPTIONS[command]
+])
+def test_option_a_command_does_not_read_exits_2(tmp_path, argv):
+    assert _rejected(argv, tmp_path / "o")
+
+
+def test_solve_half_exits_2(tmp_path):
+    obj = tmp_path / "p.json"
+    obj.write_text(json.dumps({"num_vars": 2, "terms": [{"exp": [0, 1], "coef": 1.0}]}))
+    assert _rejected(["solve", "--objective", obj, "--domain", "sphere",
+                      "--half", "y_nonneg"], tmp_path / "o")
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,13 +510,15 @@ def test_one_moment_matrix_per_request(tmp_path, perturbed_instance, monkeypatch
     ["pipeline", "--domain", "sphere"],
 ], ids=["approx-exact", "approx-cubature", "pipeline"])
 def test_one_sphere_solve_per_approx_request(tmp_path, perturbed_instance, monkeypatch, argv):
-    from lowform.solvers import minimize_sphere
+    # problem Q, the surrogate's sphere problem, runs as one ball solve
+    from lowform.solvers import minimize_ball, minimize_sphere
 
-    calls = _spy(monkeypatch, minimize_sphere)
+    ball_calls = _spy(monkeypatch, minimize_ball)
+    sphere_calls = _spy(monkeypatch, minimize_sphere)
     out = tmp_path / "out"
     assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
                + ["--out", out]) == 0
-    assert len(calls) == 1 and calls[0][1]["half"] == "y_nonneg"
+    assert len(ball_calls) == 1 and not sphere_calls
     if argv[0] == "pipeline":
         assert read(out / "report.json")["route"] == "approx"
 

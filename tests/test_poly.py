@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     finite_difference_gradient,
+    fraction_ball_moment,
     mc_ball_points,
     mc_expectation,
     random_polynomial,
@@ -121,6 +122,18 @@ def test_ball_moments_equal_scalar_form_bitwise():
         ball_moments(np.zeros((2, 3), dtype=np.int64), 2)
     with pytest.raises(ValueError):
         ball_moments(np.array([[2, -2]]), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), slots=st.lists(st.integers(0, 39), max_size=8))
+@example(n=1, slots=[0] * 8)
+@example(n=40, slots=list(range(8)))
+def test_ball_moment_equals_fraction_formula_bitwise(n, slots):
+    # alpha = 2 beta with |beta| <= 8: each slot adds 1 to beta at slot mod n
+    alpha = [0] * n
+    for i in slots:
+        alpha[i % n] += 2
+    assert ball_monomial_moment(alpha, n).hex() == fraction_ball_moment(alpha, n).hex()
 
 
 def test_ball_moment_against_monte_carlo():

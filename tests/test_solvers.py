@@ -70,16 +70,6 @@ def test_minimize_sphere_kernel_direction():
     assert np.allclose(np.abs(res.point), [r, r], atol=1e-6)
 
 
-def test_half_sphere_symmetry_even_objective():
-    # even in the last coordinate: both half-sphere runs agree
-    p = Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 0): -0.5, (0, 0, 2): 0.25})
-    plus = minimize_sphere(p, OPTS, half="y_nonneg")
-    minus = minimize_sphere(p, OPTS, half="y_nonpos")
-    assert abs(plus.value - minus.value) < 1e-8
-    assert plus.point[-1] >= -1e-12
-    assert minus.point[-1] <= 1e-12
-
-
 def test_minimize_polytope_interval():
     region = Hrep(a_ub=np.zeros((0, 1)), b_ub=np.zeros(0), lo=[-1.0], hi=[1.0])
     lin = minimize_polytope(Polynomial(1, {(1,): 1.0}), region, OPTS)
