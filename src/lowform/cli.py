@@ -133,10 +133,12 @@ def _load_sparse_form(path: str) -> SparseForm:
     return SparseForm(f=f, ell=ell)
 
 
-def _dump(path: str, obj) -> None:
+def _dump(path: str, obj) -> str:
+    """Write obj to path as indented JSON and return the text."""
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _digest(path: str) -> str:
@@ -146,8 +148,7 @@ def _digest(path: str) -> str:
 
 def _write_outputs(args, report: dict, inputs: list[str], started: float) -> None:
     os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "report.json")
-    _dump(report_path, report)
+    text = _dump(os.path.join(args.out, "report.json"), report)
     manifest = {
         "command": args.command,
         "argv": sys.argv[1:],
@@ -161,7 +162,7 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
         "wall_time_s": time.monotonic() - started,
     }
     _dump(os.path.join(args.out, "manifest.json"), manifest)
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(text)
 
 
 def _solve_options(args) -> SolveOptions:

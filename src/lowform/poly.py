@@ -24,7 +24,8 @@ one variable.  The tree is built once per instance, on first use.
   tree, carrying each node's image as a dense vector over the graded
   monomials of the target variables, and sums the images of the terms.
 * :class:`GradientEvaluator` serves the solvers: one tree over p and its
-  partials gives value and gradient from a single fill per point.
+  partials gives value and gradient from a single fill per point, for one
+  point or for the rows of a lockstep batch.
 
 The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
@@ -499,10 +500,13 @@ class GradientEvaluator:
 
     The tree spans the terms of p and of its partials, so one fill at a
     point followed by one product with the (1 + n, nodes) coefficient matrix
-    gives p and its whole gradient.  The last single point is remembered, so
-    a solver asking for the value and then the gradient at one point fills
+    gives p and its whole gradient.  :meth:`at` takes one point and
+    remembers it, so asking for the value and then the gradient there fills
     the tree once; that memory makes an instance unsafe to share between
-    threads.
+    threads.  :meth:`rows` contracts each of a few points by its own
+    matrix-vector product, so every row equals :meth:`at` bit for bit (the
+    lockstep descents rely on it); :meth:`values` contracts a block by one
+    matrix product, whose last bits depend on the block.
     """
 
     def __init__(self, p: Polynomial):
@@ -522,6 +526,12 @@ class GradientEvaluator:
         array of a few points (in one block)."""
         return self._coefs @ self._tree.fill(np.asarray(points, dtype=float).T)
 
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """(k, 1 + n) array: row i is :meth:`at` of row i of a (k, n) array,
+        bit for bit."""
+        nodes = np.ascontiguousarray(self._tree.fill(points.T).T)
+        return np.matmul(self._coefs, nodes[:, :, None])[:, :, 0]
+
     def at(self, x: np.ndarray) -> np.ndarray:
         """(1 + n,) array: p, then its partials, at one point (read only)."""
         x = np.asarray(x, dtype=float)
@@ -530,9 +540,6 @@ class GradientEvaluator:
             self._key = key
             self._at_key = self._coefs @ self._tree.fill(x)
         return self._at_key
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.at(x)[0])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.at(x)[1:].copy()

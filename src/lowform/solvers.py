@@ -3,9 +3,13 @@
 All solvers are multi-start local methods: projected gradient descent with
 Armijo backtracking on the ball and sphere, and pairwise Frank-Wolfe with an
 exact step on polyhedra.  The ball solver also minimizes the surrogate's
-problem Q (:func:`lowform.approx.solve_Q`).  Objective values and gradients come from one
-:class:`~lowform.poly.GradientEvaluator` per solve, a monomial tree over p and
-its partials filled once per point.  The Frank-Wolfe linear-minimization
+problem Q (:func:`lowform.approx.solve_Q`).  Objective values and gradients
+come from one :class:`~lowform.poly.GradientEvaluator` per solve, a monomial
+tree over p and its partials filled once per point.  The ball and sphere
+descents run all their starts in lockstep, as the rows of one (starts, m)
+array: each round makes every unfinished start's next Armijo trial in one
+batched evaluation and drops the starts that finished.  Frank-Wolfe runs its
+starts one after another.  The Frank-Wolfe linear-minimization
 oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
 dimension <= 3 and solves one LP per call otherwise, and
 :func:`basic_feasible_solutions` enumerates the vertices of a standard-form
@@ -15,7 +19,11 @@ lives with the tests, apart from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
-(problem, options, seed) triples give bitwise-identical results.
+(problem, options, seed) triples give bitwise-identical results.  In a
+lockstep descent each start computes exactly what a one-start run would:
+every value, gradient, dot product and norm of a row is taken by one
+matrix-vector product or ddot per row, never by a matrix product whose
+summation order could depend on the other rows.
 """
 
 from __future__ import annotations
@@ -52,8 +60,13 @@ _TABLE_MAX_DIM = 3
 _TABLE_MAX_SUBSETS = 30_000
 # Row subsets whose unit-normalized determinant is below this are singular.
 _SINGULAR_DET = 1e-12
-# Slack, relative to 1 + |rhs| of a unit-normalized row, for keeping a vertex.
+# Slack, relative to 1 + |rhs| of a unit-normalized row, for keeping a
+# basic solution of a standard-form polytope.
 _VERTEX_TOL = 1e-9
+# Slack for keeping an H-rep vertex, relative to the rounding scale
+# 1 + |rhs| + |row| @ |x| of its test against each row: a few rounding units,
+# so that a vertex of a looser row just outside a tighter one is left out.
+_ROUNDING_TOL = 1e-12
 
 
 class InfeasibleRegionError(ValueError):
@@ -264,7 +277,7 @@ class Hrep:
         rows, rhs = rows / norms[:, None], rhs / norms
         subsets = np.array(list(itertools.combinations(range(rows.shape[0]), dim)))
         _, points = _solve_regular(rows[subsets], rhs[subsets])
-        slack = _VERTEX_TOL * (1.0 + np.abs(rhs))
+        slack = _ROUNDING_TOL * (1.0 + np.abs(rhs) + np.abs(points) @ np.abs(rows).T)
         points = points[np.all(points @ rows.T <= rhs + slack, axis=1)]
         if points.shape[0] == 0:
             self._lp_lmo(np.zeros(dim))
@@ -289,94 +302,105 @@ class Hrep:
         return np.vstack([cand, mixtures]) if cand.size else mixtures
 
 
-def _project_ball(x: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    return x / norm if norm > 1.0 else x
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, one ddot per row: the rounding of a
+    one-row product, whatever the other rows are."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
-    # Spectral (Barzilai-Borwein) trial step, clamped to a sane range; the
-    # Armijo test below keeps descent monotone regardless.
-    sy = float(s @ y)
-    if sy <= 0.0:
-        return fallback
-    t = float(s @ s) / sy
-    return min(max(t, 1e-12), 1e6)
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(a, a))
 
 
-def _pgd(value, grad, project, x0, max_iter, tol, trace=None):
-    """Projected descent with BB trial steps under a monotone Armijo test.
+def _ball_rows(x: np.ndarray) -> np.ndarray:
+    # rows outside the ball are scaled onto it; the others divide by 1.0,
+    # which is exact (fmax keeps a NaN row as it is)
+    return x / np.fmax(_row_norm(x), 1.0)[:, None]
 
-    Exits "converged" either at projected-gradient norm < tol or when no step
-    achieves sufficient decrease at float resolution (numerically stationary).
+
+def _sphere_rows(x: np.ndarray) -> np.ndarray:
+    return x / _row_norm(x)[:, None]
+
+
+def _bb_rows(s: np.ndarray, y: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    # Spectral (Barzilai-Borwein) trial steps, clamped to a sane range; the
+    # Armijo test keeps descent monotone regardless.
+    sy = _row_dot(s, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.minimum(np.maximum(_row_dot(s, s) / sy, 1e-12), 1e6)
+    return np.where(sy <= 0.0, fallback, steps)
+
+
+def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
+    """Projected descent on the unit ball (or sphere) from every row of
+    ``starts``, in lockstep; one candidate (x, value, iterations, converged)
+    per start, in start order.
+
+    Per start this is projected gradient descent (on the sphere, along the
+    tangent gradient with renormalization) with a Barzilai-Borwein trial
+    step under a monotone Armijo test, halved down to ``_MIN_STEP``.  A
+    start exits "converged" at projected-gradient norm < tol or when no step
+    achieves sufficient decrease at float resolution (numerically
+    stationary), and "max_iter" after ``max_iter`` accepted steps.
+
+    Each round makes every active start's next Armijo trial, all through one
+    :meth:`GradientEvaluator.rows` call, and drops the starts that finished.
+    Every product is taken row by row, so each start computes exactly what a
+    one-start run would.  ``traces``, a list of one list per start, receives
+    each start's first value and its value after every accepted step.
     """
-    x = project(np.array(x0, dtype=float))
-    fx = value(x)
-    if trace is not None:
-        trace.append(fx)
-    g = grad(x)
-    trial = ARMIJO_INIT
-    for it in range(1, max_iter + 1):
-        pg = x - project(x - g)
-        if np.linalg.norm(pg) < tol:
-            return x, fx, it, True
-        t = trial
-        accepted = False
-        while t >= _MIN_STEP:
-            cand = project(x - t * g)
-            fc = value(cand)
-            if fc < fx + ARMIJO_DECREASE * float(g @ (cand - x)):
-                accepted = True
+    project = _sphere_rows if sphere else _ball_rows
+    x = project(np.array(starts, dtype=float))
+    at = evaluator.rows(x)
+    fx, d = at[:, 0], at[:, 1:]
+    if sphere:
+        d = d - _row_dot(d, x)[:, None] * x
+    if traces is not None:
+        for trace, value in zip(traces, fx.tolist()):
+            trace.append(value)
+    out_x, out_f = np.empty_like(x), np.empty_like(fx)
+    out_it, out_ok = np.empty(len(x), dtype=int), np.empty(len(x), dtype=bool)
+    idx = np.arange(len(x))
+    t = np.full(len(x), ARMIJO_INIT)
+    it = np.ones(len(x), dtype=int)
+    while idx.size:
+        # the stop tests of a start's iteration; they are unchanged for a
+        # start that is still backtracking
+        gnorm = _row_norm(d if sphere else x - project(x - d))
+        over = it > max_iter
+        done = over | (gnorm < tol) | ~(t >= _MIN_STEP)
+        if done.any():
+            out_x[idx[done]], out_f[idx[done]] = x[done], fx[done]
+            out_it[idx[done]] = np.where(over[done], max_iter, it[done])
+            out_ok[idx[done]] = ~over[done]
+            keep = ~done
+            idx, x, fx, d, t, it, gnorm = (
+                a[keep] for a in (idx, x, fx, d, t, it, gnorm)
+            )
+            if not idx.size:
                 break
-            t *= ARMIJO_SHRINK
-        if not accepted:
-            return x, fx, it, True
-        g_new = grad(cand)
-        trial = _bb_step(cand - x, g_new - g, 2.0 * t)
-        x, fx, g = cand, fc, g_new
-        if trace is not None:
-            trace.append(fx)
-    return x, fx, max_iter, False
-
-
-def _pgd_ball(value, grad, x0, max_iter, tol, trace=None):
-    return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace)
-
-
-def _tangent(x, g):
-    return g - float(g @ x) * x
-
-
-def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None):
-    x = np.array(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    fx = value(x)
-    if trace is not None:
-        trace.append(fx)
-    gt = _tangent(x, grad(x))
-    trial = ARMIJO_INIT
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(gt))
-        if gnorm < tol:
-            return x, fx, it, True
-        t = trial
-        accepted = False
-        while t >= _MIN_STEP:
-            cand = x - t * gt
-            cand = cand / np.linalg.norm(cand)
-            fc = value(cand)
-            if fc < fx - ARMIJO_DECREASE * t * gnorm**2:
-                accepted = True
-                break
-            t *= ARMIJO_SHRINK
-        if not accepted:
-            return x, fx, it, True
-        gt_new = _tangent(cand, grad(cand))
-        trial = _bb_step(cand - x, gt_new - gt, 2.0 * t)
-        x, fx, gt = cand, fc, gt_new
-        if trace is not None:
-            trace.append(fx)
-    return x, fx, max_iter, False
+        cand = project(x - t[:, None] * d)
+        at = evaluator.rows(cand)
+        fc, move = at[:, 0], cand - x
+        if sphere:
+            # Python's float power: the rounding of a one-start run
+            squares = np.array([g**2 for g in gnorm.tolist()])
+            ok = fc < fx - ARMIJO_DECREASE * t * squares
+        else:
+            ok = fc < fx + ARMIJO_DECREASE * _row_dot(d, move)
+        # every row's step as if accepted; a rejected row keeps its state
+        # and halves its trial step
+        d_new = at[:, 1:]
+        if sphere:
+            d_new = d_new - _row_dot(d_new, cand)[:, None] * cand
+        t = np.where(ok, _bb_rows(move, d_new - d, 2.0 * t), t * ARMIJO_SHRINK)
+        rows_ok = ok[:, None]
+        x, fx, d = np.where(rows_ok, cand, x), np.where(ok, fc, fx), np.where(rows_ok, d_new, d)
+        it = it + ok
+        if traces is not None:
+            for j in np.flatnonzero(ok).tolist():
+                traces[idx[j]].append(float(fc[j]))
+    return list(zip(out_x, out_f.tolist(), out_it.tolist(), out_ok.tolist()))
 
 
 @functools.cache
@@ -512,43 +536,40 @@ def _result(p: Polynomial, candidate, starts_used: int) -> SolveResult:
     )
 
 
-def _multi_start(p: Polynomial, run_one, draw_starts, opts: SolveOptions) -> SolveResult:
+def _multi_start(p: Polynomial, run, draw_starts, opts: SolveOptions) -> SolveResult:
+    """Best result of ``run``, which maps a (k, dim) array of starts to one
+    candidate per start; the start count doubles once on a wide gap."""
     rng = np.random.default_rng(opts.seed)
-    starts = draw_starts(rng, opts.starts)
-    candidates = [run_one(x0) for x0 in starts]
+    candidates = run(draw_starts(rng, opts.starts))
     ordered = sorted(candidates, key=lambda c: (c[1], tuple(c[0])))
     starts_used = opts.starts
     if len(ordered) >= 2 and abs(ordered[0][1] - ordered[1][1]) > _RESTART_GAP:
-        extra = draw_starts(rng, opts.starts)
-        candidates += [run_one(x0) for x0 in extra]
+        candidates += run(draw_starts(rng, opts.starts))
         starts_used += opts.starts
     return _result(p, _best_candidate(candidates), starts_used)
 
 
-def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
-    """Minimize p over the closed unit ball in p.num_vars dimensions."""
+def _minimize_ball_or_sphere(
+    p: Polynomial, opts: SolveOptions | None, sphere: bool
+) -> SolveResult:
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
-    value, grad = evaluator.value, evaluator.grad
-    dim = p.num_vars
+    sample = sample_sphere if sphere else sample_ball
 
-    def run_one(x0):
-        return _pgd_ball(value, grad, x0, opts.max_iter, opts.tol)
+    def run(starts):
+        return _descend(evaluator, starts, opts.max_iter, opts.tol, sphere)
 
-    return _multi_start(p, run_one, lambda rng, k: sample_ball(rng, k, dim), opts)
+    return _multi_start(p, run, lambda rng, k: sample(rng, k, p.num_vars), opts)
+
+
+def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
+    """Minimize p over the closed unit ball in p.num_vars dimensions."""
+    return _minimize_ball_or_sphere(p, opts, sphere=False)
 
 
 def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over the unit sphere in p.num_vars dimensions."""
-    opts = opts or SolveOptions()
-    evaluator = GradientEvaluator(p)
-    value, grad = evaluator.value, evaluator.grad
-    dim = p.num_vars
-
-    def run_one(x0):
-        return _pgd_sphere(value, grad, x0, opts.max_iter, opts.tol)
-
-    return _multi_start(p, run_one, lambda rng, k: sample_sphere(rng, k, dim), opts)
+    return _minimize_ball_or_sphere(p, opts, sphere=True)
 
 
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
@@ -576,7 +597,7 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
         diverse = np.asarray(region.start_points(rng, rest))
         return np.vstack([informed, diverse])
 
-    return _multi_start(p, run_one, draw, opts)
+    return _multi_start(p, lambda starts: [run_one(x0) for x0 in starts], draw, opts)
 
 
 def frank_wolfe(

@@ -26,10 +26,16 @@ import numpy as np
 import pytest
 
 from lowform.generate import Instance, generate_instance
-from lowform.poly import DROP_TOL, Polynomial, ball_monomial_moment, monomials_up_to
+from lowform.poly import (
+    DROP_TOL,
+    GradientEvaluator,
+    Polynomial,
+    ball_monomial_moment,
+    monomials_up_to,
+)
 from lowform.polytope import Polytope
 from lowform.sampling import sample_ball, sample_sphere
-from lowform.solvers import Hrep, _pgd, _pgd_ball, _pgd_sphere
+from lowform.solvers import Hrep
 
 # ----------------------------------------------------------------------
 # independent oracles
@@ -326,6 +332,147 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
                         acc += coef_a * coef_b * ball_monomial_moment(combined, n)
             matrix[i, j] = matrix[j, i] = acc
     return matrix
+
+
+# ----------------------------------------------------------------------
+# serial projected descent, one start at a time: the polish of the
+# brute-force oracle, and the reference that the lockstep solvers must
+# equal bit for bit from the same starts
+# ----------------------------------------------------------------------
+
+ARMIJO_INIT = 1.0
+ARMIJO_SHRINK = 0.5
+ARMIJO_DECREASE = 1e-4
+_MIN_STEP = 1e-16
+
+
+def _project_ball(x: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(x))
+    return x / norm if norm > 1.0 else x
+
+
+def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
+    # Spectral (Barzilai-Borwein) trial step, clamped to a sane range; the
+    # Armijo test below keeps descent monotone regardless.
+    sy = float(s @ y)
+    if sy <= 0.0:
+        return fallback
+    t = float(s @ s) / sy
+    return min(max(t, 1e-12), 1e6)
+
+
+def _pgd(value, grad, project, x0, max_iter, tol, trace=None):
+    """Projected descent with BB trial steps under a monotone Armijo test.
+
+    Exits "converged" either at projected-gradient norm < tol or when no step
+    achieves sufficient decrease at float resolution (numerically stationary).
+    """
+    x = project(np.array(x0, dtype=float))
+    fx = value(x)
+    if trace is not None:
+        trace.append(fx)
+    g = grad(x)
+    trial = ARMIJO_INIT
+    for it in range(1, max_iter + 1):
+        pg = x - project(x - g)
+        if np.linalg.norm(pg) < tol:
+            return x, fx, it, True
+        t = trial
+        accepted = False
+        while t >= _MIN_STEP:
+            cand = project(x - t * g)
+            fc = value(cand)
+            if fc < fx + ARMIJO_DECREASE * float(g @ (cand - x)):
+                accepted = True
+                break
+            t *= ARMIJO_SHRINK
+        if not accepted:
+            return x, fx, it, True
+        g_new = grad(cand)
+        trial = _bb_step(cand - x, g_new - g, 2.0 * t)
+        x, fx, g = cand, fc, g_new
+        if trace is not None:
+            trace.append(fx)
+    return x, fx, max_iter, False
+
+
+def _pgd_ball(value, grad, x0, max_iter, tol, trace=None):
+    return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace)
+
+
+def _tangent(x, g):
+    return g - float(g @ x) * x
+
+
+def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None):
+    x = np.array(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    fx = value(x)
+    if trace is not None:
+        trace.append(fx)
+    gt = _tangent(x, grad(x))
+    trial = ARMIJO_INIT
+    for it in range(1, max_iter + 1):
+        gnorm = float(np.linalg.norm(gt))
+        if gnorm < tol:
+            return x, fx, it, True
+        t = trial
+        accepted = False
+        while t >= _MIN_STEP:
+            cand = x - t * gt
+            cand = cand / np.linalg.norm(cand)
+            fc = value(cand)
+            if fc < fx - ARMIJO_DECREASE * t * gnorm**2:
+                accepted = True
+                break
+            t *= ARMIJO_SHRINK
+        if not accepted:
+            return x, fx, it, True
+        gt_new = _tangent(cand, grad(cand))
+        trial = _bb_step(cand - x, gt_new - gt, 2.0 * t)
+        x, fx, gt = cand, fc, gt_new
+        if trace is not None:
+            trace.append(fx)
+    return x, fx, max_iter, False
+
+
+_RESTART_GAP = 1e-4
+
+
+def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, tol: float,
+                       seed: int) -> tuple[float, np.ndarray, int, str, int]:
+    """(value, point, iterations, status, starts used) of the best serial
+    run on the unit "ball" or "sphere", with the solvers' start draws.
+
+    Every start runs :func:`_pgd_ball` or :func:`_pgd_sphere` alone, valued
+    through ``GradientEvaluator.at``.  If the two best values differ by more
+    than ``_RESTART_GAP``, as many starts again are drawn and run.  The best
+    run is the least (value, lexicographic point); its point is valued by
+    ``p.evaluate``.
+    """
+    evaluator = GradientEvaluator(p)
+
+    def value(x):
+        return float(evaluator.at(x)[0])
+
+    def grad(x):
+        return evaluator.at(x)[1:].copy()
+
+    descend = _pgd_ball if domain == "ball" else _pgd_sphere
+    sample = sample_ball if domain == "ball" else sample_sphere
+    rng = np.random.default_rng(seed)
+
+    def run(count):
+        return [descend(value, grad, x0, max_iter, tol) for x0 in sample(rng, count, p.num_vars)]
+
+    runs = run(starts)
+    ordered = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
+    used = starts
+    if len(ordered) >= 2 and abs(ordered[0][1] - ordered[1][1]) > _RESTART_GAP:
+        runs += run(starts)
+        used += starts
+    x, _, iterations, converged = min(runs, key=lambda r: (r[1], tuple(r[0])))
+    return p.evaluate(x), x, iterations, "converged" if converged else "max_iter", used
 
 
 # ----------------------------------------------------------------------

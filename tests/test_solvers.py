@@ -4,23 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lowform.solvers as solvers
-from conftest import brute_force_min, random_polynomial, reference_evaluate
+from conftest import brute_force_min, random_polynomial, reference_evaluate, serial_multi_start
 from lowform.poly import GradientEvaluator, Polynomial
 from lowform.solvers import (
     Hrep,
     InfeasibleRegionError,
     SolveOptions,
     VertexTable,
+    _descend,
     _exact_step,
     _fit_minimum,
     _frank_wolfe,
-    _pgd_ball,
-    _pgd_sphere,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,
@@ -129,21 +128,44 @@ def test_monotone_descent_traces():
     rng = np.random.default_rng(9)
     p = random_polynomial(rng, 2, 4)
     evaluator = GradientEvaluator(p)
-    value, grad = evaluator.value, evaluator.grad
-    x0 = np.array([0.4, -0.3])
-
-    trace = []
-    _pgd_ball(value, grad, x0, 200, 1e-9, trace=trace)
-    assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
-
-    trace = []
-    _pgd_sphere(value, grad, np.array([0.6, 0.8]), 200, 1e-9, trace=trace)
-    assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+    starts = np.array([[0.4, -0.3], [0.6, 0.8], [-0.9, 0.1]])
+    for sphere in (False, True):
+        traces = [[] for _ in starts]
+        _descend(evaluator, starts, 200, 1e-9, sphere, traces=traces)
+        for trace in traces:
+            assert len(trace) >= 2
+            assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
     region = Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1, -1], hi=[1, 1])
     trace = []
     _frank_wolfe(evaluator, region.lmo, np.zeros(2), 200, 1e-9, trace=trace)
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    degree=st.integers(2, 5),
+    starts=st.sampled_from([1, 2, 7, 32]),
+    max_iter=st.sampled_from([3, 20, 500]),
+    tol=st.sampled_from([1e-9, 1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=2, degree=4, starts=32, max_iter=500, tol=1e-9, seed=0)
+@example(m=3, degree=5, starts=7, max_iter=3, tol=1e-12, seed=1)
+def test_lockstep_descent_equals_serial_runs_bitwise(m, degree, starts, max_iter, tol, seed):
+    # the lockstep ball and sphere solvers return exactly the best of the
+    # serial one-start runs from the same drawn starts, restart included
+    p = random_polynomial(np.random.default_rng(seed), m, degree)
+    opts = SolveOptions(starts=starts, max_iter=max_iter, tol=tol, seed=seed)
+    for domain, minimize in (("ball", minimize_ball), ("sphere", minimize_sphere)):
+        res = minimize(p, opts)
+        value, point, iterations, status, used = serial_multi_start(
+            p, domain, starts, max_iter, tol, seed
+        )
+        assert np.float64(res.value).tobytes() == np.float64(value).tobytes(), domain
+        assert res.point.tobytes() == np.asarray(point, dtype=float).tobytes(), domain
+        assert (res.iterations, res.status, res.starts_used) == (iterations, status, used), domain
 
 
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
