@@ -19,6 +19,10 @@ DEFAULT_RANK_TOL = 1e-8
 
 _SIGN_EPS = 1e-12
 
+# HiGHS drops constraint-matrix entries below this magnitude (its
+# small_matrix_value option).
+_HIGHS_SMALL_MATRIX_VALUE = 1e-9
+
 
 class LinalgError(ValueError):
     """Input violates a linear-algebra precondition."""
@@ -160,16 +164,36 @@ class LpResult:
     point: np.ndarray | None
 
 
+def _scale_small_rows(a, b):
+    """Divide each row of a whose largest magnitude is below HiGHS's
+    small_matrix_value, and its entry of b, by that magnitude, so that HiGHS
+    does not drop the whole row; other rows are left as they are."""
+    if a is None:
+        return a, b
+    a = np.asarray(a, dtype=float)
+    size = np.abs(a).max(axis=1, initial=0.0)
+    small = (size > 0.0) & (size < _HIGHS_SMALL_MATRIX_VALUE)
+    if not small.any():
+        return a, b
+    scale = np.where(small, size, 1.0)
+    return a / scale[:, None], np.asarray(b, dtype=float) / scale
+
+
 def lp_solve(problem: LpProblem, max_iter: int = 50_000) -> LpResult:
-    """Solve a small dense LP; returns a basic optimal solution when optimal."""
+    """Solve a small dense LP; returns a basic optimal solution when optimal.
+
+    Constraint rows too small for HiGHS to keep are rescaled first.
+    """
     c = np.asarray(problem.c, dtype=float).reshape(-1)
     bounds = problem.bounds if problem.bounds is not None else [(None, None)] * c.size
+    a_ub, b_ub = _scale_small_rows(problem.a_ub, problem.b_ub)
+    a_eq, b_eq = _scale_small_rows(problem.a_eq, problem.b_eq)
     res = linprog(
         c,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=bounds,
         method="highs-ds",
         options={"maxiter": max_iter},

@@ -8,6 +8,17 @@ enumerates them in one batched solve and minimizes f once over that vertex
 table; a convex mixture of the same vertices is the witness.  The canonical
 simplex goes the same way.
 
+The table also answers the questions that would otherwise take LPs over
+Omega.  A nonempty table shows Omega nonempty.  Each row keeps its basis B,
+and the multipliers y with A_B^T y = c_B of a row minimizing c . x are a
+simplex dual certificate when the reduced costs c - A^T y are >= -eps: then
+c . x >= y . b - eps * sum(x) on all of Omega, and y . b is that row's
+value.  With c = -1 and eps = 1/2 this proves Omega bounded and bounds
+sum(x) on it; with c = ell grad f(X*) it proves that no point of Omega
+beats the table in that direction.  So a request over a general polytope
+or the simplex solves one LP, for the witness's weights; each other LP
+runs only where its certificate fails.
+
 The paper's Farkas cut loop stays for the cases the table cannot answer (too
 many bases, a row-rank-deficient A) and as the ``reduce-polytope`` command.
 Every valid inequality on the projected point X = ell^T x has the shape
@@ -65,7 +76,14 @@ class UnconstrainedProjectionError(ValueError):
 
 @dataclass
 class Polytope:
-    """Standard-form feasible set {x >= 0 : a @ x = b}; checked nonempty."""
+    """Standard-form feasible set {x >= 0 : a @ x = b}; checked nonempty.
+
+    ``table`` holds :func:`basic_feasible_solutions` of (a, b), the vertices
+    with their bases, or None when the bases are over the cap or none is
+    feasible (a row-rank-deficient a, say).  A table shows the set nonempty;
+    without one a phase-one LP checks it at construction.  Either way
+    :meth:`feasible_point` returns phase one's point, solved once.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -77,7 +95,9 @@ class Polytope:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.b.size != self.a.shape[0]:
             raise ValueError("a and b disagree on row count")
-        self._feasible = self._phase_one()
+        table = basic_feasible_solutions(self.a, self.b)
+        self.table = table if table is not None and table[0].shape[0] else None
+        self._feasible = None if self.table is not None else self._phase_one()
 
     @property
     def num_vars(self) -> int:
@@ -97,6 +117,8 @@ class Polytope:
         return res.point
 
     def feasible_point(self) -> np.ndarray:
+        if self._feasible is None:
+            self._feasible = self._phase_one()
         return self._feasible.copy()
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
@@ -289,31 +311,74 @@ def cut_loop(
     )
 
 
+# ----------------------------------------------------------------------
+# vertex table
+# ----------------------------------------------------------------------
+
+
+def _dual_certificate(poly: Polytope, c: np.ndarray, eps: float) -> np.ndarray | None:
+    """Multipliers y whose reduced costs c - A^T y are all >= -eps, or None.
+
+    Whatever y is, c . x = y . b + (c - A^T y) . x >= y . b - eps * sum(x)
+    for every x in Omega.  The candidates are the bases B of the table rows
+    that minimize c . x, and A_B^T y = c_B is solved for all of them in one
+    batched call, so y . b is a row's value up to rounding.  None when there
+    is no table or no candidate qualifies (a degenerate or ill-rounded
+    basis).
+    """
+    if poly.table is None:
+        return None
+    points, bases = poly.table
+    values = points @ c
+    rows = bases[values == values.min()]
+    y = np.linalg.solve(poly.a[:, rows].transpose(1, 2, 0), c[rows][..., None])[..., 0]
+    dual_feasible = np.flatnonzero(np.min(c - y @ poly.a, axis=1) >= -eps)
+    return y[dual_feasible[0]] if dual_feasible.size else None
+
+
+def _certified_sum_bound(poly: Polytope) -> float | None:
+    """A bound on sum(x) over Omega that proves Omega bounded, or None.
+
+    With c = -1 and eps = 1/2, w = -A^T y >= 1/2, so a ray d >= 0 with
+    A d = 0 has sum(d) <= 2 w . d = 0, and sum(x) <= w . x / min(w) =
+    -y . b / min(w) on Omega.  The bound comes from y alone, never from the
+    table's rows, so a table that misses a vertex cannot shrink it.
+    """
+    y = _dual_certificate(poly, -np.ones(poly.num_vars), 0.5)
+    if y is None:
+        return None
+    return float((y @ poly.b) / np.max(poly.a.T @ y))
+
+
 def vertex_reduce(
     sf: SparseForm, poly: Polytope, opts: SolveOptions | None = None
 ) -> PolytopeReduceResult:
     """Minimize f(ell^T x) over a bounded standard-form polytope, exactly.
 
     P = ell^T Omega is the hull of the images of Omega's basic feasible
-    solutions, so one :func:`minimize_polytope` call over that vertex table
-    finds X*; ``converged`` is that solve's status.  LPs: one confirms that
-    Omega is bounded (else UnboundedDomainError), one checks the table at X*
-    and one finds the weights of the witness, a convex mixture of Omega's
-    vertices whose image is X*.  The check fails when an LP over Omega finds
-    a point of P that beats every table row in the direction grad f(X*),
-    that is, when the Frank-Wolfe gap over the true P exceeds the table's.
-    The result then comes from :func:`cut_loop`, as it does when the table
-    is over its cap or empty (a row-rank-deficient A).  A constant f returns
-    at once, as in the cut loop.
+    solutions, so one :func:`minimize_polytope` call over ``poly.table``
+    finds X*; ``converged`` is that solve's status.  One LP finds the
+    weights of the witness, a convex mixture of Omega's vertices whose image
+    is X*.  Two checks read dual certificates off the table
+    (:func:`_dual_certificate`) and ask an LP over Omega only where the
+    certificate fails: that Omega is bounded (else UnboundedDomainError),
+    and that no point of P beats every table row in the direction
+    grad f(X*) by more than ``SEPARATION_TOL`` (relative), that is, that the
+    Frank-Wolfe gap over the true P does not exceed the table's.  When the
+    second check fails the result comes from :func:`cut_loop`, as it does
+    when there is no table (too many bases, or a row-rank-deficient A).  A
+    constant f returns at once, as in the cut loop.
     """
     opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
-    poly.lmo(-np.ones(poly.num_vars))  # Omega is bounded iff sum(x) is
+    sum_bound = _certified_sum_bound(poly)
+    if sum_bound is None:
+        poly.lmo(-np.ones(poly.num_vars))  # Omega is bounded iff sum(x) is
     if sf.f.is_constant():
         return _constant_result(sf.f, ell, poly.feasible_point())
-    vertices = basic_feasible_solutions(poly.a, poly.b)
-    if vertices is None or not vertices.shape[0]:
+    if poly.table is None:
         return cut_loop(sf, poly, opts)
+    vertices = poly.table[0]
     region = VertexTable(vertices @ ell)
     res = minimize_polytope(sf.f, region, opts)
     # The starts come from a sweep of vertex mixtures, which crowd the
@@ -325,9 +390,16 @@ def vertex_reduce(
         res = frank_wolfe(sf.f, region, region.points[best], opts)
     grad = GradientEvaluator(sf.f).grad(res.point)
     table_best = float(np.min(region.points @ grad))
-    lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
-    if lp_best < table_best - SEPARATION_TOL * max(1.0, abs(table_best)):
-        return cut_loop(sf, poly, opts)
+    tol = SEPARATION_TOL * max(1.0, abs(table_best))
+    # half of tol for the reduced costs over sum(x) <= sum_bound, half for
+    # the rounding of y . b against the table's value
+    y = None
+    if sum_bound is not None and sum_bound > 0.0:
+        y = _dual_certificate(poly, ell @ grad, tol / (2.0 * sum_bound))
+    if y is None or y @ poly.b < table_best - tol / 2.0:
+        lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
+        if lp_best < table_best - tol:
+            return cut_loop(sf, poly, opts)
     weights = region.weights(res.point)
     witness = witness_gap = None
     if weights is not None:

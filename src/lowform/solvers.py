@@ -13,9 +13,11 @@ starts one after another.  The Frank-Wolfe linear-minimization
 oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
 dimension <= 3 and solves one LP per call otherwise, and
 :func:`basic_feasible_solutions` enumerates the vertices of a standard-form
-polytope in one batched solve.  A :class:`Zonotope`, the image of a box,
-answers in closed form.  The brute-force oracle that checks these solvers
-lives with the tests, apart from the code it checks.
+polytope in one batched solve, each with its basis, from which
+:mod:`lowform.polytope` reads simplex dual certificates in place of LPs.  A
+:class:`Zonotope`, the image of a box, answers in closed form.  The
+brute-force oracle that checks these solvers lives with the tests, apart
+from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
@@ -118,7 +120,8 @@ class VertexTable:
 
     def weights(self, target: np.ndarray) -> np.ndarray | None:
         """Convex weights w with w @ points = target (one LP), or None when
-        the LP finds target outside the hull."""
+        the LP finds target outside the hull.  HiGHS may undershoot the
+        bound w >= 0 by its tolerance, so w is clipped at 0."""
         k = self.points.shape[0]
         res = lp_solve(
             LpProblem(
@@ -128,7 +131,7 @@ class VertexTable:
                 bounds=[(0.0, None)] * k,
             )
         )
-        return res.point if res.status == "optimal" else None
+        return np.maximum(res.point, 0.0) if res.status == "optimal" else None
 
 
 @dataclass
@@ -159,13 +162,17 @@ def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     return regular, np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
 
 
-def basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The vertices of {x >= 0 : a @ x = b} as the rows of a table.
+def basic_feasible_solutions(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vertices of {x >= 0 : a @ x = b} as the rows of a table, and
+    their bases.
 
     Every s-column subset B of the s-row matrix a with a regular a_B gives
     the basic solution x_B = a_B^-1 b, zero elsewhere.  The solutions within
     ``_VERTEX_TOL`` of x >= 0 and of a @ x = b are kept, clipped at 0, in
-    subset order; a degenerate vertex appears once per basis.  A
+    subset order; a degenerate vertex appears once per basis.  Returns
+    (points, bases), with bases[i] the subset B of points[i].  A
     row-rank-deficient a has no regular subset, so its table is empty.
     None when the C(n, s) subsets exceed ``_TABLE_MAX_SUBSETS``.
     """
@@ -187,7 +194,7 @@ def basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     keep = np.all(points >= -_VERTEX_TOL * scale[:, None], axis=1) & np.all(
         np.abs(points @ a.T - b) <= _VERTEX_TOL * (1.0 + np.abs(b)), axis=1
     )
-    return np.maximum(points[keep], 0.0)
+    return np.maximum(points[keep], 0.0), subsets[regular][keep]
 
 
 @dataclass

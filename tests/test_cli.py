@@ -343,7 +343,9 @@ def _spy(monkeypatch, fn) -> list:
     return calls
 
 
-def test_polytope_pipeline_solves_at_most_4_lps(tmp_path, sparse_instance, monkeypatch):
+def test_polytope_pipeline_solves_one_lp(tmp_path, sparse_instance, monkeypatch):
+    # the vertex table certifies boundedness and the gap at X*; the one LP
+    # finds the witness's weights
     from lowform.linalg import lp_solve
 
     calls = _spy(monkeypatch, lp_solve)
@@ -355,7 +357,22 @@ def test_polytope_pipeline_solves_at_most_4_lps(tmp_path, sparse_instance, monke
     assert run(argv + _polytope_files(tmp_path, a.tolist(), b.tolist()) + ["--out", out]) == 0
     report = read(out / "report.json")
     assert report["route"] == "exact/polytope" and report["converged"]
-    assert 0 < len(calls) <= 4
+    assert len(calls) == 1
+
+
+def test_simplex_pipeline_solves_one_lp(tmp_path, monkeypatch):
+    # the request of golden case_simplex
+    from lowform.linalg import lp_solve
+
+    calls = _spy(monkeypatch, lp_solve)
+    case = os.path.join(GOLDEN_DIR, "case_simplex")
+    with open(os.path.join(case, "args.json")) as fh:
+        cmd = json.load(fh)["cmd"]
+    argv = [os.path.join(case, "h.json") if arg == "__H__" else arg for arg in cmd]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 0
+    assert read(out / "report.json")["route"] == "exact/simplex"
+    assert len(calls) == 1
 
 
 @pytest.fixture()

@@ -132,6 +132,26 @@ def test_lp_examples():
     assert res.status == "infeasible"
 
 
+@pytest.mark.parametrize("kind", ["ub", "eq"])
+def test_lp_keeps_rows_too_small_for_highs(kind):
+    # 1.2e-38 x <= -1.2e-38 (or = -1.2e-38) on [-1, 1] leaves only x = -1;
+    # HiGHS alone drops the row's entry and returns x = 1
+    row, rhs = np.array([[1.2e-38]]), np.array([-1.2e-38])
+    rows = {"a_ub": row, "b_ub": rhs} if kind == "ub" else {"a_eq": row, "b_eq": rhs}
+    res = lp_solve(LpProblem(c=np.array([-1.0]), bounds=[(-1.0, 1.0)], **rows))
+    assert res.status == "optimal" and res.point[0] == -1.0
+    # a tiny row next to an ordinary one: only the tiny one is rescaled
+    res = lp_solve(
+        LpProblem(
+            c=np.array([-1.0, -1.0]),
+            a_ub=np.array([[1e-12, 0.0], [0.0, 2.0]]),
+            b_ub=np.array([5e-13, 1.0]),
+            bounds=[(None, 1.0), (None, 1.0)],
+        )
+    )
+    assert np.allclose(res.point, [0.5, 0.5], rtol=0.0, atol=1e-12)
+
+
 def test_lp_separation_shape_vs_sign_pattern_oracle():
     # Cone section for the simplex in R^3 with ell = (1,-1,0): the cone is
     # {lambda >= |u|}; minimizing lambda*b - u*X* over |lambda|+|u| = 1 at

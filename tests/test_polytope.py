@@ -146,7 +146,8 @@ def test_cuts_valid_on_feasible_samples():
 
 def simplex_images(ell: np.ndarray) -> np.ndarray:
     """The vertex table of ell^T Delta_n: images of the simplex's vertices."""
-    return basic_feasible_solutions(np.ones((1, ell.shape[0])), np.array([1.0])) @ ell
+    points, _ = basic_feasible_solutions(np.ones((1, ell.shape[0])), np.array([1.0]))
+    return points @ ell
 
 
 def test_simplex_projection_examples():
@@ -310,6 +311,69 @@ def test_vertex_reduce_matches_cut_loop(case):
     assert res.witness_gap <= 1e-9
 
 
+def _lp_min(poly: Polytope, c: np.ndarray) -> float:
+    """min c . x over the polytope, by HiGHS."""
+    bounds = [(0.0, None)] * poly.num_vars
+    return lp_solve(LpProblem(c=c, a_eq=poly.a, b_eq=poly.b, bounds=bounds)).value
+
+
+@st.composite
+def certificate_cases(draw):
+    """A random bounded polytope, a direction, a tolerance and a row mask
+    that keeps at least one row of its vertex table."""
+    n = draw(st.integers(2, 7))
+    s = draw(st.integers(1, min(3, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = random_standard_form(rng, n, s)
+    keep = rng.random(poly.table[0].shape[0]) < 0.5
+    keep[rng.integers(keep.size)] = True
+    eps = draw(st.sampled_from([1e-12, 1e-8, 1e-3, 0.1, 0.5]))
+    return poly, rng.standard_normal(n), eps, keep
+
+
+@settings(max_examples=60, deadline=None)
+@given(certificate_cases())
+def test_dual_certificate_from_the_vertex_table(case):
+    poly, c, eps, keep = case
+    ones = np.ones(poly.num_vars)
+    max_sum = -_lp_min(poly, -ones)
+    lp_best = _lp_min(poly, c)
+    # complete: the full table proves the polytope bounded and finds min c . x
+    sum_bound = polytope._certified_sum_bound(poly)
+    assert sum_bound is not None and max_sum <= sum_bound * (1.0 + 1e-9)
+    table_min = float(np.min(poly.table[0] @ c))
+    y = polytope._dual_certificate(poly, c, 1e-9 / sum_bound)
+    assert y is not None
+    assert y @ poly.b == pytest.approx(table_min, rel=1e-9, abs=1e-9)
+    assert lp_best >= table_min - 1e-9 * sum_bound - 1e-9 * max(1.0, abs(table_min))
+    # sound: a table that misses rows certifies nothing false
+    points, bases = poly.table
+    poly.table = points[keep], bases[keep]
+    sum_bound = polytope._certified_sum_bound(poly)
+    assert sum_bound is None or max_sum <= sum_bound * (1.0 + 1e-9)
+    table_min = float(np.min(points[keep] @ c))
+    if polytope._dual_certificate(poly, c, eps) is not None:
+        assert lp_best >= table_min - eps * max_sum - 1e-9 * max(1.0, abs(table_min))
+
+
+def test_sum_bound_ignores_the_rows_of_an_incomplete_table():
+    # {x >= 0 : x1 + x2 + 0.6 x3 = 1} without its vertex x3 = 5/3: e1's basis
+    # still certifies (reduced costs 0, 0, -0.4 >= -1/2), and its multiplier
+    # bounds sum(x) by 5/3, the true maximum, not by the rows' 1
+    poly = Polytope(a=np.array([[1.0, 1.0, 0.6]]), b=np.array([1.0]))
+    points, bases = poly.table
+    poly.table = points[:2], bases[:2]
+    assert polytope._certified_sum_bound(poly) == pytest.approx(5.0 / 3.0, rel=1e-12)
+
+
+def test_dual_certificate_never_bounds_a_ray():
+    # {x >= 0 : x1 - x2 = 0} holds the ray (1, 1); its table is the origin twice
+    poly = Polytope(a=np.array([[1.0, -1.0]]), b=np.array([0.0]))
+    assert poly.table[0].shape[0] == 2
+    assert polytope._dual_certificate(poly, -np.ones(2), 0.5) is None
+    assert polytope._certified_sum_bound(poly) is None
+
+
 def _spy_cut_loop(monkeypatch):
     calls = []
     real = polytope.cut_loop
@@ -329,11 +393,12 @@ def test_vertex_reduce_falls_back_to_cut_loop(monkeypatch, kind):
         # A is row-rank-deficient: no basis is regular, the table is empty
         base = random_standard_form(rng, 5, 2)
         poly = Polytope(a=np.vstack([base.a, base.a[1]]), b=np.append(base.b, base.b[1]))
-        assert basic_feasible_solutions(poly.a, poly.b).shape == (0, 5)
+        assert basic_feasible_solutions(poly.a, poly.b)[0].shape == (0, 5)
+        assert poly.table is None
     else:
         # C(18, 9) = 48,620 bases exceed the table cap
         poly = random_standard_form(rng, 18, 9)
-        assert basic_feasible_solutions(poly.a, poly.b) is None
+        assert poly.table is None and basic_feasible_solutions(poly.a, poly.b) is None
     sf = SparseForm(f=concave_quadratic(rng, 2), ell=rng.standard_normal((poly.num_vars, 2)))
     calls = _spy_cut_loop(monkeypatch)
     res = vertex_reduce(sf, poly, OPTS)
@@ -342,15 +407,15 @@ def test_vertex_reduce_falls_back_to_cut_loop(monkeypatch, kind):
 
 
 def test_vertex_reduce_gap_check_catches_incomplete_table(monkeypatch):
-    # drop the vertex e2, whose image -1 is where f = X is least: the LP at
-    # X* = 0 finds it, so the table is not P and the cut loop answers
-    def without_e2(a, b):
-        return basic_feasible_solutions(a, b)[[0, 2]]
-
-    monkeypatch.setattr(polytope, "basic_feasible_solutions", without_e2)
+    # drop the vertex e2, whose image -1 is where f = X is least: the
+    # certificate at X* = 0 fails (e2's reduced cost is -1), the LP finds
+    # e2, so the table is not P and the cut loop answers
+    poly = simplex3()
+    points, bases = poly.table
+    poly.table = points[[0, 2]], bases[[0, 2]]
     calls = _spy_cut_loop(monkeypatch)
     sf = SparseForm(f=Polynomial(1, {(1,): 1.0}), ell=ELL_DIFF)
-    res = vertex_reduce(sf, simplex3(), OPTS)
+    res = vertex_reduce(sf, poly, OPTS)
     assert len(calls) == 1 and res.rho == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -374,5 +439,9 @@ def test_vertex_reduce_rejects_unbounded_polytope():
 def test_basic_feasible_solutions_are_the_vertices():
     # {x >= 0 : x1 + x2 + x3 = 1, x1 - x2 = 0}: vertices (1/2, 1/2, 0) and e3
     a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-    verts = basic_feasible_solutions(a, np.array([1.0, 0.0]))
+    verts, bases = basic_feasible_solutions(a, np.array([1.0, 0.0]))
     assert np.allclose(np.unique(verts.round(12), axis=0), [[0, 0, 1], [0.5, 0.5, 0]])
+    # each row is the basic solution of its basis: zero off it, a @ x = b on it
+    for x, basis in zip(verts, bases):
+        assert not np.delete(x, basis).any()
+        assert np.allclose(a[:, basis] @ x[basis], [1.0, 0.0])
