@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .detection import gradient_spectrum
 from .linalg import SymEig
@@ -234,8 +233,10 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
     squares over symmetric (+-v) candidate pairs, which kills all odd-degree
     monomials by construction; candidates are resampled with a larger pool on
     failure.  The finished rule is validated against every moment up to its
-    degree.
+    degree.  scipy's NNLS is imported here, so only this path loads scipy.
     """
+    from scipy.optimize import nnls
+
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 0:

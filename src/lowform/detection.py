@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -166,7 +165,12 @@ def detect_randomized(
 
 
 def _gradient_basis(stacked: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormalize m independent gradient columns (pivoted QR)."""
+    """Orthonormalize m independent gradient columns (pivoted QR).
+
+    scipy's QR is imported here, so only the randomized method loads scipy.
+    """
+    import scipy.linalg
+
     if m == 0:
         return np.zeros((stacked.shape[0], 0))
     q, _, _ = scipy.linalg.qr(stacked, pivoting=True, mode="economic")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 # Relative eigenvalue threshold that decides numeric rank everywhere.
 DEFAULT_RANK_TOL = 1e-8
@@ -182,8 +181,11 @@ def _scale_small_rows(a, b):
 def lp_solve(problem: LpProblem, max_iter: int = 50_000) -> LpResult:
     """Solve a small dense LP; returns a basic optimal solution when optimal.
 
-    Constraint rows too small for HiGHS to keep are rescaled first.
+    Constraint rows too small for HiGHS to keep are rescaled first.  scipy
+    is imported here, so a process that solves no LP never loads it.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(problem.c, dtype=float).reshape(-1)
     bounds = problem.bounds if problem.bounds is not None else [(None, None)] * c.size
     a_ub, b_ub = _scale_small_rows(problem.a_ub, problem.b_ub)

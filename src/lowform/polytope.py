@@ -15,8 +15,10 @@ simplex dual certificate when the reduced costs c - A^T y are >= -eps: then
 c . x >= y . b - eps * sum(x) on all of Omega, and y . b is that row's
 value.  With c = -1 and eps = 1/2 this proves Omega bounded and bounds
 sum(x) on it; with c = ell grad f(X*) it proves that no point of Omega
-beats the table in that direction.  So a request over a general polytope
-or the simplex solves one LP, for the witness's weights; each other LP
+beats the table in that direction.  When X* is, to rounding, the image of
+a table row, as it is for a concave f, that row is the witness; only other
+X* ask an LP for a convex mixture of rows.  So a request over a general
+polytope or the simplex solves no LP when X* is a vertex image; each LP
 runs only where its certificate fails.
 
 The paper's Farkas cut loop stays for the cases the table cannot answer (too
@@ -33,7 +35,8 @@ the projected feasible set and yields a violated cut.
 
 For the unit box, P is the zonotope ell^T [-1, 1]^n, whose linear
 minimization oracle is closed-form, so :func:`box_reduce` minimizes f over
-it directly, with no LP before the witness.
+it directly, with no LP; the witness takes one only when X* is not the
+oracle's box vertex at grad f(X*).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .detection import SparseForm
 from .linalg import LpProblem, lp_solve
 from .poly import GradientEvaluator, Polynomial
 from .solvers import (
+    _ROUNDING_TOL,
     Hrep,
     SolveOptions,
     SolveResult,
@@ -357,9 +361,10 @@ def vertex_reduce(
 
     P = ell^T Omega is the hull of the images of Omega's basic feasible
     solutions, so one :func:`minimize_polytope` call over ``poly.table``
-    finds X*; ``converged`` is that solve's status.  One LP finds the
-    weights of the witness, a convex mixture of Omega's vertices whose image
-    is X*.  Two checks read dual certificates off the table
+    finds X*; ``converged`` is that solve's status.  The witness is a vertex
+    of Omega whose image is X* to rounding (:func:`_is_rounding`), or else
+    a convex mixture of Omega's vertices whose weights one LP finds.  Two
+    checks read dual certificates off the table
     (:func:`_dual_certificate`) and ask an LP over Omega only where the
     certificate fails: that Omega is bounded (else UnboundedDomainError),
     and that no point of P beats every table row in the direction
@@ -400,10 +405,14 @@ def vertex_reduce(
         lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
         if lp_best < table_best - tol:
             return cut_loop(sf, poly, opts)
-    weights = region.weights(res.point)
+    gaps = np.abs(region.points - res.point).sum(axis=1)
+    row = int(np.argmin(gaps))
     witness = witness_gap = None
-    if weights is not None:
+    if _is_rounding(gaps[row], res.point):
+        witness = vertices[row].copy()
+    elif (weights := region.weights(res.point)) is not None:
         witness = weights @ vertices
+    if witness is not None:
         witness_gap = float(np.abs(ell.T @ witness - res.point).sum())
     return _one_solve_result(res, witness, witness_gap)
 
@@ -418,14 +427,27 @@ def box_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeRedu
 
     One :func:`minimize_polytope` call over the zonotope ell^T [-1, 1]^n
     finds X*; ``converged`` is that solve's status and ``iterations`` its
-    Frank-Wolfe steps.  One LP finds the witness.  A constant f returns at
-    once, with the box's center as the witness.
+    Frank-Wolfe steps.  The witness is the zonotope oracle's box vertex
+    -sign(ell grad f(X*)) when its image is X* to rounding
+    (:func:`_is_rounding`), as it is for a concave f; otherwise one LP
+    finds it.  A constant f returns at once, with the box's center as the
+    witness.
     """
     ell = np.asarray(sf.ell, dtype=float)
     if sf.f.is_constant():
         return _constant_result(sf.f, ell, np.zeros(ell.shape[0]))
     res = minimize_polytope(sf.f, Zonotope(ell), opts)
+    vertex = -np.sign(ell @ GradientEvaluator(sf.f).grad(res.point))
+    gap = float(np.abs(ell.T @ vertex - res.point).sum())
+    if _is_rounding(gap, res.point):
+        return _one_solve_result(res, vertex, gap)
     return _one_solve_result(res, *_box_witness(ell, res.point))
+
+
+def _is_rounding(gap: float, x_star: np.ndarray) -> bool:
+    """True when an image's l1 distance ``gap`` to x_star is rounding:
+    within ``_ROUNDING_TOL`` of 1 + |x_star|_1."""
+    return gap <= _ROUNDING_TOL * (1.0 + np.abs(x_star).sum())
 
 
 def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):

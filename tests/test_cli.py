@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -343,9 +344,9 @@ def _spy(monkeypatch, fn) -> list:
     return calls
 
 
-def test_polytope_pipeline_solves_one_lp(tmp_path, sparse_instance, monkeypatch):
-    # the vertex table certifies boundedness and the gap at X*; the one LP
-    # finds the witness's weights
+def test_polytope_pipeline_solves_no_lp(tmp_path, sparse_instance, monkeypatch):
+    # the vertex table certifies boundedness and the gap at X*, and X* is
+    # the image of a table row, which is the witness
     from lowform.linalg import lp_solve
 
     calls = _spy(monkeypatch, lp_solve)
@@ -357,10 +358,10 @@ def test_polytope_pipeline_solves_one_lp(tmp_path, sparse_instance, monkeypatch)
     assert run(argv + _polytope_files(tmp_path, a.tolist(), b.tolist()) + ["--out", out]) == 0
     report = read(out / "report.json")
     assert report["route"] == "exact/polytope" and report["converged"]
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
-def test_simplex_pipeline_solves_one_lp(tmp_path, monkeypatch):
+def test_simplex_pipeline_solves_no_lp(tmp_path, monkeypatch):
     # the request of golden case_simplex
     from lowform.linalg import lp_solve
 
@@ -372,7 +373,35 @@ def test_simplex_pipeline_solves_one_lp(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 0
     assert read(out / "report.json")["route"] == "exact/simplex"
+    assert len(calls) == 0
+
+
+def test_simplex_pipeline_with_interior_minimizer_solves_one_lp(tmp_path, monkeypatch):
+    # h(x) = |L^T x - L^T c|^2 is least at the simplex's centroid c, whose
+    # image is no vertex image: one LP finds the witness's weights
+    from lowform.linalg import lp_solve
+    from lowform.poly import Polynomial
+
+    n = 5
+    lin = np.random.default_rng(3).standard_normal((n, 2))
+    target = lin.T @ np.full(n, 1.0 / n)
+    h = Polynomial.zero(n)
+    for k in range(2):
+        form = Polynomial.constant(n, -float(target[k]))
+        for i in range(n):
+            form = form + Polynomial.variable(n, i) * float(lin[i, k])
+        h = h + form * form
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    calls = _spy(monkeypatch, lp_solve)
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", path, "--domain", "simplex", "--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["route"] == "exact/simplex" and report["converged"]
     assert len(calls) == 1
+    witness = np.asarray(report["witness"])
+    assert abs(witness.sum() - 1.0) <= 1e-7 and witness.min() >= 0.0
+    assert report["rho"] == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.fixture()
@@ -583,3 +612,41 @@ def test_approx_cubature_l2_error_scales_with_h(tmp_path):
         assert report["path"] == "cubature"
         values[scale] = report["l2_error"]["value"]
     assert values[1e10] == pytest.approx(1e20 * values[1.0], rel=1e-12)
+
+
+_SCIPY_GUARD = r"""
+import json, os, sys
+import lowform.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+
+golden, out = sys.argv[1], sys.argv[2]
+assert not scipy_loaded(), scipy_loaded()
+for case in ("case_sphere", "case_simplex", "case_approx"):
+    with open(os.path.join(golden, case, "args.json")) as fh:
+        cmd = json.load(fh)["cmd"]
+    h = os.path.join(golden, case, "h.json")
+    argv = [h if arg == "__H__" else arg for arg in cmd]
+    assert cli.main(argv + ["--out", os.path.join(out, case)]) == 0, case
+    assert not scipy_loaded(), (case, scipy_loaded())
+h = os.path.join(golden, "case_approx", "h.json")
+assert cli.main(["detect", "--input", h, "--method", "randomized",
+                 "--out", os.path.join(out, "detect")]) == 0
+assert "scipy.linalg" in sys.modules
+assert cli.main(["approx", "--input", h, "--path", "cubature",
+                 "--out", os.path.join(out, "cubature")]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_golden_requests_never_load_scipy(tmp_path):
+    # scipy is imported only where an LP, an NNLS or a pivoted QR runs: a
+    # fresh interpreter answers the three golden requests without it, and
+    # the randomized detection and the cubature path still load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lowform"].__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, GOLDEN_DIR, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

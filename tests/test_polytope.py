@@ -259,6 +259,42 @@ def test_box_reduce_corpus_matches_cut_loop_and_oracle():
         assert len(res.cuts) == 0 and res.inner_values == [res.rho]
 
 
+def _spy_lp(monkeypatch) -> list:
+    calls = []
+    real = polytope.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "lp_solve", counted)
+    return calls
+
+
+def test_box_witness_of_a_concave_f_is_the_oracle_vertex(monkeypatch):
+    rng = np.random.default_rng(23)
+    sf = SparseForm(f=concave_quadratic(rng, 2), ell=rng.standard_normal((6, 2)))
+    calls = _spy_lp(monkeypatch)
+    res = box_reduce(sf, OPTS)
+    assert res.converged and not calls
+    assert np.array_equal(np.abs(res.witness), np.ones(6))
+    assert res.witness_gap <= 1e-12 * (1.0 + np.abs(res.x_star).sum())
+
+
+def test_box_witness_of_an_interior_minimizer_takes_one_lp(monkeypatch):
+    # f(X) = |X - t|^2 with t the image of an interior point of the box
+    rng = np.random.default_rng(29)
+    ell = rng.standard_normal((6, 2))
+    t = ell.T @ rng.uniform(-0.5, 0.5, 6)
+    f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0 * t[0], (0, 1): -2.0 * t[1],
+                       (0, 0): float(t @ t)})
+    calls = _spy_lp(monkeypatch)
+    res = box_reduce(SparseForm(f=f, ell=ell), OPTS)
+    assert res.converged and len(calls) == 1
+    assert np.abs(res.witness).max() <= 1.0
+    assert np.abs(res.x_star - t).max() <= 1e-6 and res.witness_gap <= 1e-8
+
+
 # ----------------------------------------------------------------------
 # vertex_reduce: one solve over the images of Omega's basic solutions
 # ----------------------------------------------------------------------
@@ -309,6 +345,30 @@ def test_vertex_reduce_matches_cut_loop(case):
     assert w.min() >= 0.0
     assert np.allclose(sf.ell.T @ w, res.x_star, rtol=0.0, atol=1e-9)
     assert res.witness_gap <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(standard_form_problems())
+def test_vertex_witness_is_read_off_the_table(case):
+    # a concave f's X* is a vertex image, so the witness is a table row; it
+    # must be the point HiGHS's convex weights over the table give
+    sf, poly = case
+    res = vertex_reduce(sf, poly, OPTS)
+    vertices = poly.table[0]
+    w = res.witness
+    assert any(np.array_equal(w, row) for row in vertices)
+    assert np.abs(poly.a @ w - poly.b).max() <= 1e-7 and w.min() >= 0.0
+    assert res.witness_gap <= 1e-12 * (1.0 + np.abs(res.x_star).sum())
+    k = vertices.shape[0]
+    lp = lp_solve(LpProblem(
+        c=np.zeros(k),
+        a_eq=np.vstack([(vertices @ sf.ell).T, np.ones((1, k))]),
+        b_eq=np.append(res.x_star, 1.0),
+        bounds=[(0.0, None)] * k,
+    ))
+    assert lp.status == "optimal"
+    lp_witness = np.maximum(lp.point, 0.0) @ vertices
+    assert np.abs(w - lp_witness).max() <= 1e-12 * np.abs(lp_witness).max()
 
 
 def _lp_min(poly: Polytope, c: np.ndarray) -> float:
