@@ -56,7 +56,6 @@ from .solvers import (
     Hrep,
     InfeasibleRegionError,
     SolveOptions,
-    UnboundedRegionError,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,
@@ -282,13 +281,10 @@ def cmd_solve(args) -> int:
     else:
         data = _load_json(args.domain)
         try:
-            region = Hrep(
-                a_ub=np.asarray(data.get("a_ub", []), dtype=float).reshape(-1, p.num_vars),
-                b_ub=np.asarray(data.get("b_ub", []), dtype=float),
-                lo=np.asarray(data["lo"], dtype=float),
-                hi=np.asarray(data["hi"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            region = Hrep(data.get("a_ub", []), data.get("b_ub", []), data["lo"], data["hi"])
+            if region.dim != p.num_vars:
+                raise ValueError(f"the objective has {p.num_vars} variables, the region {region.dim}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"{args.domain} is not a valid region file: {exc}") from exc
         inputs.append(args.domain)
         res = minimize_polytope(p, region, opts)
@@ -560,8 +556,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InfeasibleDomainError, UnboundedDomainError,
-            InfeasibleRegionError, UnboundedRegionError) as exc:
+    except (InfeasibleDomainError, UnboundedDomainError, InfeasibleRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

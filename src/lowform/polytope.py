@@ -302,7 +302,7 @@ def cut_loop(
             converged = res.status == "converged"
             break
         cuts.cuts.append(cut)
-    witness, witness_gap = _lift_witness(poly, ell, res.point)
+    witness, witness_gap = _witness_lp(ell, res.point, (0.0, None), poly.a, poly.b)
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -441,7 +441,12 @@ def box_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeRedu
     gap = float(np.abs(ell.T @ vertex - res.point).sum())
     if _is_rounding(gap, res.point):
         return _one_solve_result(res, vertex, gap)
-    return _one_solve_result(res, *_box_witness(ell, res.point))
+    n = ell.shape[0]
+    witness, _ = _witness_lp(ell, res.point, (-1.0, 1.0), np.zeros((0, n)), np.zeros(0))
+    if witness is None:
+        return _one_solve_result(res, None, None)
+    witness = np.clip(witness, -1.0, 1.0)  # HiGHS may overstep by its tolerance
+    return _one_solve_result(res, witness, float(np.abs(ell.T @ witness - res.point).sum()))
 
 
 def _is_rounding(gap: float, x_star: np.ndarray) -> bool:
@@ -478,36 +483,23 @@ def _one_solve_result(res: SolveResult, witness, witness_gap) -> PolytopeReduceR
     )
 
 
-def _lift_witness(poly: Polytope, ell: np.ndarray, x_star: np.ndarray):
-    """Feasible x minimizing |ell^T x - x_star|_1 and the residual gap."""
-    n = poly.num_vars
-    m = ell.shape[1]
-    # variables: x (n), d+ (m), d- (m)
+def _witness_lp(ell: np.ndarray, x_star: np.ndarray, bounds, a: np.ndarray, b: np.ndarray):
+    """x with a @ x = b and entries within ``bounds`` minimizing
+    |ell^T x - x_star|_1, by slacks d+, d- >= 0 with ell^T x - d+ + d- =
+    x_star, and that minimum; (None, None) when the LP fails."""
+    n, m = ell.shape
     a_eq = np.vstack(
         [
-            np.hstack([poly.a, np.zeros((poly.a.shape[0], 2 * m))]),
+            np.hstack([a, np.zeros((a.shape[0], 2 * m))]),
             np.hstack([ell.T, -np.eye(m), np.eye(m)]),
         ]
     )
-    b_eq = np.concatenate([poly.b, x_star])
+    b_eq = np.concatenate([b, x_star])
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
     res = lp_solve(
-        LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * (n + 2 * m))
+        LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=[bounds] * n + [(0.0, None)] * (2 * m))
     )
     if res.status != "optimal":
         return None, None
     return res.point[:n], float(res.value)
 
-
-def _box_witness(ell: np.ndarray, x_star: np.ndarray):
-    """Point of [-1, 1]^n minimizing |ell^T x - x_star|_1 and the gap."""
-    n, m = ell.shape
-    a_eq = np.hstack([ell.T, -np.eye(m), np.eye(m)])
-    b_eq = np.asarray(x_star, dtype=float)
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    bounds = [(-1.0, 1.0)] * n + [(0.0, None)] * (2 * m)
-    res = lp_solve(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=bounds))
-    if res.status != "optimal":
-        return None, None
-    witness = np.clip(res.point[:n], -1.0, 1.0)  # HiGHS may overstep by its tolerance
-    return witness, float(np.abs(ell.T @ witness - b_eq).sum())

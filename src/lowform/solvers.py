@@ -10,8 +10,8 @@ descents run all their starts in lockstep, as the rows of one (starts, m)
 array: each round makes every unfinished start's next Armijo trial in one
 batched evaluation and drops the starts that finished.  Frank-Wolfe runs its
 starts one after another.  The Frank-Wolfe linear-minimization
-oracle scans a :class:`VertexTable`: an H-rep region enumerates one once in
-dimension <= 3 and solves one LP per call otherwise, and
+oracle scans a :class:`VertexTable`, which an H-rep region builds once, by
+enumerating row subsets or, above a cap, by qhull after one LP, and
 :func:`basic_feasible_solutions` enumerates the vertices of a standard-form
 polytope in one batched solve, each with its basis, from which
 :mod:`lowform.polytope` reads simplex dual certificates in place of LPs.  A
@@ -57,14 +57,17 @@ _RESTART_GAP = 1e-4
 # search.
 _FIT_NOISE = 1e-12
 
-# Vertex-table limits: larger regions answer every LMO call with an LP.
-_TABLE_MAX_DIM = 3
+# Most row subsets a vertex table enumerates (qhull builds larger H-rep ones).
 _TABLE_MAX_SUBSETS = 30_000
 # Row subsets whose unit-normalized determinant is below this are singular.
 _SINGULAR_DET = 1e-12
 # Slack, relative to 1 + |rhs| of a unit-normalized row, for keeping a
 # basic solution of a standard-form polytope.
 _VERTEX_TOL = 1e-9
+# Least slack, relative to 1 + |rhs| of a unit-normalized row, of a center
+# that qhull builds a table from: nearer a row, HiGHS's tolerance (1e-7) blurs
+# it and qhull's vertices lose about 1e-17 / slack.  Such a region is flat.
+_QHULL_MIN_SLACK = 1e-6
 # Slack for keeping an H-rep vertex, relative to the rounding scale
 # 1 + |rhs| + |row| @ |x| of its test against each row: a few rounding units,
 # so that a vertex of a looser row just outside a tighter one is left out.
@@ -201,10 +204,11 @@ def basic_feasible_solutions(
 class Hrep:
     """Inequality-form region {x : a_ub @ x <= b_ub, lo <= x <= hi}.
 
-    The box part is mandatory so that linear minimization is always bounded.
-    In dimension <= 3 with a finite box, the first :meth:`lmo` call
-    enumerates the vertices into a table and every call scans it; the fields
-    must not change after that.  Otherwise each call solves one LP.
+    The box part is mandatory and finite, so the region is bounded; a
+    non-finite bound raises UnboundedRegionError, a ValueError, at
+    construction, as does any array of the wrong shape.  The first
+    :meth:`lmo` call builds the region's :class:`VertexTable` and every call
+    scans it; the fields must not change after that.
     """
 
     a_ub: np.ndarray
@@ -213,25 +217,30 @@ class Hrep:
     hi: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float).reshape(-1)
-        self.hi = np.asarray(self.hi, dtype=float).reshape(-1)
-        dim = self.lo.size
-        self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, dim)
-        self.b_ub = np.asarray(self.b_ub, dtype=float).reshape(-1)
-        if self.b_ub.size != self.a_ub.shape[0]:
-            raise ValueError("a_ub and b_ub disagree on row count")
+        self.lo = np.asarray(self.lo, dtype=float)
+        self.hi = np.asarray(self.hi, dtype=float)
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape:
+            raise ValueError("lo and hi must be vectors of one length")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise UnboundedRegionError("lo and hi must be finite")
+        self.a_ub = np.asarray(self.a_ub, dtype=float)
+        if self.a_ub.size == 0:
+            self.a_ub = self.a_ub.reshape(0, self.dim)
+        if self.a_ub.ndim != 2 or self.a_ub.shape[1] != self.dim:
+            raise ValueError(f"a_ub must be a matrix with {self.dim} columns")
+        self.b_ub = np.asarray(self.b_ub, dtype=float)
+        if self.b_ub.shape != self.a_ub.shape[:1]:
+            raise ValueError("b_ub must have one entry per row of a_ub")
+        if np.isnan(self.a_ub).any() or np.isnan(self.b_ub).any() or np.any(self.lo > self.hi):
+            raise ValueError("a_ub and b_ub must hold numbers, and lo <= hi")
 
     @property
     def dim(self) -> int:
         return self.lo.size
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.lo - tol) or np.any(x > self.hi + tol):
-            return False
-        if self.a_ub.shape[0] and np.any(self.a_ub @ x > self.b_ub + tol):
-            return False
-        return True
+        rows, rhs = self.halfspaces()
+        return bool(np.all(rows @ np.asarray(x, dtype=float) <= rhs + tol))
 
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as rows @ x <= rhs: a_ub, then x <= hi, then -x <= -lo."""
@@ -241,72 +250,76 @@ class Hrep:
         return rows, rhs
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
-        """Vertex minimizing direction @ x over the region."""
-        table = self._vertex_table
-        if table is not None:
-            return table.lmo(direction)
-        return self._lp_lmo(direction)
-
-    def _lp_lmo(self, direction: np.ndarray) -> np.ndarray:
-        prob = LpProblem(
-            c=np.asarray(direction, dtype=float),
-            a_ub=self.a_ub if self.a_ub.shape[0] else None,
-            b_ub=self.b_ub if self.b_ub.size else None,
-            bounds=list(zip(self.lo, self.hi)),
-        )
-        res = lp_solve(prob)
-        if res.status == "infeasible":
-            raise InfeasibleRegionError("region is empty")
-        if res.status == "unbounded":
-            raise UnboundedRegionError("region is unbounded")
-        return res.point
+        """Vertex minimizing direction @ x over the region: a table scan."""
+        return self._vertex_table.lmo(direction)
 
     @cached_property
-    def _vertex_table(self) -> VertexTable | None:
-        """The feasible solutions of every regular dim-subset of the halfspaces.
+    def _vertex_table(self) -> VertexTable:
+        """Points of the region, its vertices among them, as a table.
 
-        Every vertex of the bounded region solves some such subset, so the
-        table's hull is the region.  None routes :meth:`lmo` to the LP: the
-        region is too large for a table or has an infinite bound, or the table
-        came out empty although the LP finds a feasible point.  An empty table
-        whose region the LP confirms empty raises InfeasibleRegionError.
+        Up to ``_TABLE_MAX_SUBSETS`` dim-subsets of the halfspaces, and in
+        dimension 1, it holds the regular subsets' solutions that satisfy
+        every halfspace.  Above, qhull intersects the halfspaces around the
+        Chebyshev center (one LP), unless the center is within
+        ``_QHULL_MIN_SLACK`` of a row: only subsets handle a flat region.  An
+        empty subset table takes the center LP's point, or raises
+        InfeasibleRegionError when the LP finds the region empty.
         """
         dim = self.dim
         rows, rhs = self.halfspaces()
-        if (
-            dim > _TABLE_MAX_DIM
-            or math.comb(rows.shape[0], dim) > _TABLE_MAX_SUBSETS
-            or not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
-        ):
-            return None
         norms = np.linalg.norm(rows, axis=1)
-        norms[norms == 0.0] = 1.0
+        nonzero = norms > 0.0
+        norms[~nonzero] = 1.0
         rows, rhs = rows / norms[:, None], rhs / norms
+        center = None
+        if dim > 1 and math.comb(rows.shape[0], dim) > _TABLE_MAX_SUBSETS:
+            center = _chebyshev_center(rows, rhs)
+            # a zero row is vacuous once the LP finds the region nonempty
+            rows_q, rhs_q = rows[nonzero], rhs[nonzero]
+            if np.min(rhs_q - rows_q @ center) > _QHULL_MIN_SLACK * (1.0 + np.abs(rhs).max()):
+                from scipy.spatial import HalfspaceIntersection
+
+                halfspaces = np.hstack([rows_q, -rhs_q[:, None]])
+                return VertexTable(HalfspaceIntersection(halfspaces, center).intersections)
         subsets = np.array(list(itertools.combinations(range(rows.shape[0]), dim)))
         _, points = _solve_regular(rows[subsets], rhs[subsets])
         slack = _ROUNDING_TOL * (1.0 + np.abs(rhs) + np.abs(points) @ np.abs(rows).T)
         points = points[np.all(points @ rows.T <= rhs + slack, axis=1)]
         if points.shape[0] == 0:
-            self._lp_lmo(np.zeros(dim))
-            return None
+            if center is None:
+                center = _chebyshev_center(rows, rhs)
+            points = center[None]
         return VertexTable(points)
 
-    def _vertex_mixtures(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        num_dirs = max(2 * self.dim, 8)
-        verts = [self.lmo(rng.standard_normal(self.dim)) for _ in range(num_dirs)]
-        verts = np.array(verts)
-        weights = rng.dirichlet(np.ones(len(verts)), size=count)
-        return weights @ verts
-
     def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Feasible starts: uniform box rejection plus vertex mixtures."""
+        """Feasible starts: uniform box rejection, topped up with mixtures of
+        the vertices that minimize random directions."""
         cand = rng.uniform(self.lo, self.hi, size=(max(4 * count, 64), self.dim))
         if self.a_ub.shape[0]:
             cand = cand[np.all(cand @ self.a_ub.T <= self.b_ub + 1e-12, axis=1)]
         if cand.shape[0] >= count:
             return cand[:count]
-        mixtures = self._vertex_mixtures(rng, count - cand.shape[0])
+        directions = rng.standard_normal((max(2 * self.dim, 8), self.dim))
+        verts = np.array([self.lmo(d) for d in directions])
+        mixtures = rng.dirichlet(np.ones(len(verts)), size=count - cand.shape[0]) @ verts
         return np.vstack([cand, mixtures]) if cand.size else mixtures
+
+
+def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The center x of a largest ball in {x : rows @ x <= rhs}, by one LP:
+    maximize r >= 0 subject to rows[i] @ x + r |rows[i]| <= rhs[i].
+    Raises InfeasibleRegionError when the LP finds the region empty."""
+    res = lp_solve(
+        LpProblem(
+            c=np.append(np.zeros(rows.shape[1]), -1.0),
+            a_ub=np.hstack([rows, np.linalg.norm(rows, axis=1)[:, None]]),
+            b_ub=rhs,
+            bounds=[(None, None)] * rows.shape[1] + [(0.0, None)],
+        )
+    )
+    if res.status != "optimal":
+        raise InfeasibleRegionError("region is empty")
+    return res.point[:-1]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,11 +12,14 @@ term map, arithmetic by loops over term maps (dicts from exponent tuples to
 coefficients) rather than the library's exponent arrays, and composition by
 multiplying out powers of the forms with that arithmetic, rather than the
 library's monomial tree.  The brute-force minimum oracle samples densely
-and polishes with that term loop, never with the solvers' evaluator.
+and polishes with that term loop, never with the solvers' evaluator, and
+takes an H-rep region's vertices from scipy's linprog, never from the
+library's vertex table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lowform.generate import Instance, generate_instance
 from lowform.poly import (
@@ -660,7 +664,8 @@ def brute_force_min(
             if project is not None:
                 _, fx, _, _ = _pgd(value, grad, project, pts[i], _POLISH_STEPS, 1e-12)
             else:
-                fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
+                lmo = functools.partial(hrep_linprog_vertex, domain)
+                fx = _fw_polish(p, grad, lmo, pts[i], _POLISH_STEPS)
             best = min(best, fx)
         return best
 
@@ -685,7 +690,8 @@ def brute_force_min(
 
 
 def _sample_hrep(region: Hrep, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Rejection sampling from the bounding box, topped up with vertex mixes."""
+    """Rejection sampling from the bounding box, topped up with mixtures of
+    vertices that linprog finds in random directions."""
     out = []
     total = 0
     attempts = 0
@@ -700,8 +706,27 @@ def _sample_hrep(region: Hrep, rng: np.random.Generator, count: int) -> np.ndarr
             total += keep.shape[0]
         attempts += 1
     if total < count:
-        out.append(region.start_points(rng, count - total))
+        directions = rng.standard_normal((max(2 * region.dim, 8), region.dim))
+        verts = np.array([hrep_linprog_vertex(region, d) for d in directions])
+        out.append(rng.dirichlet(np.ones(len(verts)), size=count - total) @ verts)
     return np.vstack(out)[:count]
+
+
+def hrep_linprog_vertex(region: Hrep, direction: np.ndarray) -> np.ndarray:
+    """A vertex of an H-rep region minimizing direction @ x, by scipy's
+    linprog at tight tolerances, independent of the library's vertex table."""
+    res = linprog(
+        direction,
+        A_ub=region.a_ub if region.a_ub.shape[0] else None,
+        b_ub=region.b_ub if region.b_ub.size else None,
+        bounds=list(zip(region.lo, region.hi)),
+        method="highs",
+        # HiGHS' default tolerances (1e-7) would let it ignore cost entries
+        # below 1e-7.
+        options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return res.x
 
 
 def random_polynomial(rng: np.random.Generator, num_vars: int, degree: int,

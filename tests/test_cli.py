@@ -157,6 +157,28 @@ def test_solve_hrep_domain(tmp_path):
     assert run(["solve", "--objective", obj, "--domain", empty, "--out", out]) == 3
 
 
+@pytest.mark.parametrize("num_vars, region", [
+    (2, {"lo": [-1, -1, -1], "hi": [1, 1, 1]}),  # 3 bounds for 2 variables
+    (4, {"a_ub": [[1, 1], [1, 1]], "b_ub": [1], "lo": [0] * 4, "hi": [1] * 4}),
+    (2, {"a_ub": [1, 1], "b_ub": [1], "lo": [0, 0], "hi": [1, 1]}),  # a flat a_ub
+    (2, {"a_ub": [[1, 1]], "b_ub": [1, 2], "lo": [0, 0], "hi": [1, 1]}),
+    (2, {"lo": [-1, -1], "hi": [1, 1, 1]}),
+    (2, {"lo": [-1, float("-inf")], "hi": [1, 1]}),  # infinite: never solvable
+    (2, {"a_ub": [[float("nan"), 1]], "b_ub": [1], "lo": [0, 0], "hi": [1, 1]}),
+    (2, {"lo": [1, 0], "hi": [0, 1]}),
+    (2, {"hi": [1, 1]}),
+    (2, [[-1, -1], [1, 1]]),
+], ids=["dim", "a_ub_columns", "a_ub_flat", "b_ub_length", "hi_length", "infinite",
+        "nan_row", "lo_above_hi", "no_lo", "not_an_object"])
+def test_malformed_region_file_exits_2(tmp_path, num_vars, region):
+    obj = tmp_path / "p.json"
+    obj.write_text(json.dumps({"num_vars": num_vars, "terms": [
+        {"exp": [1] + [0] * (num_vars - 1), "coef": 1.0}]}))
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(region))
+    assert _rejected(["solve", "--objective", obj, "--domain", path], tmp_path / "o")
+
+
 def test_approx_command(tmp_path):
     gen = tmp_path / "gen"
     run(["gen", "--seed", 11, "--n", 4, "--m", 2, "--degree", 3,

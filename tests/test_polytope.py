@@ -371,6 +371,34 @@ def test_vertex_witness_is_read_off_the_table(case):
     assert np.abs(w - lp_witness).max() <= 1e-12 * np.abs(lp_witness).max()
 
 
+@pytest.mark.parametrize("m, seed", [(4, 2), (5, 1)])
+def test_cut_loop_matches_vertex_reduce_at_m_4_and_5(monkeypatch, m, seed):
+    # Omega = {x >= 0 : sum(x) = 1, B x = B x0} in R^8.  The inner regions
+    # are 4- and 5-dimensional; at m = 5 the cuts pass the subset cap, and
+    # qhull builds those tables after one center LP each.  At m = 4 the
+    # result depends on Hrep's own starts.
+    import scipy.spatial
+
+    import lowform.solvers as solvers
+
+    inst = generate_instance(300 + seed, 8, m, 3)
+    sf = SparseForm(inst.f0, inst.ell0)
+    rng = np.random.default_rng(seed)
+    b_rows, x0 = rng.uniform(0.0, 1.0, (2, 8)), rng.dirichlet(np.ones(8))
+    poly = Polytope(np.vstack([np.ones((1, 8)), b_rows]), np.concatenate([[1.0], b_rows @ x0]))
+    builds = []
+    real_hull, real_lp = scipy.spatial.HalfspaceIntersection, solvers.lp_solve
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection",
+                        lambda *a: builds.append("qhull") or real_hull(*a))
+    monkeypatch.setattr(solvers, "lp_solve", lambda prob: builds.append("lp") or real_lp(prob))
+    res = cut_loop(sf, poly, SolveOptions(seed=seed))
+    assert builds == ["lp", "qhull"] * (len(builds) // 2)
+    assert (len(builds) > 0) == (m == 5)
+    exact = vertex_reduce(sf, Polytope(poly.a, poly.b), SolveOptions(seed=seed))
+    assert res.converged and exact.converged
+    assert abs(res.rho - exact.rho) <= 1e-9
+
+
 def _lp_min(poly: Polytope, c: np.ndarray) -> float:
     """min c . x over the polytope, by HiGHS."""
     bounds = [(0.0, None)] * poly.num_vars

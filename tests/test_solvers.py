@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import lowform.solvers as solvers
-from conftest import brute_force_min, random_polynomial, reference_evaluate, serial_multi_start
+from conftest import (
+    brute_force_min,
+    hrep_linprog_vertex,
+    random_polynomial,
+    reference_evaluate,
+    serial_multi_start,
+)
 from lowform.poly import GradientEvaluator, Polynomial
 from lowform.solvers import (
     Hrep,
@@ -243,21 +248,22 @@ _ENTRY = st.sampled_from([0.0]) | st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
 
 
 @st.composite
-def bounded_regions(draw):
-    """A box in dimension 1-3 plus rows that keep a drawn point x0 feasible.
+def bounded_regions(draw, dims=st.integers(1, 5), row_counts=lambda dim: st.integers(0, 6)):
+    """A box in a dimension drawn from ``dims`` plus rows, as many as
+    ``row_counts(dim)`` draws, that keep a drawn point x0 feasible.
 
     Rows are random, parallel to an earlier row (same or opposite side), or
     exact duplicates; a slack of 0 puts x0 on the row, which makes vertices
     degenerate when several rows share it.
     """
-    dim = draw(st.integers(1, 3))
+    dim = draw(dims)
     vec = st.lists(_ENTRY, min_size=dim, max_size=dim).map(np.array)
     lo = np.array(draw(st.lists(st.floats(-2.0, -0.1), min_size=dim, max_size=dim)))
     hi = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=dim, max_size=dim)))
     t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)))
     x0 = lo + t * (hi - lo)
     rows, rhs = [], []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(row_counts(dim))):
         kind = draw(st.sampled_from(["random", "parallel", "duplicate"])) if rows else "random"
         if kind == "duplicate":
             rows.append(rows[-1])
@@ -275,29 +281,17 @@ def bounded_regions(draw):
     return region, np.array(direction)
 
 
-def _linprog_min(region: Hrep, direction: np.ndarray) -> float:
-    res = linprog(
-        direction,
-        A_ub=region.a_ub if region.a_ub.shape[0] else None,
-        b_ub=region.b_ub if region.b_ub.size else None,
-        bounds=list(zip(region.lo, region.hi)),
-        method="highs",
-        # HiGHS' default tolerances (1e-7) would let it ignore cost entries
-        # below 1e-7 and miss the optimum by more than this test allows.
-        options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
-    )
-    assert res.status == 0
-    return float(res.fun)
+def _assert_lmo_matches_linprog(region: Hrep, direction: np.ndarray):
+    v = region.lmo(direction)
+    opt = float(direction @ hrep_linprog_vertex(region, direction))
+    assert abs(direction @ v - opt) <= 1e-9 * max(1.0, abs(opt))
+    assert region.contains(v)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bounded_regions())
 def test_vertex_table_lmo_matches_linprog(case):
-    region, direction = case
-    v = region.lmo(direction)
-    opt = _linprog_min(region, direction)
-    assert abs(direction @ v - opt) <= 1e-9 * max(1.0, abs(opt))
-    assert region.contains(v)
+    _assert_lmo_matches_linprog(*case)
 
 
 def _counting_lp(monkeypatch):
@@ -323,14 +317,65 @@ def test_vertex_table_lmo_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-def test_lmo_uses_lp_above_dim_3_and_for_infinite_bounds(monkeypatch):
+# C(rows + 2 dim, dim) exceeds the subset cap from 24 rows in dimension 4
+# and from 13 rows in dimension 5
+_ABOVE_CAP_ROWS = {4: st.integers(24, 30), 5: st.integers(13, 18)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_regions(st.sampled_from([4, 5]), _ABOVE_CAP_ROWS.get), st.data())
+def test_lmo_above_the_subset_cap_matches_linprog(case, data):
+    # qhull builds the table after one LP for the Chebyshev center (a flat
+    # region enumerates its subsets after that LP); no lmo call solves one
+    region, direction = case
+    rows = region.halfspaces()[0].shape[0]
+    assert math.comb(rows, region.dim) > solvers._TABLE_MAX_SUBSETS
+    coordinate = st.floats(-1.0, 1.0)
+    more = data.draw(st.lists(st.lists(coordinate, min_size=region.dim, max_size=region.dim),
+                              min_size=1, max_size=5))
+    directions = [direction] + [np.array(d) for d in more]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_lp(patch)
+        for d in directions:
+            region.lmo(d)
+        assert len(calls) == 1
+    for d in directions:
+        _assert_lmo_matches_linprog(region, d)
+
+
+def test_hrep_lmo_solves_no_lp_in_dimension_4(monkeypatch):
+    # the skewed quadratic of test_frank_wolfe_reaches_interior_minimizer
+    # plus z^2 + w^2, over [-1, 1]^4: minimizer (0.3, -0.2, 0, 0)
     calls = _counting_lp(monkeypatch)
     box4 = Hrep(a_ub=np.zeros((0, 4)), b_ub=np.zeros(0), lo=[-1.0] * 4, hi=[1.0] * 4)
     assert np.allclose(box4.lmo(np.array([1.0, -1.0, 2.0, -2.0])), [-1, 1, -1, 1])
-    assert len(calls) == 1
-    half = Hrep(a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=[0.0, 0.0], hi=[np.inf, 2.0])
-    assert np.allclose(half.lmo(np.array([-1.0, 0.0])), [1.0, 0.0])
-    assert len(calls) == 2
+    p = Polynomial(4, {(2, 0, 0, 0): 1.0, (1, 1, 0, 0): 1.8, (0, 2, 0, 0): 1.0,
+                       (1, 0, 0, 0): -0.24, (0, 1, 0, 0): -0.14,
+                       (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
+    res = minimize_polytope(p, box4, OPTS)
+    assert res.status == "converged"
+    assert np.abs(res.point - [0.3, -0.2, 0.0, 0.0]).max() < 1e-7
+    assert calls == []
+
+
+@pytest.mark.parametrize("a_ub, b_ub, lo, hi", [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0], [0.0] * 4, [1.0] * 4),  # 2 columns, not 4
+    ([1.0, 1.0, 1.0, 1.0], [1.0], [0.0] * 4, [1.0] * 4),  # a flat a_ub
+    ([[1.0, 1.0]], [1.0, 2.0], [0.0, 0.0], [1.0, 1.0]),  # b_ub too long
+    ([[1.0, 1.0]], [[1.0]], [0.0, 0.0], [1.0, 1.0]),  # b_ub not a vector
+    ([], [], [0.0, 0.0], [1.0, 1.0, 1.0]),  # lo and hi disagree
+    ([], [], 0.0, 1.0),  # scalar bounds
+    ([[1.0, 1.0]], [1.0], [0.0, -np.inf], [1.0, 1.0]),  # infinite bounds
+    ([[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, 2.0]),
+    ([[1.0, 1.0]], [1.0], [0.0, np.nan], [1.0, 1.0]),
+    ([[np.nan, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0]),  # NaN rows
+    ([[1.0, 1.0]], [np.nan], [0.0, 0.0], [1.0, 1.0]),
+    ([], [], [1.0, 0.0], [0.0, 1.0]),  # lo above hi
+])
+def test_malformed_region_is_rejected(a_ub, b_ub, lo, hi):
+    # Frank-Wolfe needs a bounded region, and the box is its only guarantee
+    with pytest.raises(ValueError):
+        Hrep(a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
 
 
 def test_empty_region_raises(monkeypatch):
