@@ -9,7 +9,6 @@ from .approx import (
     choose_m,
     conditional_expectation_cubature,
     conditional_expectation_exact,
-    hhat_eval,
     l2_error,
     solve_Q,
     split_spectrum,
@@ -35,11 +34,7 @@ from .linalg import (
     psd_sqrt,
     sym_eig,
 )
-from .poly import (
-    Polynomial,
-    ball_monomial_moment,
-    expectation_uniform_ball,
-)
+from .poly import Polynomial, ball_monomial_moment
 from .polytope import (
     Cut,
     CutSet,

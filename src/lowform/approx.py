@@ -67,9 +67,6 @@ class SpectrumSplit:
     def m(self) -> int:
         return self.ell.shape[1]
 
-    def tail_sum(self) -> float:
-        return float(self.lambda_tail.sum())
-
 
 @dataclass
 class LiftedPolynomial:
@@ -89,10 +86,6 @@ class LiftedPolynomial:
         """Largest |coefficient| among odd-Y terms (zero for valid lifts)."""
         odd = self.poly.exps[:, -1] % 2 == 1
         return float(np.abs(self.poly.coefs[odd]).max(initial=0.0))
-
-    def y_mass(self) -> float:
-        """Total |coefficient| mass of Y-dependent terms."""
-        return float(np.abs(self.poly.coefs[self.poly.exps[:, -1] > 0]).sum())
 
     def to_ball_polynomial(self) -> Polynomial:
         """Eliminate Y via Y^2 = 1 - |X|^2; requires an even-Y lift.
@@ -316,24 +309,6 @@ def solve_Q(fhat: LiftedPolynomial, opts: SolveOptions | None = None) -> Surroga
     res = minimize_ball(fhat.to_ball_polynomial(), opts)
     y = np.sqrt(max(0.0, 1.0 - res.point @ res.point))
     return SurrogateMinimum(res.value, np.append(res.point, y), res.status)
-
-
-def hhat_eval(fhat: LiftedPolynomial, split: SpectrumSplit, x: np.ndarray) -> float:
-    """Surrogate value at an ambient point: fhat(ell^T x, sqrt(1 - |ell^T x|^2))."""
-    return float(hhat_eval_many(fhat, split, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def hhat_eval_many(
-    fhat: LiftedPolynomial, split: SpectrumSplit, points: np.ndarray
-) -> np.ndarray:
-    """Vectorized surrogate evaluation at rows of ``points``."""
-    pts = np.asarray(points, dtype=float)
-    proj = pts @ split.ell
-    sq = (proj**2).sum(axis=1)
-    if np.any(sq > (1.0 + 1e-6) ** 2):
-        raise ValueError("a point projects outside the unit ball")
-    y = np.sqrt(np.clip(1.0 - sq, 0.0, None))
-    return fhat.poly.evaluate_many(np.hstack([proj, y[:, None]]))
 
 
 def l2_error(h: Polynomial, fhat: LiftedPolynomial, split: SpectrumSplit) -> float:

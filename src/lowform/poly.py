@@ -21,8 +21,10 @@ one variable.  The tree is built once per instance, on first use.
   go through in blocks sized by a fixed byte budget, so memory stays flat
   whatever the point count; ``evaluate`` is the one-point case.
 * ``compose(A)`` is the linear substitution x = A t.  It walks the same
-  tree, carrying each node's image as a dense vector over the graded
-  monomials of the target variables, and sums the images of the terms.
+  tree top-down as a multivariate Horner scheme: each node carries the
+  image of its subtree, a dense vector over the graded monomials of the
+  target variables of degree <= depth - d at level d, and the root's image
+  is the result.  A level holds nodes x such monomials floats.
 * :class:`GradientEvaluator` serves the solvers: one tree over p and its
   partials gives value and gradient from a single fill per point, for one
   point or for the rows of a lockstep batch.
@@ -132,14 +134,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return self.degree() == 0
-
-    def coefficient_distance(self, other: "Polynomial") -> float:
-        """Max absolute coefficient difference between two polynomials."""
-        self._check_same_space(other)
-        _, diff = _merge(
-            np.vstack([self.exps, other.exps]), np.concatenate([self.coefs, -other.coefs])
-        )
-        return float(np.abs(diff).max(initial=0.0))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -271,12 +265,13 @@ class Polynomial:
 
         The result has k variables and degree at most p's.  Entries of A
         below ``DROP_TOL`` in magnitude count as zero, like every other
-        coefficient.  With x_v = sum_j A_vj t_j, the image of every tree node is a dense vector
-        over the graded monomials of degree <= deg(node) in t:
-        image(child) = sum_j A_vj shift_j(image(parent)) for the child's
-        variable v, where shift_j multiplies by t_j.  The result is the
-        coefficient-weighted sum of the images, one level at a time, so only
-        two levels are held at once.
+        coefficient.  The tree is walked top-down as a multivariate Horner
+        scheme: with x_v = sum_j A_vj t_j, every node carries the image of
+        its subtree, T(node) = w_node + sum_children x_var T(child), a dense
+        vector over the graded monomials of degree <= depth - d in t for a
+        node of level d, and T(root) is the result.  A level's images are
+        (nodes, graded monomials) floats, and x_v shifts a child's image
+        into its parent's by one ``bincount`` per target variable.
         """
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != self.num_vars:
@@ -288,18 +283,21 @@ class Polynomial:
         tree, weights = self._kernel()
         top = tree.depth
         basis, ends, shift = _graded_basis(k, top)
-        acc = np.zeros(ends[top])
-        acc[0] = weights[0]
-        images = np.ones((1, 1))  # column i: the image of node i of the level
-        for d, (lo, hi, parent, var) in enumerate(tree.levels, start=1):
-            prev = images[:, parent - tree.start[d - 1]]
-            width = ends[d - 1]
-            images = np.zeros((ends[d], hi - lo))
-            for j in range(k):
-                images[shift[:width, j]] += prev * A[var, j]
-            acc[: ends[d]] += images @ weights[lo:hi]
-        keep = np.flatnonzero(acc)
-        return Polynomial.from_arrays(k, basis[keep], acc[keep])
+        images = weights[tree.start[top] :, None]  # row i: T(node i of the level)
+        for d in range(top, 0, -1):
+            _, _, parent, var = tree.levels[d - 1]
+            lo, hi = tree.start[d - 1], tree.start[d]
+            width = ends[top - d + 1]
+            at = (parent - lo)[:, None] * width  # where each child's parent row starts
+            flat = np.zeros((hi - lo) * width)
+            flat[::width] = weights[lo:hi]  # each parent's own coefficient
+            for column, scale in zip(shift[: images.shape[1]].T, A[var].T):
+                flat += np.bincount(
+                    (at + column).ravel(), (images * scale[:, None]).ravel(), flat.size
+                )
+            images = flat.reshape(hi - lo, width)
+        keep = np.flatnonzero(images[0])
+        return Polynomial.from_arrays(k, basis[keep], images[0, keep])
 
     # ------------------------------------------------------------------
     # serialization
@@ -652,11 +650,6 @@ def partial_terms(
     shifted = exps[terms]
     shifted[np.arange(terms.size), var] -= 1
     return var, shifted, coefs[terms] * exps[terms, var]
-
-
-def expectation_uniform_ball(p: Polynomial) -> float:
-    """E[p(x)] for x uniform on the unit ball in p.num_vars dimensions."""
-    return float(p.coefs @ ball_moments(p.exps, p.num_vars))
 
 
 def monomials_up_to(num_vars: int, degree: int) -> Iterator[Exponent]:

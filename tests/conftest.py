@@ -34,6 +34,7 @@ from lowform.poly import (
     DROP_TOL,
     GradientEvaluator,
     Polynomial,
+    ball_moments,
     ball_monomial_moment,
     monomials_up_to,
 )
@@ -233,6 +234,52 @@ def mc_l2_error(h: Polynomial, fhat, split, num_samples: int, seed: int):
     hhat = reference_evaluate(fhat.poly, np.hstack([proj, y[:, None]]))
     diff_sq = (reference_evaluate(h, pts) - hhat) ** 2
     return float(diff_sq.mean()), float(diff_sq.std(ddof=1) / np.sqrt(num_samples))
+
+
+# ----------------------------------------------------------------------
+# measures the tests read off library results
+# ----------------------------------------------------------------------
+
+
+def coefficient_distance(p: Polynomial, q: Polynomial) -> float:
+    """Max absolute coefficient difference between two polynomials in the
+    same variables, over the union of their term maps."""
+    if p.num_vars != q.num_vars:
+        raise ValueError(f"{p.num_vars} against {q.num_vars} variables")
+    a, b = p.terms, q.terms
+    return max((abs(a.get(e, 0.0) - b.get(e, 0.0)) for e in a.keys() | b.keys()), default=0.0)
+
+
+def expectation_uniform_ball(p: Polynomial) -> float:
+    """E[p(x)] for x uniform on the unit ball in p.num_vars dimensions."""
+    return float(p.coefs @ ball_moments(p.exps, p.num_vars))
+
+
+def tail_sum(split) -> float:
+    """Sum of a spectrum split's tail eigenvalues."""
+    return float(split.lambda_tail.sum())
+
+
+def y_mass(fhat) -> float:
+    """Total |coefficient| mass of a lift's Y-dependent terms."""
+    return float(np.abs(fhat.poly.coefs[fhat.poly.exps[:, -1] > 0]).sum())
+
+
+def hhat_eval_many(fhat, split, points: np.ndarray) -> np.ndarray:
+    """Surrogate values fhat(ell^T x, sqrt(1 - |ell^T x|^2)) at the rows x
+    of ``points``; ValueError if one projects outside the unit ball."""
+    pts = np.asarray(points, dtype=float)
+    proj = pts @ split.ell
+    sq = (proj**2).sum(axis=1)
+    if np.any(sq > (1.0 + 1e-6) ** 2):
+        raise ValueError("a point projects outside the unit ball")
+    y = np.sqrt(np.clip(1.0 - sq, 0.0, None))
+    return fhat.poly.evaluate_many(np.hstack([proj, y[:, None]]))
+
+
+def hhat_eval(fhat, split, x: np.ndarray) -> float:
+    """Surrogate value at one ambient point."""
+    return float(hhat_eval_many(fhat, split, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def finite_difference_gradient(p: Polynomial, x: np.ndarray, step: float = 1e-5):

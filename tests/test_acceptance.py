@@ -13,16 +13,19 @@ import pytest
 
 from conftest import (
     brute_force_min,
+    coefficient_distance,
     finite_difference_gradient,
+    hhat_eval,
     lp_vertex_enumeration,
     mc_ball_points,
     polytope_sample,
     random_polynomial,
     sin_principal_angle,
+    tail_sum,
+    y_mass,
 )
 from lowform.approx import (
     build_cubature,
-    hhat_eval,
     conditional_expectation_cubature,
     conditional_expectation_exact,
     l2_error,
@@ -202,7 +205,7 @@ def test_criterion_5_conditional_expectation_exactness(approx_corpus):
             assert sigma <= 3.0, (inst.seed, y, exact, vals.mean(), se)
         rule = build_cubature(d, inst.h.degree(), seed=inst.seed)
         cub = conditional_expectation_cubature(inst.h, split, rule)
-        coef_gap = fhat.poly.coefficient_distance(cub.poly)
+        coef_gap = coefficient_distance(fhat.poly, cub.poly)
         worst_coef_gap = max(worst_coef_gap, coef_gap)
         assert coef_gap < 1e-8, inst.seed
         assert cub.odd_y_violation() < 1e-12, inst.seed
@@ -263,8 +266,8 @@ def test_criterion_7_limit_case():
         inst = generate_instance(seed, n, m, degree, epsilon=eps)
         split = split_spectrum(inst.h, m)
         fhat = conditional_expectation_exact(inst.h, split)
-        tails.append(split.tail_sum())
-        masses.append(fhat.y_mass())
+        tails.append(tail_sum(split))
+        masses.append(y_mass(fhat))
         errors.append(l2_error(inst.h, fhat, split))
         rho = solve_Q(fhat, SolveOptions(seed=3)).rho
         gaps.append(abs(rho - f_min))

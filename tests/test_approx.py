@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_min,
+    coefficient_distance,
+    expectation_uniform_ball,
+    hhat_eval,
+    hhat_eval_many,
     mc_ball_points,
     mc_l2_error,
     reference_compose,
     sin_principal_angle,
+    tail_sum,
+    y_mass,
 )
 from lowform.approx import (
     LiftedPolynomial,
@@ -21,8 +27,6 @@ from lowform.approx import (
     choose_m,
     conditional_expectation_cubature,
     conditional_expectation_exact,
-    hhat_eval,
-    hhat_eval_many,
     l2_error,
     solve_Q,
     split_spectrum,
@@ -32,7 +36,6 @@ from lowform.generate import generate_instance
 from lowform.poly import (
     Polynomial,
     ball_monomial_moment,
-    expectation_uniform_ball,
     monomials_up_to,
 )
 from lowform.solvers import SolveOptions, minimize_ball
@@ -53,7 +56,7 @@ def axes_split(n: int, m: int) -> SpectrumSplit:
 def test_split_spectrum_exactly_sparse_tail():
     inst = generate_instance(40, 5, 2, 3)
     split = split_spectrum(inst.h, 2)
-    assert split.tail_sum() < 1e-10
+    assert tail_sum(split) < 1e-10
     assert sin_principal_angle(split.ell, inst.ell0) < 1e-7
     frame = np.hstack([split.ell, split.s])
     assert np.allclose(frame.T @ frame, np.eye(5), atol=1e-8)
@@ -88,17 +91,17 @@ def test_conditional_expectation_tail_square():
     # h = x3^2 with head (e1, e2): average of (Y v)^2 over E_1 is Y^2 / 3
     h = Polynomial(3, {(0, 0, 2): 1.0})
     fhat = conditional_expectation_exact(h, axes_split(3, 2))
-    assert fhat.poly.coefficient_distance(Polynomial(3, {(0, 0, 2): 1 / 3})) < 1e-14
+    assert coefficient_distance(fhat.poly, Polynomial(3, {(0, 0, 2): 1 / 3})) < 1e-14
 
 
 def test_conditional_expectation_exactly_sparse_is_f():
     inst = generate_instance(43, 5, 2, 3)
     split = split_spectrum(inst.h, 2)
     fhat = conditional_expectation_exact(inst.h, split)
-    assert fhat.y_mass() < 1e-12
+    assert y_mass(fhat) < 1e-12
     sf = extract_sparse_form(inst.h, split.ell)
     x_only = Polynomial(2, {e[:2]: c for e, c in fhat.poly.terms.items()})
-    assert x_only.coefficient_distance(sf.f) < 1e-10
+    assert coefficient_distance(x_only, sf.f) < 1e-10
 
 
 def test_conditional_expectation_odd_tail_vanishes():
@@ -139,7 +142,7 @@ def test_cubature_path_matches_exact_path():
     h = Polynomial(3, {(0, 0, 2): 1.0})
     rule = build_cubature(1, 3, seed=0)
     fhat = conditional_expectation_cubature(h, axes_split(3, 2), rule)
-    assert fhat.poly.coefficient_distance(Polynomial(3, {(0, 0, 2): 1 / 3})) < 1e-12
+    assert coefficient_distance(fhat.poly, Polynomial(3, {(0, 0, 2): 1 / 3})) < 1e-12
 
     for i in range(3):
         inst = generate_instance(70 + i, 4, 2, 4, epsilon=0.1)
@@ -147,7 +150,7 @@ def test_cubature_path_matches_exact_path():
         exact = conditional_expectation_exact(inst.h, split)
         rule = build_cubature(2, inst.h.degree(), seed=i)
         cub = conditional_expectation_cubature(inst.h, split, rule)
-        assert exact.poly.coefficient_distance(cub.poly) < 1e-8
+        assert coefficient_distance(exact.poly, cub.poly) < 1e-8
 
 
 def test_cubature_surrogate_at_points():
@@ -301,7 +304,7 @@ def test_to_ball_polynomial_eliminates_y():
     expected = Polynomial(
         2, {(0, 0): 1 / 3, (2, 0): -1 / 3, (0, 2): -1 / 3, (1, 0): 0.5}
     )
-    assert q.coefficient_distance(expected) < 1e-14
+    assert coefficient_distance(q, expected) < 1e-14
     odd = LiftedPolynomial(1, Polynomial(2, {(0, 1): 1.0}))
     with pytest.raises(ValueError):
         odd.to_ball_polynomial()
@@ -310,7 +313,7 @@ def test_to_ball_polynomial_eliminates_y():
     noisy = LiftedPolynomial(
         2, Polynomial(3, {(0, 0, 2): 1e10 / 3, (1, 0, 0): 5e9, (0, 1, 1): 1e-3})
     )
-    assert noisy.to_ball_polynomial().coefficient_distance(expected * 1e10) < 1e-5
+    assert coefficient_distance(noisy.to_ball_polynomial(), expected * 1e10) < 1e-5
 
 
 def test_equality_of_surrogate_minima_mini():
@@ -333,6 +336,6 @@ def test_l2_ratio_stays_bounded_over_epsilon_family():
         split = split_spectrum(inst.h, 2)
         fhat = conditional_expectation_exact(inst.h, split)
         err = l2_error(inst.h, fhat, split)
-        ratios.append(err / split.tail_sum())
+        ratios.append(err / tail_sum(split))
     assert max(ratios) / min(ratios) < 100.0
     assert max(ratios) < 50.0

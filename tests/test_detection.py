@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coefficient_distance,
     mc_ball_points,
     random_polynomial,
     reference_moment_matrix,
@@ -131,7 +132,7 @@ def test_detect_randomized_stabilization_error():
 def test_extract_examples():
     basis = np.array([[1.0], [1.0]]) / math.sqrt(2)
     sf = extract_sparse_form(SQUARE, basis)
-    assert sf.f.coefficient_distance(Polynomial(1, {(2,): 2.0})) < 1e-12
+    assert coefficient_distance(sf.f, Polynomial(1, {(2,): 2.0})) < 1e-12
     assert verify_sparse_form(SQUARE, sf, 200, seed=0) < 1e-12
 
     h = Polynomial(2, {(1, 0): 1.0})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coefficient_distance,
+    expectation_uniform_ball,
     finite_difference_gradient,
     fraction_ball_moment,
     mc_ball_points,
@@ -23,6 +26,7 @@ from conftest import (
     reference_sub,
     reference_terms,
 )
+from lowform.generate import generate_instance
 from lowform.poly import (
     DROP_TOL,
     DimensionMismatchError,
@@ -30,9 +34,9 @@ from lowform.poly import (
     Polynomial,
     ball_monomial_moment,
     ball_moments,
-    expectation_uniform_ball,
     monomials_up_to,
 )
+from lowform.sampling import sample_ball
 
 
 def test_evaluate_examples():
@@ -193,8 +197,8 @@ def test_substitution_is_ring_homomorphism():
         q = random_polynomial(rng, n, 2)
         A = rng.standard_normal((n, k))
         sub = lambda r: r.compose(A)
-        assert sub(p * q).coefficient_distance(sub(p) * sub(q)) < 1e-10
-        assert sub(p + q).coefficient_distance(sub(p) + sub(q)) < 1e-10
+        assert coefficient_distance(sub(p * q), sub(p) * sub(q)) < 1e-10
+        assert coefficient_distance(sub(p + q), sub(p) + sub(q)) < 1e-10
 
 
 def test_evaluate_commutes_with_substitution():
@@ -362,6 +366,7 @@ def test_arithmetic_matches_reference(n, degree, kind_p, kind_q, power, seed):
 @example(n=4, k=0, degree=3, kind="dense", seed=1)  # no target variables: p(0)
 @example(n=5, k=5, degree=4, kind="dense", seed=2)  # k = n
 @example(n=3, k=2, degree=3, kind="zero", seed=3)
+@example(n=8, k=8, degree=4, kind="dense", seed=4)  # a deeper Horner walk
 def test_compose_matches_reference(n, k, degree, kind, seed):
     rng = np.random.default_rng(seed)
     p = _poly_case(n, degree, kind, rng)
@@ -372,8 +377,33 @@ def test_compose_matches_reference(n, k, degree, kind, seed):
     # every coefficient of the image is a sum of products bounded by p's
     # magnitude at the 1-norms of the rows of A
     norms = np.abs(A).sum(axis=1)
-    assert got.coefficient_distance(want) <= 1e-12 * max(1.0, _magnitude(p, norms))
+    assert coefficient_distance(got, want) <= 1e-12 * max(1.0, _magnitude(p, norms))
     assert all(abs(c) >= DROP_TOL for c in got.terms.values())
+
+
+def test_compose_rotation_round_trip_at_n_24():
+    # a dense quartic in 24 variables (20,475 terms): an n -> n compose that
+    # would hold C(27, 4) x C(28, 4) floats (2.9 GB) if every node carried the
+    # image of its own monomial
+    h = generate_instance(1, 24, 3, 4, 0.05).h
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
+    h.evaluate(np.zeros(24))  # builds the monomial tree
+    tracemalloc.start()
+    try:
+        rotated = h.compose(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+    back = rotated.compose(Q.T)
+    assert np.array_equal(back.exps, h.exps)
+    assert np.abs(back.coefs - h.coefs).max() <= 1e-12
+
+    pts = sample_ball(np.random.default_rng(1), 50, 24)
+    want = h.evaluate_many(pts @ Q.T)
+    got = rotated.evaluate_many(pts)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @settings(max_examples=80, deadline=None)
