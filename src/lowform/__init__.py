@@ -34,7 +34,7 @@ from .linalg import (
     psd_sqrt,
     sym_eig,
 )
-from .poly import Polynomial, ball_monomial_moment
+from .poly import Polynomial
 from .polytope import (
     Cut,
     CutSet,

@@ -48,7 +48,6 @@ from .polytope import (
     Polytope,
     UnboundedDomainError,
     box_reduce,
-    cut_loop,
     simplex_reduce,
     vertex_reduce,
 )
@@ -77,20 +76,14 @@ class CliInputError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """The ``json.dumps`` hook for numpy values: arrays become lists and
+    scalars Python numbers."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
@@ -134,7 +127,7 @@ def _load_sparse_form(path: str) -> SparseForm:
 
 def _dump(path: str, obj) -> str:
     """Write obj to path as indented JSON and return the text."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return text
@@ -238,21 +231,26 @@ def cmd_reduce_sphere(args) -> int:
     return EXIT_OK
 
 
+def _reduce_standard_form(kind, args, sf: SparseForm, inputs: list[str]):
+    """Minimize f(ell^T x) over the simplex, the box, or (``kind`` None or
+    "polytope") the polytope of ``--A`` and ``--b``, whose files join
+    ``inputs``: the one route of ``reduce-polytope`` and ``pipeline``."""
+    opts = _solve_options(args)
+    if kind == "simplex":
+        return simplex_reduce(sf, opts)
+    if kind == "box":
+        return box_reduce(sf, opts)
+    if not (args.A and args.b):
+        raise CliInputError("a general polytope needs --A and --b")
+    poly = Polytope(a=_load_matrix(args.A), b=np.asarray(_load_json(args.b), dtype=float))
+    inputs += [args.A, args.b]
+    return vertex_reduce(sf, poly, opts)
+
+
 def cmd_reduce_polytope(args) -> int:
     started = time.monotonic()
-    sf = _load_sparse_form(args.sparse)
-    opts = _solve_options(args)
     inputs = [args.sparse]
-    if args.preset == "simplex":
-        result = simplex_reduce(sf, opts)
-    elif args.preset == "box":
-        result = box_reduce(sf, opts)
-    else:
-        if not (args.A and args.b):
-            raise CliInputError("general polytopes need --A and --b (or use --preset)")
-        poly = Polytope(a=_load_matrix(args.A), b=np.asarray(_load_json(args.b), dtype=float))
-        inputs += [args.A, args.b]
-        result = cut_loop(sf, poly, opts, tol=args.sep_tol)
+    result = _reduce_standard_form(args.preset, args, _load_sparse_form(args.sparse), inputs)
     report = {
         "rho": result.rho,
         "X_star": result.x_star,
@@ -403,19 +401,7 @@ def cmd_pipeline(args) -> int:
                 status = EXIT_NO_CONVERGENCE
         else:
             report["route"] = f"exact/{args.domain}"
-            if args.domain == "simplex":
-                result = simplex_reduce(sf, opts)
-            elif args.domain == "box":
-                result = box_reduce(sf, opts)
-            else:
-                if not (args.A and args.b):
-                    raise CliInputError("polytope domain needs --A and --b")
-                poly = Polytope(
-                    a=_load_matrix(args.A),
-                    b=np.asarray(_load_json(args.b), dtype=float),
-                )
-                inputs += [args.A, args.b]
-                result = vertex_reduce(sf, poly, opts)
+            result = _reduce_standard_form(args.domain, args, sf, inputs)
             report["rho"] = result.rho
             report["X_star"] = result.x_star
             report["iterations"] = result.iterations
@@ -506,12 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse", required=True)
     p.set_defaults(func=cmd_reduce_sphere)
 
-    p = sub.add_parser("reduce-polytope", parents=[out, seed, solver], help="cut-generation reduction")
+    p = sub.add_parser("reduce-polytope", parents=[out, seed, solver], help="polytope reduction")
     p.add_argument("--sparse", required=True)
     p.add_argument("--A")
     p.add_argument("--b")
     p.add_argument("--preset", choices=["simplex", "box"])
-    p.add_argument("--sep-tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_reduce_polytope)
 
     p = sub.add_parser("solve", parents=[out, seed, solver], help="minimize a polynomial on a domain")
@@ -529,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[out, seed, rank, solver], help="detect, route, reduce, solve")
     p.add_argument("--input", required=True)
-    p.add_argument("--domain", required=True, help="sphere | simplex | box | polytope")
+    p.add_argument("--domain", required=True, choices=["sphere", "simplex", "box", "polytope"])
     p.add_argument("--A")
     p.add_argument("--b")
     p.add_argument("--method", choices=["exact", "randomized"], default="exact")

@@ -572,28 +572,16 @@ def _even_moment(beta: Exponent, n: int) -> float:
 
 
 def ball_monomial_moment(alpha: Sequence[int], n: int) -> float:
-    """E[x^alpha] for x uniform on the n-dimensional unit ball.
-
-    Zero whenever any entry of ``alpha`` is odd, by sign symmetry.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != n:
-        raise DimensionMismatchError(f"alpha has length {len(alpha)}, expected {n}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be nonnegative")
-    if n == 0:
-        return 1.0
-    if any(a % 2 for a in alpha):
-        return 0.0
-    return _even_moment(tuple(a // 2 for a in alpha), n)
+    """:func:`ball_moments` of the one exponent row ``alpha``.  No library
+    code calls it; ``benchmark/tracer.py`` wraps it by this name."""
+    return float(ball_moments(np.asarray(alpha, dtype=np.int64).reshape(1, -1), n)[0])
 
 
 def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
     """E[x^alpha] for every row alpha of an (N, n) integer exponent matrix.
 
-    The array form of :func:`ball_monomial_moment`, equal to it bit for bit:
-    rows with an odd entry are 0, and every other distinct row is evaluated
-    once by the same exact integer formula.
+    Rows with an odd entry are 0, by sign symmetry, and every other distinct
+    row is evaluated once by an exact integer formula.
     """
     exps = np.asarray(exponents)
     if exps.ndim != 2 or exps.shape[1] != n:

@@ -5,26 +5,31 @@ objective h(x) = f(ell^T x), the minimum of h over Omega is the minimum of f
 over the projection P = ell^T Omega.  P is the convex hull of the images of
 Omega's vertices, the basic feasible solutions, so :func:`vertex_reduce`
 enumerates them in one batched solve and minimizes f once over that vertex
-table; a convex mixture of the same vertices is the witness.  The canonical
-simplex goes the same way.
+table.  The canonical simplex goes the same way.  For the unit box, P is
+the zonotope ell^T [-1, 1]^n, whose linear minimization oracle is
+closed-form, so :func:`box_reduce` minimizes f over it directly.
+
+Both take the witness by one rule: the table row, or the zonotope oracle's
+box vertex at grad f(X*), whose image is X* to rounding, as it is for a
+concave f; else one LP over the domain for the point whose image is
+nearest X* (:func:`_witness_lp`), clipped to the domain's bounds.
 
 The table also answers the questions that would otherwise take LPs over
-Omega.  A nonempty table shows Omega nonempty.  Each row keeps its basis B,
-and the multipliers y with A_B^T y = c_B of a row minimizing c . x are a
-simplex dual certificate when the reduced costs c - A^T y are >= -eps: then
-c . x >= y . b - eps * sum(x) on all of Omega, and y . b is that row's
-value.  With c = -1 and eps = 1/2 this proves Omega bounded and bounds
-sum(x) on it; with c = ell grad f(X*) it proves that no point of Omega
-beats the table in that direction.  When X* is, to rounding, the image of
-a table row, as it is for a concave f, that row is the witness; only other
-X* ask an LP for a convex mixture of rows.  So a request over a general
-polytope or the simplex solves no LP when X* is a vertex image; each LP
-runs only where its certificate fails.
+Omega.  A nonempty table shows Omega nonempty, and its first row is a
+feasible point.  Each row keeps its basis B, and the multipliers y with
+A_B^T y = c_B of a row minimizing c . x are a simplex dual certificate
+when the reduced costs c - A^T y are >= -eps: then c . x >= y . b - eps *
+sum(x) on all of Omega, and y . b is that row's value.  With c = -1 and
+eps = 1/2 this proves Omega bounded and bounds sum(x) on it; with
+c = ell grad f(X*) it proves that no point of Omega beats the table in
+that direction.  So a request over a general polytope or the simplex
+solves no LP when X* is a vertex image; each LP runs only where its
+certificate fails.
 
-The paper's Farkas cut loop stays for the cases the table cannot answer (too
-many bases, a row-rank-deficient A) and as the ``reduce-polytope`` command.
-Every valid inequality on the projected point X = ell^T x has the shape
-u . X <= lambda . b with (lambda, u) in the cone
+The paper's Farkas cut loop, :func:`cut_loop`, is the fallback for the
+cases the table cannot answer (too many bases, a row-rank-deficient A, a
+failed certificate).  Every valid inequality on the projected point
+X = ell^T x has the shape u . X <= lambda . b with (lambda, u) in the cone
 
     C = {(lambda, u) : A^T lambda - ell u >= 0}.
 
@@ -32,11 +37,6 @@ The cut loop alternates between minimizing f over the current outer
 polyhedron and solving a separation LP over a normalized section of C; a
 negative separation value certifies that the current minimizer lies outside
 the projected feasible set and yields a violated cut.
-
-For the unit box, P is the zonotope ell^T [-1, 1]^n, whose linear
-minimization oracle is closed-form, so :func:`box_reduce` minimizes f over
-it directly, with no LP; the witness takes one only when X* is not the
-oracle's box vertex at grad f(X*).
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ class Polytope:
 
     ``table`` holds :func:`basic_feasible_solutions` of (a, b), the vertices
     with their bases, or None when the bases are over the cap or none is
-    feasible (a row-rank-deficient a, say).  A table shows the set nonempty;
-    without one a phase-one LP checks it at construction.  Either way
-    :meth:`feasible_point` returns phase one's point, solved once.
+    feasible (a row-rank-deficient a, say).  A table shows the set nonempty,
+    and its first row is :meth:`feasible_point`; without one a phase-one LP
+    checks the set nonempty at construction and gives that point.
     """
 
     a: np.ndarray
@@ -101,7 +101,7 @@ class Polytope:
             raise ValueError("a and b disagree on row count")
         table = basic_feasible_solutions(self.a, self.b)
         self.table = table if table is not None and table[0].shape[0] else None
-        self._feasible = None if self.table is not None else self._phase_one()
+        self._feasible = self.table[0][0] if self.table is not None else self._phase_one()
 
     @property
     def num_vars(self) -> int:
@@ -121,8 +121,6 @@ class Polytope:
         return res.point
 
     def feasible_point(self) -> np.ndarray:
-        if self._feasible is None:
-            self._feasible = self._phase_one()
         return self._feasible.copy()
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
@@ -263,7 +261,6 @@ def cut_loop(
     sf: SparseForm,
     poly: Polytope,
     opts: SolveOptions | None = None,
-    tol: float = SEPARATION_TOL,
     max_cuts: int = _MAX_CUTS,
 ) -> PolytopeReduceResult:
     """Minimize f(ell^T x) over a bounded standard-form polytope by cuts.
@@ -271,8 +268,9 @@ def cut_loop(
     Requires Omega nonempty (checked at construction) and bounded (checked by
     coordinate-range LPs here).  The outer polyhedron starts from an interval
     box derived from Omega's coordinate ranges and tightens by one Farkas cut
-    per iteration until the separation value is >= -tol.  A constant f
-    returns before any separation: with m = 0 there is no cut direction.
+    per iteration until the separation value is >= -``SEPARATION_TOL``.  A
+    constant f returns before any separation: with m = 0 there is no cut
+    direction.
     """
     # Each round solves the inner problem once, so zero rounds has no minimizer.
     if max_cuts < 1:
@@ -290,7 +288,7 @@ def cut_loop(
     cuts = CutSet()
     # Seed with one cut from separating the origin, when it yields one.
     tau0, cut0 = separation_lp(poly, ell, np.zeros(f.num_vars))
-    if tau0 < -tol and np.abs(cut0.u).sum() > 1e-12:
+    if tau0 < -SEPARATION_TOL and np.abs(cut0.u).sum() > 1e-12:
         cuts.cuts.append(cut0)
     inner_values: list[float] = []
     converged = False
@@ -298,7 +296,7 @@ def cut_loop(
         res = minimize_polytope(f, cuts.to_hrep(box_lo, box_hi), opts)
         inner_values.append(res.value)
         tau, cut = separation_lp(poly, ell, res.point)
-        if tau >= -tol:
+        if tau >= -SEPARATION_TOL:
             converged = res.status == "converged"
             break
         cuts.cuts.append(cut)
@@ -361,18 +359,19 @@ def vertex_reduce(
 
     P = ell^T Omega is the hull of the images of Omega's basic feasible
     solutions, so one :func:`minimize_polytope` call over ``poly.table``
-    finds X*; ``converged`` is that solve's status.  The witness is a vertex
-    of Omega whose image is X* to rounding (:func:`_is_rounding`), or else
-    a convex mixture of Omega's vertices whose weights one LP finds.  Two
-    checks read dual certificates off the table
-    (:func:`_dual_certificate`) and ask an LP over Omega only where the
-    certificate fails: that Omega is bounded (else UnboundedDomainError),
-    and that no point of P beats every table row in the direction
-    grad f(X*) by more than ``SEPARATION_TOL`` (relative), that is, that the
-    Frank-Wolfe gap over the true P does not exceed the table's.  When the
-    second check fails the result comes from :func:`cut_loop`, as it does
-    when there is no table (too many bases, or a row-rank-deficient A).  A
-    constant f returns at once, as in the cut loop.
+    finds X*; ``converged`` is that solve's status and ``iterations`` its
+    Frank-Wolfe steps.  The witness is the table row whose image is X* to
+    rounding (:func:`_is_rounding`), or else the point of Omega that one
+    LP finds (:func:`_witness_lp`).  Two checks read dual certificates off
+    the table (:func:`_dual_certificate`) and ask an LP over Omega only
+    where the certificate fails: that Omega is bounded (else
+    UnboundedDomainError), and that no point of P beats every table row in
+    the direction grad f(X*) by more than ``SEPARATION_TOL`` (relative),
+    that is, that the Frank-Wolfe gap over the true P does not exceed the
+    table's.  When the second check fails the result comes from
+    :func:`cut_loop`, as it does when there is no table (too many bases, or
+    a row-rank-deficient A).  A constant f returns at once, with
+    :meth:`Polytope.feasible_point` as the witness.
     """
     opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
@@ -405,16 +404,8 @@ def vertex_reduce(
         lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
         if lp_best < table_best - tol:
             return cut_loop(sf, poly, opts)
-    gaps = np.abs(region.points - res.point).sum(axis=1)
-    row = int(np.argmin(gaps))
-    witness = witness_gap = None
-    if _is_rounding(gaps[row], res.point):
-        witness = vertices[row].copy()
-    elif (weights := region.weights(res.point)) is not None:
-        witness = weights @ vertices
-    if witness is not None:
-        witness_gap = float(np.abs(ell.T @ witness - res.point).sum())
-    return _one_solve_result(res, witness, witness_gap)
+    row = int(np.argmin(np.abs(region.points - res.point).sum(axis=1)))
+    return _one_solve_result(res, ell, vertices[row].copy(), (0.0, None), poly.a, poly.b)
 
 
 def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
@@ -438,15 +429,8 @@ def box_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeRedu
         return _constant_result(sf.f, ell, np.zeros(ell.shape[0]))
     res = minimize_polytope(sf.f, Zonotope(ell), opts)
     vertex = -np.sign(ell @ GradientEvaluator(sf.f).grad(res.point))
-    gap = float(np.abs(ell.T @ vertex - res.point).sum())
-    if _is_rounding(gap, res.point):
-        return _one_solve_result(res, vertex, gap)
     n = ell.shape[0]
-    witness, _ = _witness_lp(ell, res.point, (-1.0, 1.0), np.zeros((0, n)), np.zeros(0))
-    if witness is None:
-        return _one_solve_result(res, None, None)
-    witness = np.clip(witness, -1.0, 1.0)  # HiGHS may overstep by its tolerance
-    return _one_solve_result(res, witness, float(np.abs(ell.T @ witness - res.point).sum()))
+    return _one_solve_result(res, ell, vertex, (-1.0, 1.0), np.zeros((0, n)), np.zeros(0))
 
 
 def _is_rounding(gap: float, x_star: np.ndarray) -> bool:
@@ -469,8 +453,16 @@ def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):
     )
 
 
-def _one_solve_result(res: SolveResult, witness, witness_gap) -> PolytopeReduceResult:
-    """The result of one inner solve over P itself: no cuts."""
+def _one_solve_result(res: SolveResult, ell, vertex, bounds, a, b) -> PolytopeReduceResult:
+    """The result of one inner solve over P itself: no cuts.
+
+    The witness is the domain's point ``vertex`` when its image is X* to
+    rounding (:func:`_is_rounding`), or else one :func:`_witness_lp` over
+    the domain {x : a @ x = b, x within ``bounds``}.
+    """
+    witness, witness_gap = vertex, float(np.abs(ell.T @ vertex - res.point).sum())
+    if not _is_rounding(witness_gap, res.point):
+        witness, witness_gap = _witness_lp(ell, res.point, bounds, a, b)
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -486,7 +478,8 @@ def _one_solve_result(res: SolveResult, witness, witness_gap) -> PolytopeReduceR
 def _witness_lp(ell: np.ndarray, x_star: np.ndarray, bounds, a: np.ndarray, b: np.ndarray):
     """x with a @ x = b and entries within ``bounds`` minimizing
     |ell^T x - x_star|_1, by slacks d+, d- >= 0 with ell^T x - d+ + d- =
-    x_star, and that minimum; (None, None) when the LP fails."""
+    x_star, and that distance; (None, None) when the LP fails.  HiGHS may
+    overstep ``bounds`` by its tolerance, so x is clipped to them."""
     n, m = ell.shape
     a_eq = np.vstack(
         [
@@ -501,5 +494,6 @@ def _witness_lp(ell: np.ndarray, x_star: np.ndarray, bounds, a: np.ndarray, b: n
     )
     if res.status != "optimal":
         return None, None
-    return res.point[:n], float(res.value)
+    x = np.clip(res.point[:n], *bounds)
+    return x, float(np.abs(ell.T @ x - x_star).sum())
 

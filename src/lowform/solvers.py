@@ -121,21 +121,6 @@ class VertexTable:
         weights = rng.dirichlet(np.ones(len(self.points)), size=count)
         return weights @ self.points
 
-    def weights(self, target: np.ndarray) -> np.ndarray | None:
-        """Convex weights w with w @ points = target (one LP), or None when
-        the LP finds target outside the hull.  HiGHS may undershoot the
-        bound w >= 0 by its tolerance, so w is clipped at 0."""
-        k = self.points.shape[0]
-        res = lp_solve(
-            LpProblem(
-                c=np.zeros(k),
-                a_eq=np.vstack([self.points.T, np.ones((1, k))]),
-                b_eq=np.concatenate([np.asarray(target, dtype=float), [1.0]]),
-                bounds=[(0.0, None)] * k,
-            )
-        )
-        return np.maximum(res.point, 0.0) if res.status == "optimal" else None
-
 
 @dataclass
 class Zonotope:

@@ -35,7 +35,6 @@ from lowform.poly import (
     GradientEvaluator,
     Polynomial,
     ball_moments,
-    ball_monomial_moment,
     monomials_up_to,
 )
 from lowform.polytope import Polytope
@@ -71,9 +70,14 @@ def mc_ball_moment(alpha, n: int, num: int, seed: int):
 
 
 def fraction_ball_moment(alpha, n: int) -> float:
-    """E[x^alpha] on the unit n-ball from the rational formula in Fraction
-    arithmetic, for even alpha = 2 beta with k = |beta|:
+    """E[x^alpha] on the unit n-ball: 1 on the 0-ball, a point; 0 when an
+    entry of alpha is odd, by sign symmetry; else the rational formula in
+    Fraction arithmetic, for alpha = 2 beta with k = |beta|:
     n prod_i (2 b_i)! / (4^b_i b_i!)  /  ((n + 2k) prod_{j<k} (n/2 + j))."""
+    if n == 0:
+        return 1.0
+    if any(a % 2 for a in alpha):
+        return 0.0
     beta = [a // 2 for a in alpha]
     num = Fraction(n)
     for b in beta:
@@ -358,6 +362,7 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
     when both factors share the same parity pattern.
     """
     n = h.num_vars
+    moment = functools.cache(lambda exp: fraction_ball_moment(exp, n))
     grads = h.gradient()
     buckets = []
     for g in grads:
@@ -380,7 +385,7 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
                 for exp_a, coef_a in terms_i:
                     for exp_b, coef_b in terms_j:
                         combined = tuple(a + b for a, b in zip(exp_a, exp_b))
-                        acc += coef_a * coef_b * ball_monomial_moment(combined, n)
+                        acc += coef_a * coef_b * moment(combined)
             matrix[i, j] = matrix[j, i] = acc
     return matrix
 

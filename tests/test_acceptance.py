@@ -41,7 +41,7 @@ from lowform.detection import (
 )
 from lowform.generate import generate_instance
 from lowform.linalg import LpProblem, lp_solve, sym_eig
-from lowform.poly import ball_monomial_moment
+from lowform.poly import ball_moments
 from lowform.polytope import Polytope, SparseForm, box_reduce, cut_loop
 from lowform.solvers import Hrep, SolveOptions, minimize_ball
 from lowform.sphere import lift_minimizer, reduce_sphere
@@ -66,12 +66,12 @@ def test_criterion_1_moment_oracle():
                 vals = vals * pts[:, i] ** a
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(len(pts)))
-        exact = ball_monomial_moment(alpha, n)
+        exact = ball_moments(np.array([alpha]), n)[0]
         sigma = abs(exact - est) / max(se, 1e-12)
         worst_sigma = max(worst_sigma, sigma)
         assert sigma <= 3.0, (alpha, n, exact, est, se)
         odd = alpha[:-1] + (alpha[-1] + 1,)
-        assert ball_monomial_moment(odd, n) == 0.0
+        assert ball_moments(np.array([odd]), n)[0] == 0.0
     report("criterion 1: moment oracle", f"worst deviation {worst_sigma:.2f} sigma")
 
 

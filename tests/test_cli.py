@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from lowform.cli import _build_parser, main
+from lowform.poly import Polynomial
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -400,9 +402,8 @@ def test_simplex_pipeline_solves_no_lp(tmp_path, monkeypatch):
 
 def test_simplex_pipeline_with_interior_minimizer_solves_one_lp(tmp_path, monkeypatch):
     # h(x) = |L^T x - L^T c|^2 is least at the simplex's centroid c, whose
-    # image is no vertex image: one LP finds the witness's weights
+    # image is no vertex image: one LP over the simplex finds the witness
     from lowform.linalg import lp_solve
-    from lowform.poly import Polynomial
 
     n = 5
     lin = np.random.default_rng(3).standard_normal((n, 2))
@@ -463,7 +464,7 @@ COMMAND_OPTIONS = {
     "detect": {"--input", "--method", "--seed", "--rank-tol"},
     "extract": {"--input", "--report", "--seed"},
     "reduce-sphere": {"--sparse"},
-    "reduce-polytope": {"--sparse", "--A", "--b", "--preset", "--sep-tol"} | SOLVER,
+    "reduce-polytope": {"--sparse", "--A", "--b", "--preset"} | SOLVER,
     "solve": {"--objective", "--domain"} | SOLVER,
     "approx": {"--input", "--m", "--m-threshold", "--path", "--degree"} | SOLVER,
     "pipeline": {"--input", "--domain", "--A", "--b", "--method", "--route-residual-tol",
@@ -536,6 +537,14 @@ def test_pipeline_on_zero_variables_exits_2(tmp_path, domain):
     h.write_text(json.dumps({"num_vars": 0, "terms": [{"exp": [], "coef": 1.0}]}))
     polytope = _polytope_files(tmp_path, [[1.0]], [1.0]) if domain == "polytope" else []
     assert _rejected(["pipeline", "--input", h, "--domain", domain] + polytope, tmp_path / "o")
+
+
+def test_pipeline_unknown_domain_exits_2(tmp_path, sparse_instance):
+    # --domain ball with --A and --b once solved over the polytope and
+    # reported route "exact/ball"
+    polytope = _polytope_files(tmp_path, [[1.0] * 5], [1.0])
+    assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "ball"] + polytope,
+                     tmp_path / "o")
 
 
 def test_box_route_reaches_the_minimum(tmp_path):
@@ -662,13 +671,74 @@ assert "scipy.optimize" in sys.modules
 """
 
 
+def _run_fresh(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this tree's lowform."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lowform"].__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_golden_requests_never_load_scipy(tmp_path):
     # scipy is imported only where an LP, an NNLS or a pivoted QR runs: a
     # fresh interpreter answers the three golden requests without it, and
     # the randomized detection and the cubature path still load it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lowform"].__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, GOLDEN_DIR, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    done = _run_fresh(_SCIPY_GUARD, GOLDEN_DIR, tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture()
+def concave_polytope_request(tmp_path):
+    """h(x) = c . X - |X|^2 with X = L^T x, concave, so its minimum over a
+    polytope sits at a vertex: the h file, its sparse form from detect and
+    extract, and the --A and --b options of a random polytope."""
+    n = 5
+    rng = np.random.default_rng(11)
+    lin, c = rng.standard_normal((n, 2)), rng.standard_normal(2)
+    h = Polynomial.zero(n)
+    for k in range(2):
+        form = Polynomial.zero(n)
+        for i in range(n):
+            form = form + Polynomial.variable(n, i) * float(lin[i, k])
+        h = h + form * float(c[k]) - form * form
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["detect", "--input", path, "--out", tmp_path / "det"]) == 0
+    assert run(["extract", "--input", path, "--report", tmp_path / "det" / "report.json",
+                "--out", tmp_path / "ext"]) == 0
+    a = np.vstack([np.ones((1, n)), rng.uniform(0.0, 1.0, (2, n))])
+    b = a @ rng.dirichlet(np.ones(n))
+    return path, tmp_path / "ext" / "report.json", _polytope_files(tmp_path, a.tolist(), b.tolist())
+
+
+def test_reduce_polytope_answers_as_the_pipeline(tmp_path, concave_polytope_request):
+    # both commands take the vertex table's route: the same numbers, no cuts
+    h, sparse, polytope = concave_polytope_request
+    pipe, reduced = tmp_path / "pipe", tmp_path / "reduced"
+    assert run(["pipeline", "--input", h, "--domain", "polytope"] + polytope
+               + ["--out", pipe]) == 0
+    assert run(["reduce-polytope", "--sparse", sparse] + polytope + ["--out", reduced]) == 0
+    want, got = read(pipe / "report.json"), read(reduced / "report.json")
+    assert want["route"] == "exact/polytope"
+    for key in ("rho", "X_star", "witness", "iterations", "converged"):
+        assert got[key] == want[key], key
+    assert got["cuts"] == [] and got["converged"]
+
+
+_REDUCE_POLYTOPE_GUARD = r"""
+import sys
+import lowform.cli as cli
+
+assert cli.main(sys.argv[1:]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+assert not loaded, loaded
+"""
+
+
+def test_reduce_polytope_request_never_loads_scipy(tmp_path, concave_polytope_request):
+    # the vertex table answers a concave request over --A and --b: no LP
+    _, sparse, polytope = concave_polytope_request
+    done = _run_fresh(_REDUCE_POLYTOPE_GUARD, "reduce-polytope", "--sparse", sparse,
+                      *polytope, "--out", tmp_path / "out")
     assert done.returncode == 0, done.stderr

@@ -32,7 +32,6 @@ from lowform.poly import (
     DimensionMismatchError,
     GradientEvaluator,
     Polynomial,
-    ball_monomial_moment,
     ball_moments,
     monomials_up_to,
 )
@@ -109,18 +108,24 @@ def test_compose_rejects_forms_above_degree_one():
         Polynomial.zero(1).compose([square])
 
 
+def ball_moment(alpha, n: int) -> float:
+    """The library's E[x^alpha] on the unit n-ball: ball_moments of one row."""
+    return float(ball_moments(np.array([alpha], dtype=np.int64).reshape(1, n), n)[0])
+
+
 def test_ball_moment_examples():
-    assert ball_monomial_moment((0, 0, 0, 0), 4) == 1.0
-    assert ball_monomial_moment((1, 2), 2) == 0.0
-    assert ball_monomial_moment((2, 0, 0), 3) == pytest.approx(0.2, abs=1e-15)
+    assert ball_moment((0, 0, 0, 0), 4) == 1.0
+    assert ball_moment((1, 2), 2) == 0.0
+    assert ball_moment((2, 0, 0), 3) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_ball_moments_equal_scalar_form_bitwise():
-    # every exponent of degree <= 8 in n <= 5, odd entries included
+    # every exponent of degree <= 8 in n <= 5, odd entries included, against
+    # the Fraction formula, one exponent at a time
     for n in range(6):
         alphas = list(monomials_up_to(n, 8))
         got = ball_moments(np.array(alphas, dtype=np.int64).reshape(len(alphas), n), n)
-        want = np.array([ball_monomial_moment(alpha, n) for alpha in alphas])
+        want = np.array([fraction_ball_moment(alpha, n) for alpha in alphas])
         assert got.tobytes() == want.tobytes(), n
     with pytest.raises(DimensionMismatchError):
         ball_moments(np.zeros((2, 3), dtype=np.int64), 2)
@@ -137,7 +142,7 @@ def test_ball_moment_equals_fraction_formula_bitwise(n, slots):
     alpha = [0] * n
     for i in slots:
         alpha[i % n] += 2
-    assert ball_monomial_moment(alpha, n).hex() == fraction_ball_moment(alpha, n).hex()
+    assert ball_moment(alpha, n).hex() == fraction_ball_moment(alpha, n).hex()
 
 
 def test_ball_moment_against_monte_carlo():

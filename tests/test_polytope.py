@@ -371,6 +371,40 @@ def test_vertex_witness_is_read_off_the_table(case):
     assert np.abs(w - lp_witness).max() <= 1e-12 * np.abs(lp_witness).max()
 
 
+@st.composite
+def interior_minimizer_problems(draw):
+    """A random bounded polytope and f(X) = |X - t|^2, convex, with t the
+    image of a mixture of all of Omega's vertices: X* = t is no vertex
+    image."""
+    n = draw(st.integers(2, 7))
+    s = draw(st.integers(1, min(3, n - 1)))
+    m = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = random_standard_form(rng, n, s)
+    ell = rng.standard_normal((n, m))
+    vertices = poly.table[0]
+    t = ell.T @ (rng.dirichlet(np.ones(vertices.shape[0])) @ vertices)
+    terms = {(0,) * m: float(t @ t)}
+    for j, e in enumerate(np.eye(m, dtype=int)):
+        terms[tuple(2 * e)] = 1.0
+        terms[tuple(e)] = -2.0 * float(t[j])
+    return SparseForm(f=Polynomial(m, terms), ell=ell), poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior_minimizer_problems())
+def test_vertex_witness_of_an_interior_minimizer_comes_from_the_lp(case):
+    # X* is no table row's image, so one LP over Omega finds the witness
+    sf, poly = case
+    res = vertex_reduce(sf, poly, OPTS)
+    w = res.witness
+    assert not any(np.array_equal(w, row) for row in poly.table[0])
+    assert w.min() >= 0.0
+    assert np.abs(poly.a @ w - poly.b).max() <= 1e-9
+    assert np.abs(sf.ell.T @ w - res.x_star).sum() <= 1e-9
+    assert res.witness_gap <= 1e-9
+
+
 @pytest.mark.parametrize("m, seed", [(4, 2), (5, 1)])
 def test_cut_loop_matches_vertex_reduce_at_m_4_and_5(monkeypatch, m, seed):
     # Omega = {x >= 0 : sum(x) = 1, B x = B x0} in R^8.  The inner regions
@@ -508,12 +542,14 @@ def test_vertex_reduce_gap_check_catches_incomplete_table(monkeypatch):
 
 
 def test_vertex_reduce_constant_objective(monkeypatch):
+    # the table's first row is the witness: no LP, not even phase one
     calls = _spy_cut_loop(monkeypatch)
+    lps = _spy_lp(monkeypatch)
     sf = SparseForm(f=Polynomial(1, {(0,): 7.5}), ell=ELL_DIFF)
     poly = simplex3()
     res = vertex_reduce(sf, poly, OPTS)
     assert res.converged and res.rho == 7.5
-    assert res.iterations == 0 and res.inner_values == [] and not calls
+    assert res.iterations == 0 and res.inner_values == [] and not calls and not lps
     assert np.allclose(poly.a @ res.witness, poly.b) and res.witness.min() >= 0.0
     assert np.allclose(res.x_star, ELL_DIFF.T @ res.witness)
 
