@@ -37,7 +37,6 @@ from .linalg import (
 from .poly import Polynomial
 from .polytope import (
     Cut,
-    CutSet,
     Polytope,
     PolytopeReduceResult,
     box_reduce,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .detection import gradient_spectrum
 from .linalg import SymEig
-from .poly import Polynomial, ball_moment_gram, ball_moments, monomials_up_to, unique_rows
+from .poly import Polynomial, ball_moment_gram, ball_moments, graded_monomials, unique_rows
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_ball
 
@@ -214,7 +214,7 @@ class CubatureRule:
 
 
 def _validate_rule(rule: CubatureRule) -> float:
-    alphas = np.array(list(monomials_up_to(rule.dim, rule.degree)))
+    alphas = graded_monomials(rule.dim, rule.degree)
     return float(np.abs(rule.moments(alphas) - ball_moments(alphas, rule.dim)).max())
 
 
@@ -242,9 +242,8 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
             raise CubatureConstructionError("Gauss-Legendre rule failed validation")
         return rule
 
-    even_targets = np.array(
-        [alpha for alpha in monomials_up_to(dim, degree) if sum(alpha) % 2 == 0]
-    )
+    alphas = graded_monomials(dim, degree)
+    even_targets = alphas[alphas.sum(axis=1) % 2 == 0]
     b = ball_moments(even_targets, dim)
     rng = np.random.default_rng(seed)
     num_pairs = max(8 * len(even_targets), 128)

@@ -66,6 +66,10 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
+# pipeline takes the exact route below both: extraction residual, spectral tail fraction
+ROUTE_RESIDUAL_TOL = 1e-8
+ROUTE_TAIL_TOL = 1e-10
+
 
 class CliInputError(ValueError):
     pass
@@ -144,7 +148,7 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
     manifest = {
         "command": args.command,
         "argv": sys.argv[1:],
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs},
+        "inputs": {p: _digest(p) for p in inputs},
         "seed": getattr(args, "seed", None),
         "tolerances": {
             "rank_tol": getattr(args, "rank_tol", None),
@@ -181,14 +185,7 @@ def _check_options(args) -> None:
 # ----------------------------------------------------------------------
 
 
-def _detect_report(h: Polynomial, args, eig=None) -> dict:
-    if args.method == "randomized":
-        try:
-            rep = detect_randomized(h, seed=args.seed, rank_tol=args.rank_tol)
-        except RankNotStabilizedError:
-            rep = detect_exact(h, rank_tol=args.rank_tol, eig=eig)
-    else:
-        rep = detect_exact(h, rank_tol=args.rank_tol, eig=eig)
+def _detect_report(rep) -> dict:
     return {
         "m": rep.m,
         "basis": rep.basis,
@@ -202,7 +199,14 @@ def _detect_report(h: Polynomial, args, eig=None) -> dict:
 def cmd_detect(args) -> int:
     started = time.monotonic()
     h = _load_polynomial(args.input)
-    report = _detect_report(h, args)
+    if args.method == "randomized":
+        try:
+            rep = detect_randomized(h, seed=args.seed, rank_tol=args.rank_tol)
+        except RankNotStabilizedError:
+            rep = detect_exact(h, rank_tol=args.rank_tol)
+    else:
+        rep = detect_exact(h, rank_tol=args.rank_tol)
+    report = _detect_report(rep)
     _write_outputs(args, report, [args.input], started)
     return EXIT_OK
 
@@ -234,7 +238,8 @@ def cmd_reduce_sphere(args) -> int:
 def _reduce_standard_form(kind, args, sf: SparseForm, inputs: list[str]):
     """Minimize f(ell^T x) over the simplex, the box, or (``kind`` None or
     "polytope") the polytope of ``--A`` and ``--b``, whose files join
-    ``inputs``: the one route of ``reduce-polytope`` and ``pipeline``."""
+    ``inputs``: the one route of ``reduce-polytope`` and ``pipeline``.  A
+    malformed ``--A`` or ``--b`` exits 2, an empty polytope 3."""
     opts = _solve_options(args)
     if kind == "simplex":
         return simplex_reduce(sf, opts)
@@ -242,7 +247,15 @@ def _reduce_standard_form(kind, args, sf: SparseForm, inputs: list[str]):
         return box_reduce(sf, opts)
     if not (args.A and args.b):
         raise CliInputError("a general polytope needs --A and --b")
-    poly = Polytope(a=_load_matrix(args.A), b=np.asarray(_load_json(args.b), dtype=float))
+    a, n = _load_matrix(args.A), sf.ell.shape[0]
+    if a.ndim != 2 or a.shape[1] != n:
+        raise CliInputError(f"{args.A} must be a matrix with one column per variable of h ({n})")
+    try:
+        poly = Polytope(a=a, b=_load_matrix(args.b))
+    except InfeasibleDomainError:
+        raise
+    except ValueError as exc:
+        raise CliInputError(f"{args.A} and {args.b} do not define a polytope: {exc}") from exc
     inputs += [args.A, args.b]
     return vertex_reduce(sf, poly, opts)
 
@@ -255,7 +268,7 @@ def cmd_reduce_polytope(args) -> int:
         "rho": result.rho,
         "X_star": result.x_star,
         "cuts": [
-            {"u": c.u, "rhs": c.rhs, "lambda": c.lam} for c in result.cuts.cuts
+            {"u": c.u, "rhs": c.rhs, "lambda": c.lam} for c in result.cuts
         ],
         "iterations": result.iterations,
         "converged": result.converged,
@@ -297,12 +310,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK if res.status == "converged" else EXIT_NO_CONVERGENCE
 
 
-def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
-                  degree: int | None = None) -> tuple[dict, int]:
+def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact") -> tuple[dict, int]:
     """Split at m (clamped to [1, n - 1]), surrogate, problem Q, L2 error.
 
     The approx route of ``approx`` and ``pipeline``.  The "cubature" ``path``
-    builds a rule of ``degree``.  Returns the ``approx`` report, which the
+    builds a rule of h's degree, at which the surrogate is already
+    coefficientwise exact.  Returns the ``approx`` report, which the
     pipeline's report draws on, and the Q solve's exit code.
     """
     n = h.num_vars
@@ -312,13 +325,11 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact",
     split = split_spectrum(h, m, eig=eig)
     if path == "cubature":
         try:
-            rule = build_cubature(n - m, degree, seed=args.seed)
+            rule = build_cubature(n - m, h.degree(), seed=args.seed)
             fhat = conditional_expectation_cubature(h, split, rule)
         except CubatureConstructionError:
             path = "exact"  # fall back when no rule reaches tolerance
             fhat = conditional_expectation_exact(h, split)
-        except ValueError as exc:
-            raise CliInputError(f"cubature path rejected: {exc}") from exc
     else:
         fhat = conditional_expectation_exact(h, split)
     minimum = solve_Q(fhat, _solve_options(args))
@@ -345,14 +356,11 @@ def cmd_approx(args) -> int:
     started = time.monotonic()
     h = _load_polynomial(args.input)
     n = h.num_vars
-    degree = args.degree if args.degree is not None else h.degree()
-    if degree < h.degree():
-        raise CliInputError(f"--degree {degree} is below the degree {h.degree()} of h")
     if args.m is not None and not 1 <= args.m <= n - 1:
         raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
     eig = gradient_spectrum(h)
-    m = args.m if args.m is not None else choose_m(h, threshold=args.m_threshold, eig=eig)
-    report, status = _approx_route(h, eig, m, args, args.path, degree)
+    m = args.m if args.m is not None else choose_m(h, eig=eig)
+    report, status = _approx_route(h, eig, m, args, args.path)
     _write_outputs(args, report, [args.input], started)
     return status
 
@@ -368,7 +376,7 @@ def cmd_pipeline(args) -> int:
 
     # one spectrum per run: detection, the route's tail ratio and the split
     eig = gradient_spectrum(h)
-    detect = _detect_report(h, args, eig)
+    detect = _detect_report(detect_exact(h, rank_tol=args.rank_tol, eig=eig))
     m = detect["m"]
     sf = extract_sparse_form(h, np.asarray(detect["basis"], dtype=float).reshape(n, -1))
     residual = verify_sparse_form(h, sf, num_points=200, seed=args.seed)
@@ -376,9 +384,7 @@ def cmd_pipeline(args) -> int:
     total = float(spectrum.sum())
     tail_ratio = float(spectrum[m:].sum()) / total if total > 0 else 0.0
 
-    exact_route = (
-        m < n and residual < args.route_residual_tol and tail_ratio < args.route_tail_tol
-    )
+    exact_route = m < n and residual < ROUTE_RESIDUAL_TOL and tail_ratio < ROUTE_TAIL_TOL
     report = {
         "detect": detect,
         "residual": residual,
@@ -507,9 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", parents=[out, seed, solver], help="conditional-expectation surrogate")
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--m-threshold", type=float, default=1e-2)
     p.add_argument("--path", choices=["exact", "cubature"], default="exact")
-    p.add_argument("--degree", type=int)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("pipeline", parents=[out, seed, rank, solver], help="detect, route, reduce, solve")
@@ -517,9 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, choices=["sphere", "simplex", "box", "polytope"])
     p.add_argument("--A")
     p.add_argument("--b")
-    p.add_argument("--method", choices=["exact", "randomized"], default="exact")
-    p.add_argument("--route-residual-tol", type=float, default=1e-8)
-    p.add_argument("--route-tail-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("gen", parents=[out, seed], help="generate a test instance")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .detection import gradient_spectrum
 from .linalg import fix_column_signs, numeric_rank, orthonormalize
-from .poly import Polynomial, monomials_up_to
+from .poly import Polynomial, graded_monomials
 
 
 @dataclass
@@ -34,9 +34,9 @@ def _random_polynomial(
     rng: np.random.Generator, num_vars: int, degree: int, density: float = 0.7
 ) -> Polynomial:
     terms = {}
-    for exp in monomials_up_to(num_vars, degree):
+    for exp in graded_monomials(num_vars, degree).tolist():
         if rng.random() < density:
-            terms[exp] = float(rng.standard_normal())
+            terms[tuple(exp)] = float(rng.standard_normal())
     return Polynomial(num_vars, terms)
 
 

@@ -3,7 +3,8 @@
 A polynomial stores its terms as two arrays: ``exps``, an (N, num_vars)
 int64 matrix of distinct exponent rows in graded-lex order (by degree, then
 lexicographically), and ``coefs``, the N float coefficients.  The zero
-polynomial has N = 0.  Every constructor and operation goes through one
+polynomial has N = 0.  :func:`graded_monomials` lists every exponent row up
+to a degree in that order.  Every constructor and operation goes through one
 array path that checks the rows, merges repeated exponents (summing their
 coefficients in row order), drops coefficients whose magnitude falls below
 ``DROP_TOL`` and sorts; the dropping keeps term arrays from accreting
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -501,6 +502,12 @@ def _graded_basis(k: int, top: int) -> tuple[np.ndarray, list[int], np.ndarray]:
     return np.vstack(levels), ends, shift
 
 
+def graded_monomials(k: int, d: int) -> np.ndarray:
+    """Every exponent row of degree <= d in k variables, graded-lex order:
+    by degree, then lexicographically.  A fresh (M, k) int64 array."""
+    return _graded_basis(k, d)[0].copy()
+
+
 class GradientEvaluator:
     """Value and gradient of a fixed polynomial from one monomial tree.
 
@@ -638,19 +645,3 @@ def partial_terms(
     shifted = exps[terms]
     shifted[np.arange(terms.size), var] -= 1
     return var, shifted, coefs[terms] * exps[terms, var]
-
-
-def monomials_up_to(num_vars: int, degree: int) -> Iterator[Exponent]:
-    """All exponent tuples with total degree <= degree, graded-lex order."""
-    if num_vars == 0:
-        yield ()
-        return
-    for d in range(degree + 1):
-        for bars in itertools.combinations(range(d + num_vars - 1), num_vars - 1):
-            exp = []
-            prev = -1
-            for b in bars:
-                exp.append(b - prev - 1)
-                prev = b
-            exp.append(d + num_vars - 1 - prev - 1)
-            yield tuple(exp)

@@ -41,7 +41,7 @@ the projected feasible set and yields a violated cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +74,12 @@ class UnboundedDomainError(ValueError):
     pass
 
 
-class UnconstrainedProjectionError(ValueError):
-    """The cone contains no element with nonzero u: no cut constrains X."""
-
-
 @dataclass
 class Polytope:
     """Standard-form feasible set {x >= 0 : a @ x = b}; checked nonempty.
+
+    A malformed or non-finite (a, b) raises ValueError, an empty set its
+    subclass InfeasibleDomainError.
 
     ``table`` holds :func:`basic_feasible_solutions` of (a, b), the vertices
     with their bases, or None when the bases are over the cap or none is
@@ -99,6 +98,8 @@ class Polytope:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.b.size != self.a.shape[0]:
             raise ValueError("a and b disagree on row count")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise ValueError("a and b must be finite")
         table = basic_feasible_solutions(self.a, self.b)
         self.table = table if table is not None and table[0].shape[0] else None
         self._feasible = self.table[0][0] if self.table is not None else self._phase_one()
@@ -163,28 +164,10 @@ class Cut:
 
 
 @dataclass
-class CutSet:
-    cuts: list[Cut] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def to_hrep(self, lo: np.ndarray, hi: np.ndarray) -> Hrep:
-        m = np.asarray(lo).size
-        if self.cuts:
-            a_ub = np.array([c.u for c in self.cuts])
-            b_ub = np.array([c.rhs for c in self.cuts])
-        else:
-            a_ub = np.zeros((0, m))
-            b_ub = np.zeros(0)
-        return Hrep(a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
-
-
-@dataclass
 class PolytopeReduceResult:
     rho: float
     x_star: np.ndarray  # minimizer in the projected space R^m
-    cuts: CutSet
+    cuts: list[Cut]
     iterations: int
     converged: bool
     inner_values: list[float]
@@ -197,11 +180,19 @@ class PolytopeReduceResult:
 # ----------------------------------------------------------------------
 
 
-def _cone_lp(poly: Polytope, ell: np.ndarray, c: np.ndarray):
-    """Minimize c . z over z = (lam+, lam-, u+, u-) >= 0 with entries summing
-    to 1 and A^T lam >= ell u: a normalized section of the cone C."""
-    at = poly.a.T
-    return lp_solve(
+def separation_lp(poly: Polytope, ell: np.ndarray, x_star: np.ndarray) -> tuple[float, Cut]:
+    """Minimize lambda . b - u . X* over the normalized cone section: z =
+    (lam+, lam-, u+, u-) >= 0 with entries summing to 1 and A^T lam >= ell u.
+
+    A value >= -SEPARATION_TOL certifies (Farkas) that X* lies in the closure
+    of the projected feasible set {ell^T x : x in Omega}; otherwise the
+    returned cut is violated at X*.
+    """
+    ell = np.asarray(ell, dtype=float)
+    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    s, m = poly.a.shape[0], ell.shape[1]
+    at, c = poly.a.T, np.concatenate([poly.b, -poly.b, -x_star, x_star])
+    res = lp_solve(
         LpProblem(
             c=c,
             a_ub=np.hstack([-at, at, ell, -ell]),
@@ -211,26 +202,6 @@ def _cone_lp(poly: Polytope, ell: np.ndarray, c: np.ndarray):
             bounds=[(0.0, None)] * c.size,
         )
     )
-
-
-def _cone_has_cut_directions(poly: Polytope, ell: np.ndarray) -> bool:
-    """True when some cone element has u != 0 (the projection is constrained)."""
-    s, m = poly.a.shape[0], ell.shape[1]
-    res = _cone_lp(poly, ell, np.concatenate([np.zeros(2 * s), -np.ones(2 * m)]))
-    return res.status == "optimal" and -res.value > 1e-12
-
-
-def separation_lp(poly: Polytope, ell: np.ndarray, x_star: np.ndarray) -> tuple[float, Cut]:
-    """Minimize lambda . b - u . X* over the normalized cone section.
-
-    A value >= -SEPARATION_TOL certifies (Farkas) that X* lies in the closure
-    of the projected feasible set {ell^T x : x in Omega}; otherwise the
-    returned cut is violated at X*.
-    """
-    ell = np.asarray(ell, dtype=float)
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    s, m = poly.a.shape[0], ell.shape[1]
-    res = _cone_lp(poly, ell, np.concatenate([poly.b, -poly.b, -x_star, x_star]))
     if res.status != "optimal":
         raise InfeasibleDomainError(f"separation LP ended with status {res.status}")
     z = res.point
@@ -271,6 +242,10 @@ def cut_loop(
     per iteration until the separation value is >= -``SEPARATION_TOL``.  A
     constant f returns before any separation: with m = 0 there is no cut
     direction.
+
+    For such an Omega every u != 0 has a cut (lambda, u) in the cone C: by
+    LP duality the finite max (ell u) . x over Omega equals min lambda . b
+    over A^T lambda >= ell u, so that LP is feasible.
     """
     # Each round solves the inner problem once, so zero rounds has no minimizer.
     if max_cuts < 1:
@@ -280,26 +255,23 @@ def cut_loop(
     lo, hi = poly.coordinate_ranges()
     if f.is_constant():
         return _constant_result(f, ell, poly.feasible_point())
-    if not _cone_has_cut_directions(poly, ell):
-        raise UnconstrainedProjectionError(
-            "the cone contains no usable cut: projection is unconstrained"
-        )
     box_lo, box_hi = _interval_box(ell, lo, hi)
-    cuts = CutSet()
+    cuts: list[Cut] = []
     # Seed with one cut from separating the origin, when it yields one.
     tau0, cut0 = separation_lp(poly, ell, np.zeros(f.num_vars))
     if tau0 < -SEPARATION_TOL and np.abs(cut0.u).sum() > 1e-12:
-        cuts.cuts.append(cut0)
+        cuts.append(cut0)
     inner_values: list[float] = []
     converged = False
     for _ in range(max_cuts):
-        res = minimize_polytope(f, cuts.to_hrep(box_lo, box_hi), opts)
+        region = Hrep([c.u for c in cuts], [c.rhs for c in cuts], box_lo, box_hi)
+        res = minimize_polytope(f, region, opts)
         inner_values.append(res.value)
         tau, cut = separation_lp(poly, ell, res.point)
         if tau >= -SEPARATION_TOL:
             converged = res.status == "converged"
             break
-        cuts.cuts.append(cut)
+        cuts.append(cut)
     witness, witness_gap = _witness_lp(ell, res.point, (0.0, None), poly.a, poly.b)
     return PolytopeReduceResult(
         rho=res.value,
@@ -444,7 +416,7 @@ def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):
     return PolytopeReduceResult(
         rho=f.constant_value(),
         x_star=ell.T @ witness,
-        cuts=CutSet(),
+        cuts=[],
         iterations=0,
         converged=True,
         inner_values=[],
@@ -466,7 +438,7 @@ def _one_solve_result(res: SolveResult, ell, vertex, bounds, a, b) -> PolytopeRe
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
-        cuts=CutSet(),
+        cuts=[],
         iterations=res.iterations,
         converged=res.status == "converged",
         inner_values=[res.value],

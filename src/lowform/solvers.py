@@ -223,10 +223,6 @@ class Hrep:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        rows, rhs = self.halfspaces()
-        return bool(np.all(rows @ np.asarray(x, dtype=float) <= rhs + tol))
-
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as rows @ x <= rhs: a_ub, then x <= hi, then -x <= -lo."""
         eye = np.eye(self.dim)

@@ -35,7 +35,6 @@ from lowform.poly import (
     GradientEvaluator,
     Polynomial,
     ball_moments,
-    monomials_up_to,
 )
 from lowform.polytope import Polytope
 from lowform.sampling import sample_ball, sample_sphere
@@ -781,10 +780,30 @@ def hrep_linprog_vertex(region: Hrep, direction: np.ndarray) -> np.ndarray:
     return res.x
 
 
+def graded_lex_exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple of total degree <= degree, by degree and then
+    lexicographically, by recursion on the first entry."""
+
+    @functools.cache
+    def summing_to(k: int, d: int) -> list[tuple[int, ...]]:
+        if k == 0:
+            return [()] if d == 0 else []
+        return [(a,) + rest for a in range(d + 1) for rest in summing_to(k - 1, d - a)]
+
+    return [exp for d in range(degree + 1) for exp in summing_to(num_vars, d)]
+
+
+def hrep_contains(region: Hrep, x, tol: float = 1e-8) -> bool:
+    """x satisfies every inequality of the region to within tol."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(region.a_ub @ x <= region.b_ub + tol)
+                and np.all(x >= region.lo - tol) and np.all(x <= region.hi + tol))
+
+
 def random_polynomial(rng: np.random.Generator, num_vars: int, degree: int,
                       density: float = 0.6) -> Polynomial:
     terms = {}
-    for exp in monomials_up_to(num_vars, degree):
+    for exp in graded_lex_exponents(num_vars, degree):
         if rng.random() < density:
             terms[exp] = float(rng.standard_normal())
     if not terms:

@@ -144,7 +144,7 @@ def test_criterion_4_polytope_cut_loop():
         assert gap < 1e-6, (inst.seed, result.rho, oracle)
         samples = polytope_sample(poly, rng, 200)
         projected = samples @ sf.ell
-        for cut in result.cuts.cuts:
+        for cut in result.cuts:
             assert np.all(projected @ cut.u <= cut.rhs + 1e-8), inst.seed
         values = result.inner_values
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:])), inst.seed
@@ -171,7 +171,7 @@ def test_criterion_4_polytope_cut_loop():
         assert abs(direct.rho - result.rho) < 1e-6, inst.seed
         samples = polytope_sample(poly, rng, 200)
         projected = samples @ ell_lifted
-        for cut in result.cuts.cuts:
+        for cut in result.cuts:
             assert np.all(projected @ cut.u <= cut.rhs + 1e-8), inst.seed
         values = result.inner_values
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:])), inst.seed

@@ -12,6 +12,7 @@ from conftest import (
     coefficient_distance,
     expectation_uniform_ball,
     fraction_ball_moment,
+    graded_lex_exponents,
     hhat_eval,
     hhat_eval_many,
     mc_ball_points,
@@ -34,7 +35,7 @@ from lowform.approx import (
 )
 from lowform.detection import extract_sparse_form
 from lowform.generate import generate_instance
-from lowform.poly import Polynomial, monomials_up_to
+from lowform.poly import Polynomial
 from lowform.solvers import SolveOptions, minimize_ball
 
 OPTS = SolveOptions(seed=0)
@@ -128,7 +129,7 @@ def test_build_cubature_higher_dims():
         rule = build_cubature(dim, degree, seed=1)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(rule.weights > 0)
-        for alpha in monomials_up_to(dim, degree):
+        for alpha in graded_lex_exponents(dim, degree):
             target = fraction_ball_moment(alpha, dim)
             assert rule.moments(np.array([alpha]))[0] == pytest.approx(target, abs=1e-8)
             if sum(alpha) % 2 == 1:

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, routing, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -54,7 +55,7 @@ def test_detect_and_extract_roundtrip(tmp_path, sparse_instance):
     assert report["m"] == 2 and report["method"] == "exact"
     manifest = read(det / "manifest.json")
     assert manifest["command"] == "detect"
-    assert "h.json" in manifest["inputs"] and manifest["version"]
+    assert str(sparse_instance) in manifest["inputs"] and manifest["version"]
 
     ext = tmp_path / "ext"
     assert run(
@@ -466,9 +467,8 @@ COMMAND_OPTIONS = {
     "reduce-sphere": {"--sparse"},
     "reduce-polytope": {"--sparse", "--A", "--b", "--preset"} | SOLVER,
     "solve": {"--objective", "--domain"} | SOLVER,
-    "approx": {"--input", "--m", "--m-threshold", "--path", "--degree"} | SOLVER,
-    "pipeline": {"--input", "--domain", "--A", "--b", "--method", "--route-residual-tol",
-                 "--route-tail-tol", "--rank-tol"} | SOLVER,
+    "approx": {"--input", "--m", "--path"} | SOLVER,
+    "pipeline": {"--input", "--domain", "--A", "--b", "--rank-tol"} | SOLVER,
     "gen": {"--n", "--m", "--degree", "--epsilon", "--seed"},
 }
 
@@ -557,9 +557,16 @@ def test_box_route_reaches_the_minimum(tmp_path):
     assert report["rho"] <= -0.7081964 + 1e-6
 
 
-def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
-    assert _rejected(["approx", "--input", perturbed_instance, "--m", 2,
-                      "--path", "cubature", "--degree", 0], tmp_path / "o")
+def test_cubature_rule_is_built_at_the_degree_of_h(tmp_path, perturbed_instance, monkeypatch):
+    from lowform.approx import build_cubature
+
+    calls = _spy(monkeypatch, build_cubature)
+    out = tmp_path / "out"
+    assert run(["approx", "--input", perturbed_instance, "--m", 2, "--path", "cubature",
+                "--out", out]) == 0
+    assert read(out / "report.json")["path"] == "cubature"
+    degree = Polynomial.from_json_dict(read(perturbed_instance)).degree()
+    assert [args[:2] for args, _ in calls] == [(2, degree)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,7 +574,6 @@ def test_cubature_degree_below_h_exits_2(tmp_path, perturbed_instance):
     ["approx", "--m", "2"],
     ["approx", "--path", "cubature"],
     ["pipeline", "--domain", "sphere"],
-    ["pipeline", "--domain", "sphere", "--method", "randomized"],
 ])
 def test_one_moment_matrix_per_request(tmp_path, perturbed_instance, monkeypatch, argv):
     from lowform.detection import moment_matrix
@@ -724,6 +730,45 @@ def test_reduce_polytope_answers_as_the_pipeline(tmp_path, concave_polytope_requ
     for key in ("rho", "X_star", "witness", "iterations", "converged"):
         assert got[key] == want[key], key
     assert got["cuts"] == [] and got["converged"]
+
+
+def _polytope_request(command, request):
+    h, sparse, _ = request
+    if command == "pipeline":
+        return ["pipeline", "--input", h, "--domain", "polytope"]
+    return ["reduce-polytope", "--sparse", sparse]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "reduce-polytope"])
+@pytest.mark.parametrize("a, b, code", [
+    ([[1.0, float("nan"), 1.0, 1.0, 1.0]], [1.0], 2),
+    ([[1.0] * 5], [float("inf")], 2),
+    ([[1.0] * 5, [0.0, 1.0, 0.0, 0.0, 0.0]], [1.0], 2),
+    ([[1.0] * 4], [1.0], 2),
+    ([[1.0] * 5], [-1.0], 3),
+], ids=["nan-in-A", "inf-in-b", "rows-unlike-b", "columns-unlike-h", "empty"])
+def test_malformed_polytope_exits_2_and_empty_exits_3(tmp_path, concave_polytope_request,
+                                                      command, a, b, code):
+    h, sparse, _ = concave_polytope_request
+    argv = (["pipeline", "--input", h, "--domain", "polytope"] if command == "pipeline"
+            else ["reduce-polytope", "--sparse", sparse])
+    out = tmp_path / "o"
+    assert run(argv + _polytope_files(tmp_path, a, b) + ["--out", out]) == code
+    assert not (out / "report.json").exists()
+
+
+def test_manifest_keys_inputs_by_their_paths(tmp_path, concave_polytope_request):
+    # --A x/m.json and --b y/m.json share a basename but are two inputs
+    h, _, polytope = concave_polytope_request
+    a_path, b_path = tmp_path / "x" / "m.json", tmp_path / "y" / "m.json"
+    for path, source in [(a_path, polytope[1]), (b_path, polytope[3])]:
+        path.parent.mkdir()
+        path.write_bytes(source.read_bytes())
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", h, "--domain", "polytope", "--A", a_path, "--b", b_path,
+                "--out", out]) == 0
+    want = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (h, a_path, b_path)}
+    assert read(out / "manifest.json")["inputs"] == want
 
 
 _REDUCE_POLYTOPE_GUARD = r"""

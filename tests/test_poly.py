@@ -14,6 +14,7 @@ from conftest import (
     expectation_uniform_ball,
     finite_difference_gradient,
     fraction_ball_moment,
+    graded_lex_exponents,
     mc_ball_points,
     mc_expectation,
     random_polynomial,
@@ -33,7 +34,7 @@ from lowform.poly import (
     GradientEvaluator,
     Polynomial,
     ball_moments,
-    monomials_up_to,
+    graded_monomials,
 )
 from lowform.sampling import sample_ball
 
@@ -123,7 +124,7 @@ def test_ball_moments_equal_scalar_form_bitwise():
     # every exponent of degree <= 8 in n <= 5, odd entries included, against
     # the Fraction formula, one exponent at a time
     for n in range(6):
-        alphas = list(monomials_up_to(n, 8))
+        alphas = graded_lex_exponents(n, 8)
         got = ball_moments(np.array(alphas, dtype=np.int64).reshape(len(alphas), n), n)
         want = np.array([fraction_ball_moment(alpha, n) for alpha in alphas])
         assert got.tobytes() == want.tobytes(), n
@@ -272,9 +273,18 @@ def test_constructors_reject_instead_of_repairing(terms):
         Polynomial.from_arrays(2, np.array(list(terms)), list(terms.values()))
 
 
-def test_monomials_up_to_counts():
-    assert len(list(monomials_up_to(3, 2))) == 10  # C(5,3)
-    assert list(monomials_up_to(0, 4)) == [()]
+def test_graded_monomials_counts():
+    assert graded_monomials(3, 2).shape == (10, 3)  # C(5,3)
+    assert graded_monomials(0, 4).shape == (1, 0)
+
+
+def test_graded_monomials_match_graded_lex_enumeration():
+    # the order in which gen and random_polynomial draw their coefficients
+    for k in range(7):
+        for d in range(6):
+            rows = graded_monomials(k, d)
+            assert rows.dtype == np.int64
+            assert [tuple(r) for r in rows.tolist()] == graded_lex_exponents(k, d), (k, d)
 
 
 def test_power_and_degree():

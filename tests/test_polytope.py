@@ -140,7 +140,7 @@ def test_cuts_valid_on_feasible_samples():
     rng = np.random.default_rng(1)
     samples = polytope_sample(poly, rng, 200)
     projected = samples @ ell
-    for cut in res.cuts.cuts:
+    for cut in res.cuts:
         assert np.all(projected @ cut.u <= cut.rhs + 1e-8)
 
 
@@ -338,7 +338,7 @@ def test_vertex_reduce_matches_cut_loop(case):
     sf, poly = case
     res = vertex_reduce(sf, poly, OPTS)
     ref = cut_loop(sf, poly, OPTS)
-    assert res.converged and not res.cuts.cuts
+    assert res.converged and not res.cuts
     assert abs(res.rho - ref.rho) <= 1e-6 * max(1.0, abs(res.rho))
     w = res.witness
     assert np.abs(poly.a @ w - poly.b).max() <= 1e-9
