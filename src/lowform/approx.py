@@ -28,6 +28,7 @@ of ball moments, taken by the kernel of detection's moment matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -68,7 +69,7 @@ class SpectrumSplit:
         return self.ell.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LiftedPolynomial:
     """Surrogate polynomial in (X_1, ..., X_m, Y); Y is the last variable."""
 
@@ -92,7 +93,13 @@ class LiftedPolynomial:
 
         Odd-Y coefficients up to ``_ODD_Y_TOL`` times the largest one are
         rounding noise (as a cubature rule's odd moments are) and dropped.
+        The result is built once per lift, so :func:`solve_Q` and
+        :func:`l2_error` share it.
         """
+        return self._ball
+
+    @cached_property
+    def _ball(self) -> Polynomial:
         if self.odd_y_violation() > _ODD_Y_TOL * np.abs(self.poly.coefs).max(initial=0.0):
             raise ValueError("lift has odd-Y terms; Y cannot be eliminated")
         m = self.m

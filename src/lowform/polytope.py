@@ -56,7 +56,6 @@ from .solvers import (
     VertexTable,
     Zonotope,
     basic_feasible_solutions,
-    frank_wolfe,
     minimize_polytope,
 )
 
@@ -140,18 +139,6 @@ class Polytope:
             raise InfeasibleDomainError("polytope is empty")
         return res.point
 
-    def coordinate_ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate [min, max] over the polytope; raises if unbounded."""
-        n = self.num_vars
-        lo = np.zeros(n)
-        hi = np.zeros(n)
-        for i in range(n):
-            direction = np.zeros(n)
-            direction[i] = 1.0
-            lo[i] = direction @ self.lmo(direction)
-            hi[i] = direction @ self.lmo(-direction)
-        return lo, hi
-
 
 @dataclass
 class Cut:
@@ -219,15 +206,6 @@ def separation_lp(poly: Polytope, ell: np.ndarray, x_star: np.ndarray) -> tuple[
 # ----------------------------------------------------------------------
 
 
-def _interval_box(ell: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Interval-arithmetic bounds on ell^T x from per-coordinate ranges."""
-    ell = np.asarray(ell, dtype=float)
-    low = np.minimum(ell * lo[:, None], ell * hi[:, None]).sum(axis=0)
-    high = np.maximum(ell * lo[:, None], ell * hi[:, None]).sum(axis=0)
-    pad = 1e-12 * np.maximum(1.0, np.maximum(np.abs(low), np.abs(high)))
-    return low - pad, high + pad
-
-
 def cut_loop(
     sf: SparseForm,
     poly: Polytope,
@@ -236,26 +214,30 @@ def cut_loop(
 ) -> PolytopeReduceResult:
     """Minimize f(ell^T x) over a bounded standard-form polytope by cuts.
 
-    Requires Omega nonempty (checked at construction) and bounded (checked by
-    coordinate-range LPs here).  The outer polyhedron starts from an interval
-    box derived from Omega's coordinate ranges and tightens by one Farkas cut
-    per iteration until the separation value is >= -``SEPARATION_TOL``.  A
-    constant f returns before any separation: with m = 0 there is no cut
-    direction.
+    Requires Omega nonempty (checked at construction) and its projection P
+    bounded, which the 2m LPs that bound the forms check: P is unbounded
+    exactly when some form ell_j . x is unbounded above or below on Omega,
+    and then :meth:`Polytope.lmo` raises UnboundedDomainError.  The outer
+    polyhedron starts from the box of those bounds, padded by 1e-12
+    relative, and tightens by one Farkas cut per iteration until the
+    separation value is >= -``SEPARATION_TOL``.  A constant f returns before
+    any LP: with m = 0 there is no cut direction.
 
-    For such an Omega every u != 0 has a cut (lambda, u) in the cone C: by
-    LP duality the finite max (ell u) . x over Omega equals min lambda . b
-    over A^T lambda >= ell u, so that LP is feasible.
+    For a bounded P every u != 0 has a cut (lambda, u) in the cone C: by LP
+    duality the finite max (ell u) . x over Omega equals min lambda . b over
+    A^T lambda >= ell u, so that LP is feasible.
     """
     # Each round solves the inner problem once, so zero rounds has no minimizer.
     if max_cuts < 1:
         raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
     opts = opts or SolveOptions()
     f, ell = sf.f, np.asarray(sf.ell, dtype=float)
-    lo, hi = poly.coordinate_ranges()
     if f.is_constant():
         return _constant_result(f, ell, poly.feasible_point())
-    box_lo, box_hi = _interval_box(ell, lo, hi)
+    box_lo = np.array([form @ poly.lmo(form) for form in ell.T])
+    box_hi = np.array([form @ poly.lmo(-form) for form in ell.T])
+    pad = 1e-12 * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
+    box_lo, box_hi = box_lo - pad, box_hi + pad
     cuts: list[Cut] = []
     # Seed with one cut from separating the origin, when it yields one.
     tau0, cut0 = separation_lp(poly, ell, np.zeros(f.num_vars))
@@ -331,8 +313,9 @@ def vertex_reduce(
 
     P = ell^T Omega is the hull of the images of Omega's basic feasible
     solutions, so one :func:`minimize_polytope` call over ``poly.table``
-    finds X*; ``converged`` is that solve's status and ``iterations`` its
-    Frank-Wolfe steps.  The witness is the table row whose image is X* to
+    finds X*: each of its starts mixes a few table rows, so the starts
+    reach a basin at a vertex as well as one inside.  ``converged`` is that
+    solve's status and ``iterations`` its Frank-Wolfe steps.  The witness is the table row whose image is X* to
     rounding (:func:`_is_rounding`), or else the point of Omega that one
     LP finds (:func:`_witness_lp`).  Two checks read dual certificates off
     the table (:func:`_dual_certificate`) and ask an LP over Omega only
@@ -345,7 +328,6 @@ def vertex_reduce(
     a row-rank-deficient A).  A constant f returns at once, with
     :meth:`Polytope.feasible_point` as the witness.
     """
-    opts = opts or SolveOptions()
     ell = np.asarray(sf.ell, dtype=float)
     sum_bound = _certified_sum_bound(poly)
     if sum_bound is None:
@@ -357,13 +339,6 @@ def vertex_reduce(
     vertices = poly.table[0]
     region = VertexTable(vertices @ ell)
     res = minimize_polytope(sf.f, region, opts)
-    # The starts come from a sweep of vertex mixtures, which crowd the
-    # table's centroid and can miss a basin at a vertex; the table names
-    # the best vertex, so a run from it covers that basin.
-    values = sf.f.evaluate_many(region.points)
-    best = int(np.argmin(values))
-    if values[best] < res.value - opts.tol * max(1.0, abs(res.value)):
-        res = frank_wolfe(sf.f, region, region.points[best], opts)
     grad = GradientEvaluator(sf.f).grad(res.point)
     table_best = float(np.min(region.points @ grad))
     tol = SEPARATION_TOL * max(1.0, abs(table_best))

@@ -9,11 +9,12 @@ tree over p and its partials filled once per point.  The ball and sphere
 descents run all their starts in lockstep, as the rows of one (starts, m)
 array: each round makes every unfinished start's next Armijo trial in one
 batched evaluation and drops the starts that finished.  Frank-Wolfe runs its
-starts one after another.  The Frank-Wolfe linear-minimization
-oracle scans a :class:`VertexTable`, which an H-rep region builds once, by
-enumerating row subsets or, above a cap, by qhull after one LP, and
-:func:`basic_feasible_solutions` enumerates the vertices of a standard-form
-polytope in one batched solve, each with its basis, from which
+starts one after another, each a random mixture of the vertices that the
+region's linear-minimization oracle returns, so a region needs nothing but
+that oracle.  The oracle scans a :class:`VertexTable`, which an H-rep region
+builds once, by enumerating row subsets or, above a cap, by qhull after one
+LP, and :func:`basic_feasible_solutions` enumerates the vertices of a
+standard-form polytope in one batched solve, each with its basis, from which
 :mod:`lowform.polytope` reads simplex dual certificates in place of LPs.  A
 :class:`Zonotope`, the image of a box, answers in closed form.  The
 brute-force oracle that checks these solvers lives with the tests, apart
@@ -117,10 +118,6 @@ class VertexTable:
         scores = self.points @ np.asarray(direction, dtype=float)
         return self.points[int(np.argmin(scores))].copy()
 
-    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        weights = rng.dirichlet(np.ones(len(self.points)), size=count)
-        return weights @ self.points
-
 
 @dataclass
 class Zonotope:
@@ -134,9 +131,6 @@ class Zonotope:
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
         return -(np.sign(self.ell @ direction) @ self.ell)
-
-    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(count, self.ell.shape[0])) @ self.ell
 
 
 def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +185,10 @@ class Hrep:
 
     The box part is mandatory and finite, so the region is bounded; a
     non-finite bound raises UnboundedRegionError, a ValueError, at
-    construction, as does any array of the wrong shape.  The first
-    :meth:`lmo` call builds the region's :class:`VertexTable` and every call
-    scans it; the fields must not change after that.
+    construction, as do a non-finite entry of a_ub or b_ub and any array of
+    the wrong shape.  The first :meth:`lmo` call builds the region's
+    :class:`VertexTable` and every call scans it; the fields must not change
+    after that.
     """
 
     a_ub: np.ndarray
@@ -216,8 +211,9 @@ class Hrep:
         self.b_ub = np.asarray(self.b_ub, dtype=float)
         if self.b_ub.shape != self.a_ub.shape[:1]:
             raise ValueError("b_ub must have one entry per row of a_ub")
-        if np.isnan(self.a_ub).any() or np.isnan(self.b_ub).any() or np.any(self.lo > self.hi):
-            raise ValueError("a_ub and b_ub must hold numbers, and lo <= hi")
+        finite = np.isfinite(self.a_ub).all() and np.isfinite(self.b_ub).all()
+        if not finite or np.any(self.lo > self.hi):
+            raise ValueError("a_ub and b_ub must be finite, and lo <= hi")
 
     @property
     def dim(self) -> int:
@@ -271,19 +267,6 @@ class Hrep:
                 center = _chebyshev_center(rows, rhs)
             points = center[None]
         return VertexTable(points)
-
-    def start_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Feasible starts: uniform box rejection, topped up with mixtures of
-        the vertices that minimize random directions."""
-        cand = rng.uniform(self.lo, self.hi, size=(max(4 * count, 64), self.dim))
-        if self.a_ub.shape[0]:
-            cand = cand[np.all(cand @ self.a_ub.T <= self.b_ub + 1e-12, axis=1)]
-        if cand.shape[0] >= count:
-            return cand[:count]
-        directions = rng.standard_normal((max(2 * self.dim, 8), self.dim))
-        verts = np.array([self.lmo(d) for d in directions])
-        mixtures = rng.dirichlet(np.ones(len(verts)), size=count - cand.shape[0]) @ verts
-        return np.vstack([cand, mixtures]) if cand.size else mixtures
 
 
 def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -576,35 +559,25 @@ def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveRes
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
 
-    ``region`` must expose ``lmo(direction) -> vertex`` and
-    ``start_points(rng, count) -> array``, as :class:`Hrep`,
-    :class:`VertexTable` and :class:`Zonotope` do.  Half of the starts are
-    taken from the best points of a sampled sweep of the objective, which
-    keeps deep, narrow basins from being missed; the rest stay exploratory.
+    ``region`` must expose ``lmo(direction) -> vertex``, as :class:`Hrep`,
+    :class:`VertexTable` and :class:`Zonotope` do; nothing else is read.
+    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
+    m + 1 vertices that the oracle returns for m + 1 Gaussian directions,
+    m = p.num_vars.  Unlike a mixture of many vertices, such a point does
+    not crowd the region's centroid, so starts land near vertices and faces
+    as well as inside.
     """
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
-
-    def run_one(x0):
-        return _frank_wolfe(evaluator, region.lmo, x0, opts.max_iter, opts.tol)
+    dim = p.num_vars
 
     def draw(rng, count):
-        pool = np.asarray(region.start_points(rng, max(64 * count, 1024)))
-        order = np.argsort(p.evaluate_many(pool))
-        informed = pool[order[: max(count // 2, 1)]]
-        rest = count - informed.shape[0]
-        if rest <= 0:
-            return informed[:count]
-        diverse = np.asarray(region.start_points(rng, rest))
-        return np.vstack([informed, diverse])
+        directions = rng.standard_normal((count, dim + 1, dim))
+        vertices = np.array([[region.lmo(d) for d in row] for row in directions])
+        weights = rng.dirichlet(np.ones(dim + 1), size=count)
+        return np.matmul(weights[:, None, :], vertices)[:, 0]
 
-    return _multi_start(p, lambda starts: [run_one(x0) for x0 in starts], draw, opts)
+    def run(starts):
+        return [_frank_wolfe(evaluator, region.lmo, x0, opts.max_iter, opts.tol) for x0 in starts]
 
-
-def frank_wolfe(
-    p: Polynomial, region, x0: np.ndarray, opts: SolveOptions | None = None
-) -> SolveResult:
-    """One Frank-Wolfe run of p over ``region`` from the feasible point x0."""
-    opts = opts or SolveOptions()
-    run = _frank_wolfe(GradientEvaluator(p), region.lmo, x0, opts.max_iter, opts.tol)
-    return _result(p, run, starts_used=1)
+    return _multi_start(p, run, draw, opts)

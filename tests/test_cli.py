@@ -168,11 +168,12 @@ def test_solve_hrep_domain(tmp_path):
     (2, {"lo": [-1, -1], "hi": [1, 1, 1]}),
     (2, {"lo": [-1, float("-inf")], "hi": [1, 1]}),  # infinite: never solvable
     (2, {"a_ub": [[float("nan"), 1]], "b_ub": [1], "lo": [0, 0], "hi": [1, 1]}),
+    (2, {"a_ub": [[float("inf"), 1]], "b_ub": [1], "lo": [-1, -1], "hi": [1, 1]}),
     (2, {"lo": [1, 0], "hi": [0, 1]}),
     (2, {"hi": [1, 1]}),
     (2, [[-1, -1], [1, 1]]),
 ], ids=["dim", "a_ub_columns", "a_ub_flat", "b_ub_length", "hi_length", "infinite",
-        "nan_row", "lo_above_hi", "no_lo", "not_an_object"])
+        "nan_row", "infinite_row", "lo_above_hi", "no_lo", "not_an_object"])
 def test_malformed_region_file_exits_2(tmp_path, num_vars, region):
     obj = tmp_path / "p.json"
     obj.write_text(json.dumps({"num_vars": num_vars, "terms": [
@@ -604,6 +605,27 @@ def test_one_sphere_solve_per_approx_request(tmp_path, perturbed_instance, monke
     assert len(ball_calls) == 1 and not sphere_calls
     if argv[0] == "pipeline":
         assert read(out / "report.json")["route"] == "approx"
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--path", "exact"],
+    ["approx", "--path", "cubature"],
+    ["pipeline", "--domain", "sphere"],
+], ids=["approx-exact", "approx-cubature", "pipeline"])
+def test_one_ball_polynomial_per_approx_request(tmp_path, perturbed_instance, monkeypatch, argv):
+    # problem Q minimizes B = fhat.to_ball_polynomial(), and the L2 error
+    # composes that same B with the head frame rather than building it again
+    from lowform.solvers import minimize_ball
+
+    ball_calls = _spy(monkeypatch, minimize_ball)
+    composed = []
+    compose = Polynomial.compose
+    monkeypatch.setattr(Polynomial, "compose",
+                        lambda self, *args: composed.append(self) or compose(self, *args))
+    assert run(argv[:1] + ["--input", perturbed_instance] + argv[1:]
+               + ["--out", tmp_path / "out"]) == 0
+    [((ball, *_), _)] = ball_calls
+    assert any(p is ball for p in composed)
 
 
 def test_reports_are_deterministic(tmp_path, sparse_instance):

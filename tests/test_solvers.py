@@ -372,6 +372,8 @@ def test_hrep_lmo_solves_no_lp_in_dimension_4(monkeypatch):
     ([[np.nan, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0]),  # NaN rows
     ([[1.0, 1.0]], [np.nan], [0.0, 0.0], [1.0, 1.0]),
     ([], [], [1.0, 0.0], [0.0, 1.0]),  # lo above hi
+    ([[np.inf, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0]),  # infinite rows
+    ([[1.0, 1.0]], [-np.inf], [0.0, 0.0], [1.0, 1.0]),
 ])
 def test_malformed_region_is_rejected(a_ub, b_ub, lo, hi):
     # Frank-Wolfe needs a bounded region, and the box is its only guarantee
