@@ -33,13 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .detection import gradient_spectrum
 from .linalg import SymEig
 from .poly import Polynomial, ball_moment_gram, ball_moments, graded_monomials, unique_rows
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_ball
 
 _ODD_Y_TOL = 1e-12
+# choose_m keeps the head whose spectral tail fraction falls below this
+CHOOSE_M_TAIL = 1e-2
 
 
 class CubatureConstructionError(RuntimeError):
@@ -120,16 +121,11 @@ class LiftedPolynomial:
         )
 
 
-def split_spectrum(h: Polynomial, m: int, eig: SymEig | None = None) -> SpectrumSplit:
-    """Split the gradient moment spectrum of h at index m (1 <= m < n).
-
-    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
-    """
-    n = h.num_vars
+def split_spectrum(eig: SymEig, m: int) -> SpectrumSplit:
+    """Split ``eig = gradient_spectrum(h)`` at index m (1 <= m < n)."""
+    n = eig.eigenvalues.size
     if not 1 <= m < n:
         raise ValueError(f"m must satisfy 1 <= m < {n}, got {m}")
-    if eig is None:
-        eig = gradient_spectrum(h)
     return SpectrumSplit(
         ell=eig.eigenvectors[:, :m].copy(),
         s=eig.eigenvectors[:, m:].copy(),
@@ -138,21 +134,18 @@ def split_spectrum(h: Polynomial, m: int, eig: SymEig | None = None) -> Spectrum
     )
 
 
-def choose_m(h: Polynomial, threshold: float = 1e-2, eig: SymEig | None = None) -> int:
-    """Smallest m whose spectral tail fraction drops below ``threshold``.
-
-    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
-    """
-    if eig is None:
-        eig = gradient_spectrum(h)
+def tail_fraction(eig: SymEig, m: int) -> float:
+    """Share of the spectrum's sum past its top m eigenvalues (0 for a zero
+    spectrum)."""
     total = float(eig.eigenvalues.sum())
+    return float(eig.eigenvalues[m:].sum()) / total if total > 0 else 0.0
+
+
+def choose_m(eig: SymEig) -> int:
+    """Smallest m whose :func:`tail_fraction` drops below ``CHOOSE_M_TAIL``
+    (0 for a zero spectrum)."""
     n = eig.eigenvalues.size
-    if total <= 0.0:
-        return 0
-    for m in range(n + 1):
-        if float(eig.eigenvalues[m:].sum()) / total < threshold:
-            return m
-    return n
+    return next((m for m in range(n + 1) if tail_fraction(eig, m) < CHOOSE_M_TAIL), n)
 
 
 def _surrogate(

@@ -12,6 +12,7 @@ domain, 4 solver non-convergence (a partial report is still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -31,6 +32,7 @@ from .approx import (
     l2_error,
     solve_Q,
     split_spectrum,
+    tail_fraction,
 )
 from .detection import (
     RankNotStabilizedError,
@@ -161,18 +163,15 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
     print(text)
 
 
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        starts=args.starts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
-    )
-
-
-def _check_options(args) -> None:
-    """Reject out-of-range solver options before any work is done."""
+def _solve_options(args) -> SolveOptions | None:
+    """The solver options of a command that takes them, validated before any
+    work is done; None for a command without them."""
     if not hasattr(args, "starts"):
-        return
+        return None
     try:
-        _solve_options(args)
+        return SolveOptions(
+            starts=args.starts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
+        )
     except ValueError as exc:
         raise CliInputError(
             f"--starts, --max-iter and --tol must be positive, got "
@@ -181,38 +180,24 @@ def _check_options(args) -> None:
 
 
 # ----------------------------------------------------------------------
-# command implementations
+# command implementations: each takes the parsed arguments and the solver
+# options, and returns (report, input paths, exit code) for main to write
 # ----------------------------------------------------------------------
 
 
-def _detect_report(rep) -> dict:
-    return {
-        "m": rep.m,
-        "basis": rep.basis,
-        "spectrum": rep.spectrum,
-        "method": rep.method,
-        "samples_used": rep.samples_used,
-        "rank_tol": rep.rank_tol,
-    }
-
-
-def cmd_detect(args) -> int:
-    started = time.monotonic()
+def cmd_detect(args, opts):
     h = _load_polynomial(args.input)
     if args.method == "randomized":
         try:
             rep = detect_randomized(h, seed=args.seed, rank_tol=args.rank_tol)
         except RankNotStabilizedError:
-            rep = detect_exact(h, rank_tol=args.rank_tol)
+            rep = detect_exact(gradient_spectrum(h), rank_tol=args.rank_tol)
     else:
-        rep = detect_exact(h, rank_tol=args.rank_tol)
-    report = _detect_report(rep)
-    _write_outputs(args, report, [args.input], started)
-    return EXIT_OK
+        rep = detect_exact(gradient_spectrum(h), rank_tol=args.rank_tol)
+    return dataclasses.asdict(rep), [args.input], EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    started = time.monotonic()
+def cmd_extract(args, opts):
     h = _load_polynomial(args.input)
     rep = _load_json(args.report)
     try:
@@ -220,27 +205,22 @@ def cmd_extract(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{args.report} is not a detection report: {exc}") from exc
     sf = extract_sparse_form(h, basis)
-    residual = verify_sparse_form(h, sf, num_points=200, seed=args.seed)
+    residual = verify_sparse_form(h, sf, seed=args.seed)
     report = {"f": sf.f.to_json_dict(), "ell": sf.ell, "residual": residual}
-    _write_outputs(args, report, [args.input, args.report], started)
-    return EXIT_OK
+    return report, [args.input, args.report], EXIT_OK
 
 
-def cmd_reduce_sphere(args) -> int:
-    started = time.monotonic()
+def cmd_reduce_sphere(args, opts):
     sf = _load_sparse_form(args.sparse)
     prob = reduce_sphere(sf)
-    report = {"g": prob.g.to_json_dict(), "L": prob.L}
-    _write_outputs(args, report, [args.sparse], started)
-    return EXIT_OK
+    return {"g": prob.g.to_json_dict(), "L": prob.L}, [args.sparse], EXIT_OK
 
 
-def _reduce_standard_form(kind, args, sf: SparseForm, inputs: list[str]):
+def _reduce_standard_form(kind, args, opts: SolveOptions, sf: SparseForm, inputs: list[str]):
     """Minimize f(ell^T x) over the simplex, the box, or (``kind`` None or
     "polytope") the polytope of ``--A`` and ``--b``, whose files join
     ``inputs``: the one route of ``reduce-polytope`` and ``pipeline``.  A
     malformed ``--A`` or ``--b`` exits 2, an empty polytope 3."""
-    opts = _solve_options(args)
     if kind == "simplex":
         return simplex_reduce(sf, opts)
     if kind == "box":
@@ -260,10 +240,10 @@ def _reduce_standard_form(kind, args, sf: SparseForm, inputs: list[str]):
     return vertex_reduce(sf, poly, opts)
 
 
-def cmd_reduce_polytope(args) -> int:
-    started = time.monotonic()
+def cmd_reduce_polytope(args, opts):
     inputs = [args.sparse]
-    result = _reduce_standard_form(args.preset, args, _load_sparse_form(args.sparse), inputs)
+    sf = _load_sparse_form(args.sparse)
+    result = _reduce_standard_form(args.preset, args, opts, sf, inputs)
     report = {
         "rho": result.rho,
         "X_star": result.x_star,
@@ -276,14 +256,11 @@ def cmd_reduce_polytope(args) -> int:
         "witness": result.witness,
         "witness_gap": result.witness_gap,
     }
-    _write_outputs(args, report, inputs, started)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return report, inputs, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
+def cmd_solve(args, opts):
     p = _load_polynomial(args.objective)
-    opts = _solve_options(args)
     inputs = [args.objective]
     if args.domain == "ball":
         res = minimize_ball(p, opts)
@@ -306,11 +283,12 @@ def cmd_solve(args) -> int:
         "iterations": res.iterations,
         "starts_used": res.starts_used,
     }
-    _write_outputs(args, report, inputs, started)
-    return EXIT_OK if res.status == "converged" else EXIT_NO_CONVERGENCE
+    return report, inputs, EXIT_OK if res.status == "converged" else EXIT_NO_CONVERGENCE
 
 
-def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact") -> tuple[dict, int]:
+def _approx_route(
+    h: Polynomial, eig, m: int, opts: SolveOptions, path: str = "exact"
+) -> tuple[dict, int]:
     """Split at m (clamped to [1, n - 1]), surrogate, problem Q, L2 error.
 
     The approx route of ``approx`` and ``pipeline``.  The "cubature" ``path``
@@ -322,17 +300,17 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact") -> tupl
     if n < 2:
         raise CliInputError("the approx route needs a polynomial in at least 2 variables")
     m = max(1, min(m, n - 1))
-    split = split_spectrum(h, m, eig=eig)
+    split = split_spectrum(eig, m)
     if path == "cubature":
         try:
-            rule = build_cubature(n - m, h.degree(), seed=args.seed)
+            rule = build_cubature(n - m, h.degree(), seed=opts.seed)
             fhat = conditional_expectation_cubature(h, split, rule)
         except CubatureConstructionError:
             path = "exact"  # fall back when no rule reaches tolerance
             fhat = conditional_expectation_exact(h, split)
     else:
         fhat = conditional_expectation_exact(h, split)
-    minimum = solve_Q(fhat, _solve_options(args))
+    minimum = solve_Q(fhat, opts)
     report = {
         "m": m,
         "path": path,
@@ -352,41 +330,35 @@ def _approx_route(h: Polynomial, eig, m: int, args, path: str = "exact") -> tupl
     return report, EXIT_OK if minimum.status == "converged" else EXIT_NO_CONVERGENCE
 
 
-def cmd_approx(args) -> int:
-    started = time.monotonic()
+def cmd_approx(args, opts):
     h = _load_polynomial(args.input)
     n = h.num_vars
     if args.m is not None and not 1 <= args.m <= n - 1:
         raise CliInputError(f"--m must be in [1, {n - 1}], got {args.m}")
     eig = gradient_spectrum(h)
-    m = args.m if args.m is not None else choose_m(h, eig=eig)
-    report, status = _approx_route(h, eig, m, args, args.path)
-    _write_outputs(args, report, [args.input], started)
-    return status
+    m = args.m if args.m is not None else choose_m(eig)
+    report, status = _approx_route(h, eig, m, opts, args.path)
+    return report, [args.input], status
 
 
-def cmd_pipeline(args) -> int:
-    started = time.monotonic()
+def cmd_pipeline(args, opts):
     h = _load_polynomial(args.input)
     n = h.num_vars
     if n == 0:
         raise CliInputError("the pipeline needs a polynomial in at least 1 variable")
     inputs = [args.input]
-    opts = _solve_options(args)
 
-    # one spectrum per run: detection, the route's tail ratio and the split
+    # one spectrum per run: detection, the route's tail fraction and the split
     eig = gradient_spectrum(h)
-    detect = _detect_report(detect_exact(h, rank_tol=args.rank_tol, eig=eig))
-    m = detect["m"]
-    sf = extract_sparse_form(h, np.asarray(detect["basis"], dtype=float).reshape(n, -1))
-    residual = verify_sparse_form(h, sf, num_points=200, seed=args.seed)
-    spectrum = eig.eigenvalues
-    total = float(spectrum.sum())
-    tail_ratio = float(spectrum[m:].sum()) / total if total > 0 else 0.0
+    detect = detect_exact(eig, rank_tol=args.rank_tol)
+    m = detect.m
+    sf = extract_sparse_form(h, detect.basis)
+    residual = verify_sparse_form(h, sf, seed=args.seed)
+    tail_ratio = tail_fraction(eig, m)
 
     exact_route = m < n and residual < ROUTE_RESIDUAL_TOL and tail_ratio < ROUTE_TAIL_TOL
     report = {
-        "detect": detect,
+        "detect": dataclasses.asdict(detect),
         "residual": residual,
         "tail_ratio": tail_ratio,
         "route": None,
@@ -407,7 +379,7 @@ def cmd_pipeline(args) -> int:
                 status = EXIT_NO_CONVERGENCE
         else:
             report["route"] = f"exact/{args.domain}"
-            result = _reduce_standard_form(args.domain, args, sf, inputs)
+            result = _reduce_standard_form(args.domain, args, opts, sf, inputs)
             report["rho"] = result.rho
             report["X_star"] = result.x_star
             report["iterations"] = result.iterations
@@ -424,17 +396,15 @@ def cmd_pipeline(args) -> int:
                 f"the sphere, not on --domain {args.domain}"
             )
         report["route"] = "approx"
-        m_hint = m if 1 <= m < n else choose_m(h, eig=eig)
-        approx, status = _approx_route(h, eig, m_hint, args)
+        m_hint = m if 1 <= m < n else choose_m(eig)
+        approx, status = _approx_route(h, eig, m_hint, opts)
         report["m_approx"] = approx["m"]
         for key in ("fhat", "rho", "rho_plus", "rho_minus", "l2_error"):
             report[key] = approx[key]
-    _write_outputs(args, report, inputs, started)
-    return status
+    return report, inputs, status
 
 
-def cmd_gen(args) -> int:
-    started = time.monotonic()
+def cmd_gen(args, opts):
     if args.m > args.n or args.m < 0 or args.n < 1 or args.degree < 1:
         raise CliInputError(
             f"need 0 <= m <= n, n >= 1, degree >= 1; got n={args.n} m={args.m} degree={args.degree}"
@@ -455,8 +425,7 @@ def cmd_gen(args) -> int:
     }
     _dump(os.path.join(args.out, "truth.json"), truth)
     report = {"h_file": "h.json", "truth_file": "truth.json", **{k: truth[k] for k in ("n", "m", "degree", "epsilon", "seed")}}
-    _write_outputs(args, report, [h_path], started)
-    return EXIT_OK
+    return report, [h_path], EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -534,17 +503,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one request: parse, validate the solver options, run the command,
+    and write its report and manifest.  A request that exits 2 or 3 writes
+    neither."""
+    args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        _check_options(args)
-        return args.func(args)
+        report, inputs, code = args.func(args, _solve_options(args))
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (InfeasibleDomainError, UnboundedDomainError, InfeasibleRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _write_outputs(args, report, inputs, started)
+    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,9 @@ from .poly import (
 )
 from .sampling import sample_ball
 
+# ball samples behind the extraction residual of verify_sparse_form
+VERIFY_POINTS = 200
+
 
 class RankNotStabilizedError(RuntimeError):
     """The sampled Gram rank kept growing; fall back to the exact method."""
@@ -90,26 +93,20 @@ def moment_matrix(h: Polynomial) -> np.ndarray:
 def gradient_spectrum(h: Polynomial) -> SymEig:
     """Eigendecomposition of h's gradient moment matrix, eigenvalues descending.
 
-    Callers that need the spectrum more than once per run compute it here
-    once and pass it on as ``eig``.
+    Every spectral decision about h reads this one object: :func:`detect_exact`
+    takes m and the frame from it, and ``approx``'s :func:`choose_m` and
+    :func:`split_spectrum` the head/tail split, so a run computes it once.
     """
     return sym_eig(moment_matrix(h))
 
 
-def detect_exact(
-    h: Polynomial, rank_tol: float = DEFAULT_RANK_TOL, eig: SymEig | None = None
-) -> DetectionReport:
-    """Exact detection via the spectrum of the gradient moment matrix.
-
-    ``eig`` is ``gradient_spectrum(h)`` if the caller already has it.
-    """
-    if eig is None:
-        eig = gradient_spectrum(h)
+def detect_exact(eig: SymEig, rank_tol: float = DEFAULT_RANK_TOL) -> DetectionReport:
+    """Exact detection from ``eig = gradient_spectrum(h)``: m is its numeric
+    rank and the basis its top-m eigenvectors."""
     m = numeric_rank(eig.eigenvalues, rank_tol)
-    basis = orthonormalize(eig.eigenvectors[:, :m]) if m else np.zeros((h.num_vars, 0))
     return DetectionReport(
         m=m,
-        basis=basis,
+        basis=orthonormalize(eig.eigenvectors[:, :m]),
         spectrum=[float(v) for v in eig.eigenvalues],
         method="exact",
         samples_used=None,
@@ -195,15 +192,11 @@ def extract_sparse_form(h: Polynomial, basis: np.ndarray) -> SparseForm:
     return SparseForm(f=h.compose(basis), ell=basis.copy())
 
 
-def verify_sparse_form(
-    h: Polynomial, sf: SparseForm, num_points: int = 200, seed: int = 0
-) -> float:
+def verify_sparse_form(h: Polynomial, sf: SparseForm, seed: int = 0) -> float:
     """Max relative reconstruction residual of f(ell^T x) against h over
-    ``num_points`` uniform ball samples."""
-    if num_points <= 0:
-        return 0.0
+    ``VERIFY_POINTS`` uniform ball samples."""
     rng = np.random.default_rng(seed)
-    pts = sample_ball(rng, num_points, h.num_vars)
+    pts = sample_ball(rng, VERIFY_POINTS, h.num_vars)
     h_vals = h.evaluate_many(pts)
     f_vals = sf.f.evaluate_many(pts @ sf.ell)
     return float(np.max(np.abs(h_vals - f_vals) / np.maximum(1.0, np.abs(h_vals))))

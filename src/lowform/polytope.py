@@ -210,7 +210,6 @@ def cut_loop(
     sf: SparseForm,
     poly: Polytope,
     opts: SolveOptions | None = None,
-    max_cuts: int = _MAX_CUTS,
 ) -> PolytopeReduceResult:
     """Minimize f(ell^T x) over a bounded standard-form polytope by cuts.
 
@@ -227,9 +226,6 @@ def cut_loop(
     duality the finite max (ell u) . x over Omega equals min lambda . b over
     A^T lambda >= ell u, so that LP is feasible.
     """
-    # Each round solves the inner problem once, so zero rounds has no minimizer.
-    if max_cuts < 1:
-        raise ValueError(f"max_cuts must be at least 1, got {max_cuts}")
     opts = opts or SolveOptions()
     f, ell = sf.f, np.asarray(sf.ell, dtype=float)
     if f.is_constant():
@@ -245,7 +241,7 @@ def cut_loop(
         cuts.append(cut0)
     inner_values: list[float] = []
     converged = False
-    for _ in range(max_cuts):
+    for _ in range(_MAX_CUTS):
         region = Hrep([c.u for c in cuts], [c.rhs for c in cuts], box_lo, box_hi)
         res = minimize_polytope(f, region, opts)
         inner_values.append(res.value)

@@ -681,7 +681,9 @@ def brute_force_min(
 
     ``domain`` is "ball", "sphere", an :class:`Hrep`, or a standard-form
     :class:`Polytope`, sampled by :func:`polytope_sample`.  The best
-    ``_POLISH_FROM`` sampled points each get ``_POLISH_STEPS`` local steps.
+    ``_POLISH_FROM`` sampled points each get ``_POLISH_STEPS`` local steps;
+    on the canonical simplex its n vertices e_i are evaluated and polished
+    from as well.
     """
     rng = np.random.default_rng(seed)
     value, grad = _reference_value_and_grad(p)
@@ -725,10 +727,16 @@ def brute_force_min(
         if p.num_vars > 3 * _ORACLE_MAX_DIM_POLY:
             raise ValueError("oracle limited to desk-scale polytopes")
         pts = polytope_sample(domain, rng, int(resolution))
+        simplex = _is_canonical_simplex(domain)
+        if simplex:
+            # the vertices e_i in closed form: a narrow vertex basin can hold
+            # no sample, so each vertex is evaluated and polished from too
+            pts = np.vstack([np.eye(p.num_vars), pts])
         vals = reference_evaluate(p, pts)
         best_idx = np.argsort(vals)[:_POLISH_FROM]
-        best = float(vals[best_idx[0]])
-        simplex = _is_canonical_simplex(domain)
+        if simplex:
+            best_idx = np.union1d(best_idx, np.arange(p.num_vars))
+        best = float(vals.min())
         for i in best_idx:
             if simplex:
                 _, fx, _, _ = _pgd(value, grad, _project_simplex, pts[i], _POLISH_STEPS, 1e-12)

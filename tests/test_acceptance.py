@@ -37,6 +37,7 @@ from lowform.detection import (
     detect_exact,
     detect_randomized,
     extract_sparse_form,
+    gradient_spectrum,
     verify_sparse_form,
 )
 from lowform.generate import generate_instance
@@ -80,10 +81,10 @@ def test_criterion_2_detection_round_trip(detection_corpus):
     worst_residual = 0.0
     worst_angle = 0.0
     for inst in detection_corpus:
-        exact = detect_exact(inst.h)
+        exact = detect_exact(gradient_spectrum(inst.h))
         assert exact.m == inst.m, (inst.seed, exact.m, inst.m)
         sf = extract_sparse_form(inst.h, exact.basis)
-        residual = verify_sparse_form(inst.h, sf, num_points=200, seed=inst.seed)
+        residual = verify_sparse_form(inst.h, sf, seed=inst.seed)
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-8, inst.seed
         for seed in range(5):
@@ -102,7 +103,7 @@ def test_criterion_3_sphere_reduction_equivalence(sphere_corpus):
     """Sphere minimum of h equals ball minimum of the reduced objective."""
     worst_gap = 0.0
     for idx, inst in enumerate(sphere_corpus):
-        sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+        sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
         prob = reduce_sphere(sf)
         res = minimize_ball(prob.g, SolveOptions(seed=idx))
         oracle = brute_force_min(inst.h, "sphere", 100_000, seed=3000 + idx)
@@ -134,7 +135,7 @@ def test_criterion_4_polytope_cut_loop():
     max_iters = 0
     rng = np.random.default_rng(77)
     for inst, poly in _simplex_cases():
-        sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+        sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
         result = cut_loop(sf, poly, SolveOptions(seed=inst.seed))
         assert result.converged and result.iterations <= 50, inst.seed
         max_iters = max(max_iters, result.iterations)
@@ -151,7 +152,7 @@ def test_criterion_4_polytope_cut_loop():
 
     for inst in _box_cases():
         n = inst.n
-        sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+        sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
         # standard-form rewrite of [-1,1]^n: x = z+ - z-, z+ + z- + slack = e
         poly = Polytope(
             a=np.hstack([np.eye(n), np.eye(n), np.eye(n)]), b=np.ones(n)
@@ -186,7 +187,7 @@ def test_criterion_5_conditional_expectation_exactness(approx_corpus):
     worst_sigma = 0.0
     worst_coef_gap = 0.0
     for inst in approx_corpus:
-        split = split_spectrum(inst.h, inst.m)
+        split = split_spectrum(gradient_spectrum(inst.h), inst.m)
         fhat = conditional_expectation_exact(inst.h, split)
         assert fhat.odd_y_violation() < 1e-12, inst.seed
         rng = np.random.default_rng(inst.seed)
@@ -220,7 +221,7 @@ def test_criterion_6_equality_lemma(approx_corpus):
     worst_gap = 0.0
     worst_oracle = 0.0
     for idx, inst in enumerate(approx_corpus):
-        split = split_spectrum(inst.h, inst.m)
+        split = split_spectrum(gradient_spectrum(inst.h), inst.m)
         fhat = conditional_expectation_exact(inst.h, split)
         minimum = solve_Q(fhat, SolveOptions(seed=idx))
         # fhat is even in Y, so its sphere minimum is its Y >= 0 minimum, the
@@ -264,7 +265,7 @@ def test_criterion_7_limit_case():
     tails, masses, errors, gaps = [], [], [], []
     for eps in (1e-1, 1e-2, 1e-3, 0.0):
         inst = generate_instance(seed, n, m, degree, epsilon=eps)
-        split = split_spectrum(inst.h, m)
+        split = split_spectrum(gradient_spectrum(inst.h), m)
         fhat = conditional_expectation_exact(inst.h, split)
         tails.append(tail_sum(split))
         masses.append(y_mass(fhat))

@@ -33,7 +33,7 @@ from lowform.approx import (
     solve_Q,
     split_spectrum,
 )
-from lowform.detection import extract_sparse_form
+from lowform.detection import extract_sparse_form, gradient_spectrum
 from lowform.generate import generate_instance
 from lowform.poly import Polynomial
 from lowform.solvers import SolveOptions, minimize_ball
@@ -53,7 +53,7 @@ def axes_split(n: int, m: int) -> SpectrumSplit:
 
 def test_split_spectrum_exactly_sparse_tail():
     inst = generate_instance(40, 5, 2, 3)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     assert tail_sum(split) < 1e-10
     assert sin_principal_angle(split.ell, inst.ell0) < 1e-7
     frame = np.hstack([split.ell, split.s])
@@ -63,7 +63,7 @@ def test_split_spectrum_exactly_sparse_tail():
 def test_split_spectrum_perturbed():
     # h = (x1+x2)^2 + 0.01 x3^2: gradient mass concentrates on two directions
     h = Polynomial(3, {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 2, 0): 1.0, (0, 0, 2): 0.01})
-    split = split_spectrum(h, 2)
+    split = split_spectrum(gradient_spectrum(h), 2)
     assert float(split.lambda_tail.sum()) < float(split.lambda_head.sum())
     assert list(split.lambda_head) == sorted(split.lambda_head, reverse=True)
     assert float(split.lambda_head.min()) >= float(split.lambda_tail.max()) - 1e-12
@@ -71,18 +71,18 @@ def test_split_spectrum_perturbed():
 
 def test_split_spectrum_shapes_and_bounds():
     inst = generate_instance(41, 4, 2, 3, epsilon=0.1)
-    split = split_spectrum(inst.h, 3)
+    split = split_spectrum(gradient_spectrum(inst.h), 3)
     assert split.lambda_tail.size == 1 and split.s.shape == (4, 1)
     with pytest.raises(ValueError):
-        split_spectrum(inst.h, 0)
+        split_spectrum(gradient_spectrum(inst.h), 0)
     with pytest.raises(ValueError):
-        split_spectrum(inst.h, 4)
+        split_spectrum(gradient_spectrum(inst.h), 4)
 
 
 def test_choose_m_spectral_gap():
     inst = generate_instance(42, 5, 2, 3, epsilon=1e-4)
-    assert choose_m(inst.h) == 2
-    assert choose_m(Polynomial.constant(3, 1.0)) == 0
+    assert choose_m(gradient_spectrum(inst.h)) == 2
+    assert choose_m(gradient_spectrum(Polynomial.constant(3, 1.0))) == 0
 
 
 def test_conditional_expectation_tail_square():
@@ -94,7 +94,7 @@ def test_conditional_expectation_tail_square():
 
 def test_conditional_expectation_exactly_sparse_is_f():
     inst = generate_instance(43, 5, 2, 3)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     fhat = conditional_expectation_exact(inst.h, split)
     assert y_mass(fhat) < 1e-12
     sf = extract_sparse_form(inst.h, split.ell)
@@ -111,7 +111,7 @@ def test_conditional_expectation_odd_tail_vanishes():
 def test_even_y_purity_random():
     for i in range(5):
         inst = generate_instance(60 + i, 4, 2, 3, epsilon=0.2)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         fhat = conditional_expectation_exact(inst.h, split)
         assert fhat.odd_y_violation() < 1e-12
 
@@ -144,7 +144,7 @@ def test_cubature_path_matches_exact_path():
 
     for i in range(3):
         inst = generate_instance(70 + i, 4, 2, 4, epsilon=0.1)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         exact = conditional_expectation_exact(inst.h, split)
         rule = build_cubature(2, inst.h.degree(), seed=i)
         cub = conditional_expectation_cubature(inst.h, split, rule)
@@ -154,7 +154,7 @@ def test_cubature_path_matches_exact_path():
 def test_cubature_surrogate_at_points():
     # fhat(X, Y) = sum_j w_j h(ell X + Y s v_j), summed by direct evaluation
     inst = generate_instance(76, 5, 2, 4, epsilon=0.1)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     rule = build_cubature(3, 4, seed=3)
     fhat = conditional_expectation_cubature(inst.h, split, rule)
     rng = np.random.default_rng(8)
@@ -168,7 +168,7 @@ def test_cubature_surrogate_at_points():
 
 def test_cubature_degree_deficiency_rejected():
     inst = generate_instance(75, 4, 2, 4)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     rule = build_cubature(2, 2, seed=0)
     with pytest.raises(ValueError):
         conditional_expectation_cubature(inst.h, split, rule)
@@ -183,7 +183,7 @@ def test_solve_q_tail_square():
 
 def test_solve_q_no_y_terms_reduces_to_ball():
     inst = generate_instance(44, 5, 2, 3)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     fhat = conditional_expectation_exact(inst.h, split)
     res = solve_Q(fhat, OPTS)
     x_only = Polynomial(2, {e[:2]: c for e, c in fhat.poly.terms.items()})
@@ -204,7 +204,7 @@ def test_hhat_eval_examples():
 
 def test_hhat_equals_h_for_exactly_sparse():
     inst = generate_instance(45, 5, 2, 3)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     fhat = conditional_expectation_exact(inst.h, split)
     pts = mc_ball_points(5, 100, seed=9)
     hv = inst.h.evaluate_many(pts)
@@ -214,7 +214,7 @@ def test_hhat_equals_h_for_exactly_sparse():
 
 def test_l2_error_examples():
     inst = generate_instance(46, 5, 2, 3)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     fhat = conditional_expectation_exact(inst.h, split)
     assert l2_error(inst.h, fhat, split) < 1e-12
 
@@ -223,14 +223,14 @@ def test_l2_error_monotone_in_epsilon():
     values = {}
     for eps in (0.1, 0.01):
         inst = generate_instance(47, 4, 2, 3, epsilon=eps)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         fhat = conditional_expectation_exact(inst.h, split)
         values[eps] = l2_error(inst.h, fhat, split)
     assert values[0.01] < values[0.1]
 
 
 def _surrogate_on_path(inst, m: int, path: str):
-    split = split_spectrum(inst.h, m)
+    split = split_spectrum(gradient_spectrum(inst.h), m)
     if path == "exact":
         return split, conditional_expectation_exact(inst.h, split)
     rule = build_cubature(inst.n - m, inst.h.degree(), seed=inst.seed)
@@ -270,7 +270,7 @@ def test_l2_error_matches_expectation_of_square(path):
 def test_tower_property_mean_preserved():
     for i in range(5):
         inst = generate_instance(80 + i, 4, 2, 3, epsilon=0.15)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         fhat = conditional_expectation_exact(inst.h, split)
         pts = mc_ball_points(4, 200_000, seed=i)
         diff = inst.h.evaluate_many(pts) - hhat_eval_many(fhat, split, pts)
@@ -280,7 +280,7 @@ def test_tower_property_mean_preserved():
 
 def test_conditional_expectation_matches_per_y_monte_carlo():
     inst = generate_instance(90, 4, 2, 3, epsilon=0.2)
-    split = split_spectrum(inst.h, 2)
+    split = split_spectrum(gradient_spectrum(inst.h), 2)
     fhat = conditional_expectation_exact(inst.h, split)
     rng = np.random.default_rng(5)
     d = 2
@@ -319,7 +319,7 @@ def test_equality_of_surrogate_minima_mini():
     # where f-hat's Y terms count; at 95 and 96 it lies on |X| = 1
     for i, seed in enumerate((95, 96, 131)):
         inst = generate_instance(seed, 4, 2, 3, epsilon=0.1)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         fhat = conditional_expectation_exact(inst.h, split)
         via_q = solve_Q(fhat, SolveOptions(seed=i))
         # fhat is even in Y, so its sphere minimum is its Y >= 0 minimum
@@ -331,7 +331,7 @@ def test_l2_ratio_stays_bounded_over_epsilon_family():
     ratios = []
     for eps in (0.1, 0.01, 0.001):
         inst = generate_instance(99, 4, 2, 3, epsilon=eps)
-        split = split_spectrum(inst.h, 2)
+        split = split_spectrum(gradient_spectrum(inst.h), 2)
         fhat = conditional_expectation_exact(inst.h, split)
         err = l2_error(inst.h, fhat, split)
         ratios.append(err / tail_sum(split))

@@ -793,6 +793,70 @@ def test_manifest_keys_inputs_by_their_paths(tmp_path, concave_polytope_request)
     assert read(out / "manifest.json")["inputs"] == want
 
 
+@pytest.fixture()
+def staged_files(tmp_path, sparse_instance):
+    """Inputs of every command: h, its detection report and sparse form, and
+    a polynomial objective."""
+    det, ext = tmp_path / "det", tmp_path / "ext"
+    assert run(["detect", "--input", sparse_instance, "--out", det]) == 0
+    assert run(["extract", "--input", sparse_instance, "--report", det / "report.json",
+                "--out", ext]) == 0
+    objective = tmp_path / "p.json"
+    objective.write_text(json.dumps({"num_vars": 2, "terms": [
+        {"exp": [1, 0], "coef": 1.0}, {"exp": [0, 2], "coef": -1.0}]}))
+    return {"h": sparse_instance, "det": det / "report.json", "ext": ext / "report.json",
+            "p": objective}
+
+
+# command -> (arguments with file keys of staged_files, input keys, seed)
+REQUESTS = {
+    "gen": (["--n", 3, "--m", 1, "--seed", 3], [], 3),
+    "detect": (["--input", "h", "--seed", 3], ["h"], 3),
+    "extract": (["--input", "h", "--report", "det", "--seed", 3], ["h", "det"], 3),
+    "reduce-sphere": (["--sparse", "ext"], ["ext"], None),
+    "reduce-polytope": (["--sparse", "ext", "--preset", "simplex", "--seed", 3], ["ext"], 3),
+    "solve": (["--objective", "p", "--domain", "ball", "--seed", 3], ["p"], 3),
+    "approx": (["--input", "h", "--m", 1, "--seed", 3], ["h"], 3),
+    "pipeline": (["--input", "h", "--domain", "sphere", "--seed", 3], ["h"], 3),
+}
+
+
+@pytest.mark.parametrize("command", list(REQUESTS))
+def test_every_command_prints_its_report_and_writes_a_manifest(tmp_path, staged_files, capsys,
+                                                               command):
+    argv, input_keys, seed = REQUESTS[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command] + [staged_files.get(a, a) for a in argv] + ["--out", out]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text()
+    manifest = read(out / "manifest.json")
+    inputs = [out / "h.json"] if command == "gen" else [staged_files[k] for k in input_keys]
+    assert manifest["command"] == command and manifest["seed"] == seed
+    assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in inputs}
+    assert isinstance(manifest["wall_time_s"], float) and manifest["wall_time_s"] >= 0.0
+
+
+def test_nonconvergent_request_prints_and_writes_its_partial_report(tmp_path, capsys):
+    hard = tmp_path / "q.json"
+    hard.write_text(json.dumps({"num_vars": 2, "terms": [
+        {"exp": [4, 0], "coef": 1.0}, {"exp": [0, 3], "coef": -2.0},
+        {"exp": [1, 1], "coef": 0.7}]}))
+    out = tmp_path / "out"
+    assert run(["solve", "--objective", hard, "--domain", "sphere", "--max-iter", 1,
+                "--starts", 1, "--out", out]) == 4
+    assert capsys.readouterr().out == (out / "report.json").read_text()
+    assert read(out / "report.json")["status"] == "max_iter"
+    assert read(out / "manifest.json")["command"] == "solve"
+
+
+def test_option_error_prints_and_writes_nothing(tmp_path, staged_files, capsys):
+    out = tmp_path / "out"
+    assert run(["solve", "--objective", staged_files["p"], "--domain", "ball",
+                "--starts", 0, "--out", out]) == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 _REDUCE_POLYTOPE_GUARD = r"""
 import sys
 import lowform.cli as cli

@@ -20,6 +20,7 @@ from lowform.detection import (
     detect_exact,
     detect_randomized,
     extract_sparse_form,
+    gradient_spectrum,
     moment_matrix,
     verify_sparse_form,
 )
@@ -90,15 +91,15 @@ def test_moment_matrix_is_psd_symmetric():
 
 
 def test_detect_exact_examples():
-    rep = detect_exact(SQUARE)
+    rep = detect_exact(gradient_spectrum(SQUARE))
     assert rep.m == 1
     assert np.allclose(np.abs(rep.basis[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-10)
     assert rep.spectrum == pytest.approx([4.0, 0.0], abs=1e-12)
 
     full = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
-    assert detect_exact(full).m == 2
+    assert detect_exact(gradient_spectrum(full)).m == 2
 
-    const = detect_exact(Polynomial.constant(3, 1.5))
+    const = detect_exact(gradient_spectrum(Polynomial.constant(3, 1.5)))
     assert const.m == 0 and const.basis.shape == (3, 0)
 
 
@@ -118,7 +119,7 @@ def test_detect_randomized_agrees_with_exact_on_dense():
     rng = np.random.default_rng(5)
     for i in range(8):
         h = random_polynomial(rng, 3, 3, density=0.9)
-        exact = detect_exact(h)
+        exact = detect_exact(gradient_spectrum(h))
         rand = detect_randomized(h, seed=i)
         assert rand.m == exact.m == 3
 
@@ -133,7 +134,7 @@ def test_extract_examples():
     basis = np.array([[1.0], [1.0]]) / math.sqrt(2)
     sf = extract_sparse_form(SQUARE, basis)
     assert coefficient_distance(sf.f, Polynomial(1, {(2,): 2.0})) < 1e-12
-    assert verify_sparse_form(SQUARE, sf, 200, seed=0) < 1e-12
+    assert verify_sparse_form(SQUARE, sf, seed=0) < 1e-12
 
     h = Polynomial(2, {(1, 0): 1.0})
     sf = extract_sparse_form(h, np.array([[1.0], [0.0]]))
@@ -152,11 +153,11 @@ def test_extract_rejects_non_orthonormal():
 def test_verify_detects_wrong_form():
     h = Polynomial(2, {(2, 0): 1.0})  # x1^2
     wrong = SparseForm(f=Polynomial(1, {(2,): 1.0}), ell=np.array([[0.0], [1.0]]))
-    assert verify_sparse_form(h, wrong, 100, seed=1) > 0.01
+    assert verify_sparse_form(h, wrong, seed=1) > 0.01
 
     const = Polynomial.constant(2, 3.0)
     sf = SparseForm(f=Polynomial.constant(0, 3.0), ell=np.zeros((2, 0)))
-    assert verify_sparse_form(const, sf, 50, seed=1) == 0.0
+    assert verify_sparse_form(const, sf, seed=1) == 0.0
 
 
 def test_round_trip_small_corpus():
@@ -165,11 +166,11 @@ def test_round_trip_small_corpus():
     cases += [(510, 5, 0, 3), (511, 4, 4, 3), (512, 1, 1, 4), (513, 1, 0, 2)]
     for i, (seed, n, m, degree) in enumerate(cases):
         inst = generate_instance(seed, n, m, degree)
-        rep = detect_exact(inst.h)
+        rep = detect_exact(gradient_spectrum(inst.h))
         assert rep.m == m
         sf = extract_sparse_form(inst.h, rep.basis)
         assert sf.f.num_vars == m
-        assert verify_sparse_form(inst.h, sf, 200, seed=i) < 1e-8
+        assert verify_sparse_form(inst.h, sf, seed=i) < 1e-8
         assert sin_principal_angle(rep.basis, inst.ell0) < 1e-7
 
 
@@ -184,10 +185,10 @@ def test_round_trip_small_corpus():
 def test_detection_invariant_under_orthogonal_change_of_variables(n, m, degree, seed):
     m = min(m, n)
     inst = generate_instance(seed, n, m, degree)
-    rep = detect_exact(inst.h)
+    rep = detect_exact(gradient_spectrum(inst.h))
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     # h(Q y) = f0((Q^T ell0)^T y): the same m, and the span turned by Q^T
-    turned = detect_exact(inst.h.compose(q))
+    turned = detect_exact(gradient_spectrum(inst.h.compose(q)))
     assert turned.m == rep.m == m
     assert sin_principal_angle(turned.basis, q.T @ rep.basis) < 1e-9
     top = max(rep.spectrum[0], 1.0)
@@ -196,7 +197,7 @@ def test_detection_invariant_under_orthogonal_change_of_variables(n, m, degree, 
 
 def test_subspace_contains_gradients():
     inst = generate_instance(77, 7, 2, 4)
-    rep = detect_exact(inst.h)
+    rep = detect_exact(gradient_spectrum(inst.h))
     grads = inst.h.gradient()
     pts = mc_ball_points(7, 100, seed=3)
     grad_vals = np.column_stack([g.evaluate_many(pts) for g in grads])
@@ -212,12 +213,12 @@ def test_dense_polynomials_are_full_rank():
     for i in range(20):
         n = int(rng.integers(2, 7))
         h = random_polynomial(rng, n, 3, density=0.9)
-        assert detect_exact(h).m == n
+        assert detect_exact(gradient_spectrum(h)).m == n
         assert detect_randomized(h, seed=i).m == n
 
 
 def test_report_fields():
-    rep = detect_exact(SQUARE, rank_tol=1e-6)
+    rep = detect_exact(gradient_spectrum(SQUARE), rank_tol=1e-6)
     assert rep.method == "exact" and rep.samples_used is None
     assert rep.rank_tol == 1e-6
     assert np.allclose(rep.basis.T @ rep.basis, np.eye(rep.m), atol=1e-8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min, coefficient_distance
-from lowform.detection import SparseForm, detect_exact, extract_sparse_form
+from lowform.detection import SparseForm, detect_exact, extract_sparse_form, gradient_spectrum
 from lowform.generate import generate_instance
 from lowform.linalg import RankDeficientError
 from lowform.poly import Polynomial
@@ -24,7 +24,7 @@ def test_reduce_sphere_scaling():
 
 def test_reduce_sphere_orthonormal_shortcut():
     inst = generate_instance(321, 5, 2, 3)
-    sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+    sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
     prob = reduce_sphere(sf)
     assert np.allclose(prob.L, np.eye(2), atol=1e-10)
     assert coefficient_distance(prob.g, sf.f) < 1e-10
@@ -58,7 +58,7 @@ def test_lift_interior_point_uses_kernel():
 
 def test_lift_boundary_point_orthonormal():
     inst = generate_instance(654, 4, 2, 3)
-    sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+    sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
     prob = reduce_sphere(sf)
     y = np.array([0.6, 0.8])
     x = lift_minimizer(prob, y)
@@ -85,7 +85,7 @@ def test_lift_rejects_outside_ball():
 def test_value_equivalence_mini_corpus():
     for i in range(6):
         inst = generate_instance(800 + i, 5, 2, 3)
-        sf = extract_sparse_form(inst.h, detect_exact(inst.h).basis)
+        sf = extract_sparse_form(inst.h, detect_exact(gradient_spectrum(inst.h)).basis)
         prob = reduce_sphere(sf)
         res = minimize_ball(prob.g, SolveOptions(seed=i))
         oracle = brute_force_min(inst.h, "sphere", 100_000, seed=50 + i)
