@@ -23,12 +23,15 @@ fhat is even in Y, so Q minimizes B over |X| <= 1.
 The L2 error E[(h - hhat)^2] of hhat(x) = fhat(ell^T x, sqrt(1 - |ell^T x|^2))
 is exact: hhat is a polynomial, as fhat is even in Y, so the error is a sum
 of ball moments, taken by the kernel of detection's moment matrix.
+
+The cubature rule's weights come from a nonnegative least squares solved
+here in numpy, so neither path loads scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -198,14 +201,22 @@ def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubatureRule:
-    """Positive rule exact for all monomials of total degree <= degree."""
+    """Positive rule exact for all monomials of total degree <= degree.
+
+    ``nodes`` and ``weights`` are made read-only: :func:`build_cubature`
+    hands the same rule to every caller.
+    """
 
     dim: int
     degree: int
     nodes: np.ndarray  # (r, dim), inside the unit ball
     weights: np.ndarray  # (r,), positive, summing to 1
+
+    def __post_init__(self):
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
     def moments(self, exponents: np.ndarray) -> np.ndarray:
         """sum_j w_j v_j^beta for every row beta of a (k, dim) exponent matrix."""
@@ -218,18 +229,117 @@ def _validate_rule(rule: CubatureRule) -> float:
     return float(np.abs(rule.moments(alphas) - ball_moments(alphas, rule.dim)).max())
 
 
+def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z with r z = y for upper-triangular r, solved in halves down to small
+    blocks (LU of a triangular block does no pivoting: it is back
+    substitution)."""
+    k = y.size
+    if k <= 64:
+        return np.linalg.solve(r, y)
+    h = k // 2
+    z2 = _back_substitute(r[h:, h:], y[h:])
+    return np.concatenate([_back_substitute(r[:h, :h], y[:h] - r[:h, h:] @ z2), z2])
+
+
+def _append_column(qt, r, qtb, k: int, column: np.ndarray, b: np.ndarray):
+    """Grow the k-column thin QR (``qt`` holds Q^T) by ``column``; returns the
+    least-squares coefficients on the k + 1 columns, or None when the column
+    may not enter: it is numerically dependent on the first k, or its own
+    coefficient is not positive (Lawson-Hanson's two tests)."""
+    c = qt[:k] @ column
+    v = column - c @ qt[:k]
+    c2 = qt[:k] @ v  # the second Gram-Schmidt pass restores orthogonality
+    v -= c2 @ qt[:k]
+    rho = np.linalg.norm(v)
+    if rho <= 100.0 * np.finfo(float).eps * np.linalg.norm(column):
+        return None
+    qt[k] = v / rho
+    r[:k, k] = c + c2
+    r[k, k] = rho
+    qtb[k] = qt[k] @ b
+    z = _back_substitute(r[:k + 1, :k + 1], qtb[:k + 1])
+    return z if z[k] > 0.0 else None
+
+
+def _delete_column(qt, r, qtb, k: int, i: int) -> None:
+    """Remove column i of the k-column thin QR by Givens rotations."""
+    r[:k, i:k - 1] = r[:k, i + 1:k]
+    for j in range(i, k - 1):
+        # rotate rows j and j + 1 so that r[j + 1, j] becomes zero
+        g = np.array([[r[j, j], r[j + 1, j]], [-r[j + 1, j], r[j, j]]])
+        g /= np.hypot(r[j, j], r[j + 1, j])
+        r[j:j + 2, j:k - 1] = g @ r[j:j + 2, j:k - 1]
+        r[j + 1, j] = 0.0
+        qt[j:j + 2] = g @ qt[j:j + 2]
+        qtb[j:j + 2] = g @ qtb[j:j + 2]
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """x >= 0 minimizing |a x - b|, and that residual norm.
+
+    The Lawson-Hanson active-set method (Solving Least Squares Problems,
+    1974, ch. 23), with at most 3 n least-squares steps.  The passive
+    columns keep a thin QR between steps: a column enters by two
+    Gram-Schmidt passes and leaves by a Givens downdate, never by a
+    refactorization.  One lstsq on the final passive columns polishes x.
+    """
+    m, n = a.shape
+    size = min(m, n)
+    at = np.ascontiguousarray(a.T)
+    qt, r, qtb = np.zeros((size, m)), np.zeros((size, size)), np.zeros(size)
+    x = np.zeros(n)
+    passive: list[int] = []
+    residual = b
+    steps = 0
+    while steps < 3 * n and len(passive) < size:
+        w = at @ residual
+        w[passive] = 0.0
+        z = None
+        while z is None and w.max() > 0.0:
+            t = int(np.argmax(w))
+            w[t] = 0.0
+            z = _append_column(qt, r, qtb, len(passive), a[:, t], b)
+        if z is None:
+            break  # no free column can lower the residual
+        passive.append(t)
+        steps += 1
+        while (z <= 0.0).any():
+            # step from x towards z until the first passive value reaches 0,
+            # then move every passive value at 0 back to the free set
+            steps += 1
+            xp = x[passive]
+            neg = np.flatnonzero(z <= 0.0)
+            ratios = xp[neg] / (xp[neg] - z[neg])
+            xp += ratios.min() * (z - xp)
+            xp[neg[ratios.argmin()]] = 0.0
+            x[passive] = xp
+            for i in np.flatnonzero(xp <= 0.0)[::-1]:
+                _delete_column(qt, r, qtb, len(passive), i)
+                x[passive.pop(i)] = 0.0
+            k = len(passive)
+            z = _back_substitute(r[:k, :k], qtb[:k])
+        k = len(passive)
+        x[passive] = z
+        residual = b - qtb[:k] @ qt[:k]
+    if passive:
+        z = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        if (z > 0.0).all():
+            x[passive] = z
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+@lru_cache(maxsize=16)  # bounded: a long session may sweep seeds
 def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
     """Rule exact to ``degree`` for the uniform distribution on the ball.
 
     dim 1 uses Gauss-Legendre nodes (the uniform measure on [-1, 1] is the
     Legendre weight).  Higher dimensions match moments by nonnegative least
-    squares over symmetric (+-v) candidate pairs, which kills all odd-degree
-    monomials by construction; candidates are resampled with a larger pool on
-    failure.  The finished rule is validated against every moment up to its
-    degree.  scipy's NNLS is imported here, so only this path loads scipy.
+    squares (:func:`_nnls`) over symmetric (+-v) candidate pairs, which kills
+    all odd-degree monomials by construction; candidates are resampled with
+    a larger pool on failure.  The finished rule is validated against every
+    moment up to its degree.  The rule is a function of (dim, degree, seed),
+    so each is built once per process and shared, read-only.
     """
-    from scipy.optimize import nnls
-
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 0:
@@ -251,7 +361,7 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
         half = sample_ball(rng, num_pairs, dim)
         # columns: v^alpha + (-v)^alpha = 2 v^alpha for even total degree
         matrix = 2.0 * _monomial_values(half, even_targets).T
-        weights, residual = nnls(matrix, b)
+        weights, residual = _nnls(matrix, b)
         if residual <= 1e-10:
             keep = weights > 1e-14
             nodes = np.vstack([half[keep], -half[keep]])

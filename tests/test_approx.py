@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from conftest import (
     brute_force_min,
@@ -25,6 +26,7 @@ from conftest import (
 from lowform.approx import (
     LiftedPolynomial,
     SpectrumSplit,
+    _nnls,
     build_cubature,
     choose_m,
     conditional_expectation_cubature,
@@ -125,7 +127,7 @@ def test_build_cubature_dim1():
 
 
 def test_build_cubature_higher_dims():
-    for dim, degree in [(2, 4), (3, 4), (2, 6)]:
+    for dim, degree in [(2, 4), (3, 4), (2, 6), (4, 4), (6, 4)]:
         rule = build_cubature(dim, degree, seed=1)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(rule.weights > 0)
@@ -134,6 +136,73 @@ def test_build_cubature_higher_dims():
             assert rule.moments(np.array([alpha]))[0] == pytest.approx(target, abs=1e-8)
             if sum(alpha) % 2 == 1:
                 assert rule.moments(np.array([alpha]))[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def _assert_nnls_optimal(a, b, x, rnorm):
+    """x >= 0, its residual is scipy's, and the KKT signs hold for w = a^T (b - a x)."""
+    scale = max(1.0, float(np.linalg.norm(b)))
+    tol = 1e-9 * scale * max(1.0, float(np.abs(a).max()))
+    assert np.all(x >= 0.0)
+    assert rnorm == pytest.approx(float(np.linalg.norm(a @ x - b)), abs=1e-12 * scale)
+    assert abs(rnorm - nnls(a, b)[1]) <= 1e-9 * scale
+    w = a.T @ (b - a @ x)
+    assert np.all(w <= tol), w.max()
+    assert np.all(np.abs(w[x > 0.0]) <= tol), np.abs(w[x > 0.0]).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 40),
+    inside=st.booleans(),
+    rounded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nnls_matches_scipy(m, n, inside, rounded, seed):
+    # b inside the cone of a's columns has residual 0; outside it, a positive
+    # one; rounded entries give tied and dependent columns
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    if rounded:
+        a = np.round(a)
+    b = a @ rng.random(n) if inside else rng.standard_normal(m)
+    x, rnorm = _nnls(a, b)
+    _assert_nnls_optimal(a, b, x, rnorm)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim, degree", [(4, 4), (6, 4), (3, 8)])
+def test_nnls_builds_cubature_at_the_first_attempt(dim, degree, seed, monkeypatch):
+    systems = []
+
+    def recording(a, b):
+        x, rnorm = _nnls(a, b)
+        systems.append((a, b, x, rnorm))
+        return x, rnorm
+
+    monkeypatch.setattr("lowform.approx._nnls", recording)
+    build_cubature.__wrapped__(dim, degree, seed=seed)
+    [(a, b, x, rnorm)] = systems
+    assert rnorm <= 1e-10
+    _assert_nnls_optimal(a, b, x, rnorm)
+
+
+def test_build_cubature_builds_each_rule_once(monkeypatch):
+    calls = []
+
+    def recording(a, b):
+        calls.append(a.shape)
+        return _nnls(a, b)
+
+    build_cubature.cache_clear()
+    monkeypatch.setattr("lowform.approx._nnls", recording)
+    rule = build_cubature(4, 4, seed=0)
+    assert build_cubature(4, 4, seed=0) is rule
+    assert calls == [(46, 368)]
+    with pytest.raises(ValueError):
+        rule.nodes[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
 
 
 def test_cubature_path_matches_exact_path():

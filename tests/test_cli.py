@@ -690,12 +690,12 @@ for case in ("case_sphere", "case_simplex", "case_approx"):
     assert cli.main(argv + ["--out", os.path.join(out, case)]) == 0, case
     assert not scipy_loaded(), (case, scipy_loaded())
 h = os.path.join(golden, "case_approx", "h.json")
+assert cli.main(["approx", "--input", h, "--path", "cubature",
+                 "--out", os.path.join(out, "cubature")]) == 0
+assert not scipy_loaded(), ("cubature", scipy_loaded())
 assert cli.main(["detect", "--input", h, "--method", "randomized",
                  "--out", os.path.join(out, "detect")]) == 0
 assert "scipy.linalg" in sys.modules
-assert cli.main(["approx", "--input", h, "--path", "cubature",
-                 "--out", os.path.join(out, "cubature")]) == 0
-assert "scipy.optimize" in sys.modules
 """
 
 
@@ -709,9 +709,9 @@ def _run_fresh(script: str, *args) -> subprocess.CompletedProcess:
 
 
 def test_golden_requests_never_load_scipy(tmp_path):
-    # scipy is imported only where an LP, an NNLS or a pivoted QR runs: a
-    # fresh interpreter answers the three golden requests without it, and
-    # the randomized detection and the cubature path still load it
+    # scipy is imported only where an LP or a pivoted QR runs: a fresh
+    # interpreter answers the three golden requests and a cubature request
+    # without it, and the randomized detection still loads it
     done = _run_fresh(_SCIPY_GUARD, GOLDEN_DIR, tmp_path)
     assert done.returncode == 0, done.stderr
 
