@@ -31,7 +31,6 @@ from .linalg import (
     lp_solve,
     numeric_rank,
     orthonormalize,
-    psd_sqrt,
     sym_eig,
 )
 from .poly import Polynomial

@@ -329,7 +329,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=16)  # bounded: a long session may sweep seeds
-def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
+def build_cubature(dim: int, degree: int, /, *, seed: int) -> CubatureRule:
     """Rule exact to ``degree`` for the uniform distribution on the ball.
 
     dim 1 uses Gauss-Legendre nodes (the uniform measure on [-1, 1] is the
@@ -338,7 +338,7 @@ def build_cubature(dim: int, degree: int, seed: int = 0) -> CubatureRule:
     all odd-degree monomials by construction; candidates are resampled with
     a larger pool on failure.  The finished rule is validated against every
     moment up to its degree.  The rule is a function of (dim, degree, seed),
-    so each is built once per process and shared, read-only.
+    which has one call form, so each is built once per process and shared.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

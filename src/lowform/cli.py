@@ -163,9 +163,15 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
     print(text)
 
 
-def _solve_options(args) -> SolveOptions | None:
-    """The solver options of a command that takes them, validated before any
-    work is done; None for a command without them."""
+def _checked_options(args) -> SolveOptions | None:
+    """Check --seed, --rank-tol, --epsilon and the solver options before any
+    work; returns the solver options of a command that takes them, else None."""
+    if getattr(args, "seed", 0) < 0:
+        raise CliInputError(f"--seed must be at least 0, got {args.seed}")
+    if hasattr(args, "rank_tol") and not 0.0 < args.rank_tol < 1.0:  # NaN fails too
+        raise CliInputError(f"--rank-tol must be in (0, 1), got {args.rank_tol}")
+    if not np.isfinite(getattr(args, "epsilon", 0.0)):
+        raise CliInputError(f"--epsilon must be finite, got {args.epsilon}")
     if not hasattr(args, "starts"):
         return None
     try:
@@ -174,8 +180,8 @@ def _solve_options(args) -> SolveOptions | None:
         )
     except ValueError as exc:
         raise CliInputError(
-            f"--starts, --max-iter and --tol must be positive, got "
-            f"{args.starts}, {args.max_iter} and {args.tol}"
+            f"--starts and --max-iter must be positive and --tol finite and positive, "
+            f"got {args.starts}, {args.max_iter} and {args.tol}"
         ) from exc
 
 
@@ -503,13 +509,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one request: parse, validate the solver options, run the command,
+    """Run one request: parse, validate the numeric options, run the command,
     and write its report and manifest.  A request that exits 2 or 3 writes
     neither."""
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report, inputs, code = args.func(args, _solve_options(args))
+        report, inputs, code = args.func(args, _checked_options(args))
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

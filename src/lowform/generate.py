@@ -16,6 +16,8 @@ from .detection import gradient_spectrum
 from .linalg import fix_column_signs, numeric_rank, orthonormalize
 from .poly import Polynomial, graded_monomials
 
+_INNER_ATTEMPTS = 50  # draws of f0 before giving up
+
 
 @dataclass
 class Instance:
@@ -40,11 +42,9 @@ def _random_polynomial(
     return Polynomial(num_vars, terms)
 
 
-def _nondegenerate_inner(
-    rng: np.random.Generator, m: int, degree: int, attempts: int = 50
-) -> Polynomial:
+def _nondegenerate_inner(rng: np.random.Generator, m: int, degree: int) -> Polynomial:
     """Random f0 whose gradients genuinely span all m directions."""
-    for _ in range(attempts):
+    for _ in range(_INNER_ATTEMPTS):
         f0 = _random_polynomial(rng, m, degree)
         if f0.degree() < max(degree, 1):
             continue

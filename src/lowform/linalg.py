@@ -1,10 +1,11 @@
-"""Dense symmetric eigendecompositions, numeric rank, PSD roots, and small LPs.
+"""Dense symmetric eigendecompositions, numeric rank, orthonormal bases, and small LPs.
 
 Everything here operates on small dense matrices (desk-scale dimensions), so
 the implementations lean on LAPACK via numpy and on scipy's HiGHS LP solver
 behind thin, contract-checked wrappers.  Eigenvalues are always reported in
 descending order and eigenvector signs are normalized (first component of
 nonnegligible magnitude is positive) so downstream reports are deterministic.
+No matrix roots are taken here: ``sphere.py`` derives its two from one sym_eig.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-8
 
 _SIGN_EPS = 1e-12
+_SYM_TOL = 1e-10  # sym_eig: largest asymmetry, relative to max(1, max |a|)
+_INDEPENDENCE_TOL = 1e-10  # orthonormalize: smallest |R_ii|, relative to max |a|
 
 # HiGHS drops constraint-matrix entries below this magnitude (its
 # small_matrix_value option).
@@ -28,10 +31,6 @@ class LinalgError(ValueError):
 
 
 class NonSymmetricError(LinalgError):
-    pass
-
-
-class IndefiniteError(LinalgError):
     pass
 
 
@@ -69,14 +68,14 @@ class SymEig:
     eigenvectors: np.ndarray
 
 
-def sym_eig(matrix: np.ndarray, sym_tol: float = 1e-10) -> SymEig:
+def sym_eig(matrix: np.ndarray) -> SymEig:
     """Eigendecomposition of a symmetric matrix, descending eigenvalues."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {a.shape}")
     if a.size:
         scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > sym_tol * scale:
+        if float(np.abs(a - a.T).max()) > _SYM_TOL * scale:
             raise NonSymmetricError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(vals)[::-1]
@@ -92,35 +91,7 @@ def numeric_rank(eigenvalues: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> 
     return int(np.sum(vals > threshold))
 
 
-def psd_sqrt(matrix: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
-    """Symmetric PSD square root S with S @ S = matrix.
-
-    Eigenvalues within ``neg_tol`` below zero are clamped; anything more
-    negative raises.
-    """
-    eig = sym_eig(matrix)
-    if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < -neg_tol:
-        raise IndefiniteError(
-            f"matrix has eigenvalue {eig.eigenvalues[-1]:.3e} below -{neg_tol:g}"
-        )
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    s = eig.eigenvectors @ np.diag(roots) @ eig.eigenvectors.T
-    return (s + s.T) / 2.0
-
-
-def psd_inv_sqrt(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Inverse symmetric square root of a strictly positive definite matrix."""
-    eig = sym_eig(matrix)
-    if eig.eigenvalues.size == 0:
-        return np.zeros((0, 0))
-    if numeric_rank(eig.eigenvalues, rank_tol) < eig.eigenvalues.size:
-        raise RankDeficientError("matrix is numerically singular")
-    inv_roots = 1.0 / np.sqrt(eig.eigenvalues)
-    s = eig.eigenvectors @ np.diag(inv_roots) @ eig.eigenvectors.T
-    return (s + s.T) / 2.0
-
-
-def orthonormalize(columns: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis with the same column span, deterministic signs."""
     a = np.asarray(columns, dtype=float)
     if a.ndim != 2:
@@ -130,7 +101,7 @@ def orthonormalize(columns: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     scale = max(float(np.abs(a).max()), 1e-300)
-    if np.any(diag <= rank_tol * scale):
+    if np.any(diag <= _INDEPENDENCE_TOL * scale):
         raise RankDeficientError("columns are linearly dependent within tolerance")
     return fix_column_signs(q)
 

@@ -246,20 +246,8 @@ class Polynomial:
         return out
 
     # ------------------------------------------------------------------
-    # calculus and composition
+    # composition
     # ------------------------------------------------------------------
-
-    def partial(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to variable ``index``."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        var, shifted, coefs = partial_terms(self.exps, self.coefs)
-        mine = var == index
-        return Polynomial.from_arrays(self.num_vars, shifted[mine], coefs[mine])
-
-    def gradient(self) -> list["Polynomial"]:
-        """All first partial derivatives, one per variable."""
-        return [self.partial(i) for i in range(self.num_vars)]
 
     def compose(self, A: np.ndarray) -> "Polynomial":
         """p(A t): the linear substitution x = A t for an (n, k) matrix A.

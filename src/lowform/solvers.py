@@ -91,8 +91,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts <= 0 or self.max_iter <= 0 or self.tol <= 0:
-            raise ValueError("starts, max_iter and tol must all be positive")
+        if self.starts <= 0 or self.max_iter <= 0 or not 0.0 < self.tol < math.inf:
+            raise ValueError("starts and max_iter must be positive, tol finite and positive")
 
 
 @dataclass

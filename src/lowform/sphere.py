@@ -4,7 +4,8 @@ If h(x) = f(ell^T x) with linearly independent columns of ell, minimizing h
 over the unit sphere in R^n equals minimizing g(y) = f(L y) over the closed
 unit ball in R^m, where L is the symmetric square root of ell^T ell.  A
 minimizer y* of the reduced problem lifts back to a sphere point with the
-same objective value.
+same objective value.  ell^T ell is factored once: its eigendecomposition
+gives the rank check, L and the L^-1 of the lift.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import SparseForm
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    RankDeficientError,
-    numeric_rank,
-    psd_inv_sqrt,
-    psd_sqrt,
-    sym_eig,
-)
+from .linalg import RankDeficientError, numeric_rank, sym_eig
 from .poly import Polynomial
 
 
@@ -31,10 +25,12 @@ class NoSphereLiftError(ValueError):
 
 @dataclass
 class ReducedBallProblem:
-    """Reduced problem min g(y) over the unit ball in R^m."""
+    """Reduced problem min g(y) over the unit ball in R^m; ``L`` and ``L_inv``
+    are the symmetric square root of ell^T ell and its inverse."""
 
     g: Polynomial
     L: np.ndarray
+    L_inv: np.ndarray
     source: SparseForm
 
 
@@ -45,12 +41,14 @@ def reduce_sphere(sf: SparseForm) -> ReducedBallProblem:
     orthonormal, L is the identity and g coincides with f.
     """
     ell = np.asarray(sf.ell, dtype=float)
-    m = ell.shape[1]
-    gram = ell.T @ ell
-    if m and numeric_rank(sym_eig(gram).eigenvalues, DEFAULT_RANK_TOL) < m:
+    eig = sym_eig(ell.T @ ell)
+    if numeric_rank(eig.eigenvalues) < ell.shape[1]:
         raise RankDeficientError("columns of ell are linearly dependent")
-    L = psd_sqrt(gram)
-    return ReducedBallProblem(g=sf.f.compose(L), L=L, source=sf)
+    vecs, roots = eig.eigenvectors, np.sqrt(eig.eigenvalues)
+    L = vecs @ np.diag(roots) @ vecs.T
+    L_inv = vecs @ np.diag(1.0 / roots) @ vecs.T
+    L, L_inv = (L + L.T) / 2.0, (L_inv + L_inv.T) / 2.0
+    return ReducedBallProblem(g=sf.f.compose(L), L=L, L_inv=L_inv, source=sf)
 
 
 def lift_minimizer(prob: ReducedBallProblem, y_star: np.ndarray) -> np.ndarray:
@@ -70,12 +68,10 @@ def lift_minimizer(prob: ReducedBallProblem, y_star: np.ndarray) -> np.ndarray:
     if norm_y > 1.0 + 1e-10:
         raise ValueError(f"|y_star| = {norm_y} exceeds 1")
 
-    base = ell @ (psd_inv_sqrt(ell.T @ ell) @ y) if m else np.zeros(n)
+    base = ell @ (prob.L_inv @ y)
     if m == n:
         if norm_y < 1.0 - 1e-8:
-            raise NoSphereLiftError(
-                "m = n leaves no kernel direction and |y*| < 1"
-            )
+            raise NoSphereLiftError("m = n leaves no kernel direction and |y*| < 1")
         return base / np.linalg.norm(base)
 
     # Any zero-eigenvalue eigenvector of ell @ ell^T spans a kernel direction;

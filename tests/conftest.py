@@ -8,8 +8,9 @@ central finite differences, LPs by exhaustive vertex enumeration, the
 gradient moment matrix by a term-pair double loop over scalar moments
 rather than the library's G K G^T form, the surrogate's L2 error by Monte Carlo over the lift rather
 than the exact ball-moment sum, evaluation by a term-by-term loop over the
-term map, arithmetic by loops over term maps (dicts from exponent tuples to
-coefficients) rather than the library's exponent arrays, and composition by
+term map, arithmetic and partial derivatives by loops over term maps (dicts
+from exponent tuples to coefficients) rather than the library's exponent
+arrays and ``partial_terms``, and composition by
 multiplying out powers of the forms with that arithmetic, rather than the
 library's monomial tree.  The brute-force minimum oracle samples densely
 and polishes with that term loop, never with the solvers' evaluator, and
@@ -178,6 +179,12 @@ def reference_partial(a: dict, index: int) -> dict:
             key = exp[:index] + (e - 1,) + exp[index + 1 :]
             out[key] = out.get(key, 0.0) + coef * e
     return _reference_drop(out)
+
+
+def reference_gradient(p: Polynomial) -> list[Polynomial]:
+    """The partials of p, each by ``reference_partial`` on p's term map."""
+    terms = p.terms
+    return [Polynomial(p.num_vars, reference_partial(terms, i)) for i in range(p.num_vars)]
 
 
 def reference_compose(p: Polynomial, A) -> Polynomial:
@@ -362,11 +369,11 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
     """
     n = h.num_vars
     moment = functools.cache(lambda exp: fraction_ball_moment(exp, n))
-    grads = h.gradient()
+    terms = h.terms
     buckets = []
-    for g in grads:
+    for i in range(n):
         by_parity: dict[tuple, list] = defaultdict(list)
-        for exp, coef in g.terms.items():
+        for exp, coef in reference_partial(terms, i).items():
             by_parity[tuple(e & 1 for e in exp)].append((exp, coef))
         buckets.append(by_parity)
 
@@ -542,8 +549,9 @@ _ORACLE_MAX_DIM_POLY = 8
 
 
 def _reference_value_and_grad(p: Polynomial):
-    """Value and gradient callables for the polish, by ``reference_evaluate``."""
-    grads = p.gradient()
+    """Value and gradient callables for the polish, by ``reference_evaluate``
+    on the partials of ``reference_gradient``."""
+    grads = reference_gradient(p)
 
     def value(x):
         return float(reference_evaluate(p, x))

@@ -205,6 +205,18 @@ def test_build_cubature_builds_each_rule_once(monkeypatch):
         rule.weights[0] = 0.0
 
 
+def test_build_cubature_has_one_call_form_and_one_cache_entry():
+    # the seed is required and by keyword, so no second argument form can
+    # miss the cache for a rule already built
+    for args, kwargs in (((3, 4), {}), ((3, 4, 0), {}), ((3,), {"degree": 4, "seed": 0})):
+        with pytest.raises(TypeError):
+            build_cubature(*args, **kwargs)
+    build_cubature.cache_clear()
+    assert build_cubature(3, 4, seed=0) is build_cubature(3, 4, seed=0)
+    info = build_cubature.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_cubature_path_matches_exact_path():
     h = Polynomial(3, {(0, 0, 2): 1.0})
     rule = build_cubature(1, 3, seed=0)

@@ -461,6 +461,30 @@ def test_zero_tol_exits_2(tmp_path, sparse_instance):
                       "--tol", 0], tmp_path / "o")
 
 
+_SPHERE = ["pipeline", "--input", "h", "--domain", "sphere"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SPHERE + ["--tol", "nan"],
+    _SPHERE + ["--tol", "inf"],
+    _SPHERE + ["--rank-tol", -1],
+    _SPHERE + ["--rank-tol", "nan"],
+    _SPHERE + ["--rank-tol", 1],
+    _SPHERE + ["--seed", -1],
+    ["detect", "--input", "h", "--rank-tol", 0],
+    ["gen", "--n", 3, "--m", 1, "--seed", -1],
+    ["gen", "--n", 3, "--m", 1, "--epsilon", "nan"],
+    ["gen", "--n", 3, "--m", 1, "--epsilon", "inf"],
+])
+def test_malformed_numeric_option_exits_2_and_writes_nothing(tmp_path, sparse_instance, capsys,
+                                                              argv):
+    # --tol finite and positive, --rank-tol in (0, 1), --seed >= 0, --epsilon finite
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([sparse_instance if a == "h" else a for a in argv] + ["--out", out]) == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 SOLVER = {"--seed", "--tol", "--starts", "--max-iter"}
 COMMAND_OPTIONS = {
     "detect": {"--input", "--method", "--seed", "--rank-tol"},

@@ -1,4 +1,5 @@
-"""Eigendecomposition, rank, PSD roots, orthonormalization, and LP wrapper."""
+"""Eigendecomposition, rank, PSD roots of a Gram matrix, orthonormalization,
+and LP wrapper."""
 
 import itertools
 import math
@@ -8,7 +9,6 @@ import pytest
 
 from conftest import lp_vertex_enumeration
 from lowform.linalg import (
-    IndefiniteError,
     LpStalledError,
     LpProblem,
     NonSymmetricError,
@@ -16,10 +16,11 @@ from lowform.linalg import (
     lp_solve,
     numeric_rank,
     orthonormalize,
-    psd_inv_sqrt,
-    psd_sqrt,
     sym_eig,
 )
+from lowform.detection import SparseForm
+from lowform.poly import Polynomial
+from lowform.sphere import reduce_sphere
 
 
 def test_sym_eig_identity():
@@ -52,24 +53,20 @@ def test_numeric_rank_examples():
     assert numeric_rank(np.array([]), 1e-8) == 0
 
 
-def test_psd_sqrt_examples():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    s = psd_sqrt(np.array([[2.0]]))
-    assert s[0, 0] == pytest.approx(math.sqrt(2))
-    assert np.allclose(s @ s, [[2.0]])
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(IndefiniteError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+def _gram_roots(ell):
+    # reduce_sphere factors ell^T ell once and carries its symmetric root L
+    # and the inverse root L_inv
+    m = ell.shape[1]
+    f = Polynomial(m, {(1,) + (0,) * (m - 1): 1.0})
+    prob = reduce_sphere(SparseForm(f=f, ell=ell))
+    return prob.L, prob.L_inv
 
 
 def test_psd_inv_sqrt():
-    a = np.diag([4.0, 9.0])
-    assert np.allclose(psd_inv_sqrt(a), np.diag([0.5, 1.0 / 3.0]))
+    ell = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+    assert np.allclose(_gram_roots(ell)[1], np.diag([0.5, 1.0 / 3.0]))
     with pytest.raises(RankDeficientError):
-        psd_inv_sqrt(np.diag([1.0, 0.0]))
+        _gram_roots(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 def test_orthonormalize_examples():
@@ -107,7 +104,7 @@ def test_psd_sqrt_squares_back_random():
         dim = int(rng.integers(1, 9))
         b = rng.standard_normal((dim, dim))
         a = b @ b.T
-        s = psd_sqrt(a)
+        s = _gram_roots(b.T)[0]
         assert np.linalg.norm(s @ s - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
 
 

@@ -235,8 +235,9 @@ def test_determinism_bitwise():
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(starts=0)
-    with pytest.raises(ValueError):
-        SolveOptions(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolveOptions(tol=tol)
 
 
 # ----------------------------------------------------------------------
