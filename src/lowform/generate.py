@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import gradient_spectrum
-from .linalg import fix_column_signs, numeric_rank, orthonormalize
+from .linalg import numeric_rank, orthonormalize
 from .poly import Polynomial, graded_monomials
 
 _INNER_ATTEMPTS = 50  # draws of f0 before giving up
@@ -68,7 +68,7 @@ def generate_instance(
         raise ValueError("need n >= 1, m >= 0, degree >= 1")
     rng = np.random.default_rng(seed)
     if m:
-        ell0 = fix_column_signs(orthonormalize(rng.standard_normal((n, m))))
+        ell0 = orthonormalize(rng.standard_normal((n, m)))
         f0 = _nondegenerate_inner(rng, m, degree)
         h = f0.compose(ell0.T)
     else:

@@ -506,7 +506,9 @@ class GradientEvaluator:
     the tree once; that memory makes an instance unsafe to share between
     threads.  :meth:`rows` contracts each of a few points by its own
     matrix-vector product, so every row equals :meth:`at` bit for bit (the
-    lockstep descents rely on it); :meth:`values` contracts a block by one
+    lockstep descents rely on it), and adds the rounding scale of p's value
+    at each point, which tells the descents when p can fall no further at
+    float resolution; :meth:`values` contracts a block by one
     matrix product, whose last bits depend on the block.
     """
 
@@ -519,6 +521,7 @@ class GradientEvaluator:
         rows[1 + var, exps.shape[0] + np.arange(var.size)] = partial_coefs
         self._tree = _MonomialTree(np.vstack([exps, shifted]))
         self._coefs = self._tree.weights(rows)
+        self._abs_value_coefs = np.abs(self._coefs[:1])
         self._key: bytes | None = None
         self._at_key = np.zeros(1 + p.num_vars)
 
@@ -527,11 +530,18 @@ class GradientEvaluator:
         array of a few points (in one block)."""
         return self._coefs @ self._tree.fill(np.asarray(points, dtype=float).T)
 
-    def rows(self, points: np.ndarray) -> np.ndarray:
-        """(k, 1 + n) array: row i is :meth:`at` of row i of a (k, n) array,
-        bit for bit."""
+    def rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, 1 + n) array whose row i is :meth:`at` of row i of a (k, n)
+        array, bit for bit, and the (k,) rounding scales of p's value there,
+        S(x) = sum |c_alpha| |x^alpha|.
+
+        Both come from one tree fill, and each row by its own products, so
+        no row depends on the others.
+        """
         nodes = np.ascontiguousarray(self._tree.fill(points.T).T)
-        return np.matmul(self._coefs, nodes[:, :, None])[:, :, 0]
+        at = np.matmul(self._coefs, nodes[:, :, None])[:, :, 0]
+        scale = np.matmul(self._abs_value_coefs, np.abs(nodes)[:, :, None])[:, 0, 0]
+        return at, scale
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """(1 + n,) array: p, then its partials, at one point (read only)."""

@@ -8,10 +8,13 @@ come from one :class:`~lowform.poly.GradientEvaluator` per solve, a monomial
 tree over p and its partials filled once per point.  The ball and sphere
 descents run all their starts in lockstep, as the rows of one (starts, m)
 array: each round makes every unfinished start's next Armijo trial in one
-batched evaluation and drops the starts that finished.  Frank-Wolfe runs its
-starts one after another, each a random mixture of the vertices that the
-region's linear-minimization oracle returns, so a region needs nothing but
-that oracle.  The oracle scans a :class:`VertexTable`, which an H-rep region
+batched evaluation and drops the starts that finished.  A start stops when
+its projected gradient is small or when a rejected trial predicts a decrease
+below the rounding of p's value at its point, a test relative to p's scale.
+Frank-Wolfe runs its starts one after another, each a random mixture of the
+vertices that the region's linear-minimization oracle returns for one draw
+of directions, all in one oracle call, so a region needs nothing but that
+oracle.  The oracle scans a :class:`VertexTable`, which an H-rep region
 builds once, by enumerating row subsets or, above a cap, by qhull after one
 LP, and :func:`basic_feasible_solutions` enumerates the vertices of a
 standard-form polytope in one batched solve, each with its basis, from which
@@ -47,7 +50,10 @@ from .sampling import sample_ball, sample_sphere
 ARMIJO_INIT = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
-_MIN_STEP = 1e-16
+# A rejected trial whose predicted decrease |grad . (cand - x)| is at most
+# this many rounding units of p's rounding scale at x ends its start: no
+# step lowers p there at float resolution.
+_NOISE_ULPS = 64
 
 # If the two best multi-start values disagree by more than this, the start
 # count is doubled once.
@@ -115,8 +121,11 @@ class VertexTable:
     points: np.ndarray
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
-        scores = self.points @ np.asarray(direction, dtype=float)
-        return self.points[int(np.argmin(scores))].copy()
+        """The first row least along ``direction``, or one such row per
+        direction of a stack along the last axis, in one product that
+        scores every direction by its own matrix-vector product."""
+        scores = np.matmul(self.points, np.asarray(direction, dtype=float)[..., None])[..., 0]
+        return np.take(self.points, np.argmin(scores, axis=-1), axis=0)
 
 
 @dataclass
@@ -124,13 +133,15 @@ class Zonotope:
     """The image ell^T [-1, 1]^n of the box under the (n, m) matrix ell.
 
     Its linear minimization oracle is closed-form: ell^T x over the box is
-    least in direction c at x = -sign(ell c).
+    least in direction c at x = -sign(ell c), for each of a stack of
+    directions by its own products.
     """
 
     ell: np.ndarray
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
-        return -(np.sign(self.ell @ direction) @ self.ell)
+        signs = np.sign(np.matmul(self.ell, np.asarray(direction)[..., None]))
+        return -np.matmul(signs.swapaxes(-1, -2), self.ell)[..., 0, :]
 
 
 def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +238,8 @@ class Hrep:
         return rows, rhs
 
     def lmo(self, direction: np.ndarray) -> np.ndarray:
-        """Vertex minimizing direction @ x over the region: a table scan."""
+        """Vertex minimizing direction @ x over the region, or one per
+        direction of a stack: a table scan."""
         return self._vertex_table.lmo(direction)
 
     @cached_property
@@ -322,20 +334,26 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
 
     Per start this is projected gradient descent (on the sphere, along the
     tangent gradient with renormalization) with a Barzilai-Borwein trial
-    step under a monotone Armijo test, halved down to ``_MIN_STEP``.  A
-    start exits "converged" at projected-gradient norm < tol or when no step
-    achieves sufficient decrease at float resolution (numerically
-    stationary), and "max_iter" after ``max_iter`` accepted steps.
+    step under a monotone Armijo test, halved on each rejection.  A start
+    exits "converged" at projected-gradient norm < tol or when it is
+    numerically stationary, and "max_iter" after ``max_iter`` accepted
+    steps.  It is numerically stationary once a rejected trial's predicted
+    decrease |d . (cand - x)| is within ``_NOISE_ULPS`` rounding units of
+    the rounding scale S(x) = sum |c_alpha| |x^alpha| of p's value at x, or
+    once its trial step underflows to 0.  The test is relative to S, so it
+    does not depend on the scale of p.
 
     Each round makes every active start's next Armijo trial, all through one
-    :meth:`GradientEvaluator.rows` call, and drops the starts that finished.
-    Every product is taken row by row, so each start computes exactly what a
-    one-start run would.  ``traces``, a list of one list per start, receives
-    each start's first value and its value after every accepted step.
+    :meth:`GradientEvaluator.rows` call, which also gives S at the trial
+    point; a start keeps S of its current point next to its value.  The
+    round drops the starts that finished.  Every product is taken row by
+    row, so each start computes exactly what a one-start run would.
+    ``traces``, a list of one list per start, receives each start's first
+    value and its value after every accepted step.
     """
     project = _sphere_rows if sphere else _ball_rows
     x = project(np.array(starts, dtype=float))
-    at = evaluator.rows(x)
+    at, sx = evaluator.rows(x)
     fx, d = at[:, 0], at[:, 1:]
     if sphere:
         d = d - _row_dot(d, x)[:, None] * x
@@ -348,38 +366,42 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
     t = np.full(len(x), ARMIJO_INIT)
     it = np.ones(len(x), dtype=int)
     while idx.size:
-        # the stop tests of a start's iteration; they are unchanged for a
-        # start that is still backtracking
+        # the stop tests of a start's iteration; a numerically stationary
+        # start has t = 0
         gnorm = _row_norm(d if sphere else x - project(x - d))
         over = it > max_iter
-        done = over | (gnorm < tol) | ~(t >= _MIN_STEP)
+        done = over | (gnorm < tol) | ~(t > 0.0)
         if done.any():
             out_x[idx[done]], out_f[idx[done]] = x[done], fx[done]
             out_it[idx[done]] = np.where(over[done], max_iter, it[done])
             out_ok[idx[done]] = ~over[done]
             keep = ~done
-            idx, x, fx, d, t, it, gnorm = (
-                a[keep] for a in (idx, x, fx, d, t, it, gnorm)
+            idx, x, fx, sx, d, t, it, gnorm = (
+                a[keep] for a in (idx, x, fx, sx, d, t, it, gnorm)
             )
             if not idx.size:
                 break
         cand = project(x - t[:, None] * d)
-        at = evaluator.rows(cand)
+        at, sc = evaluator.rows(cand)
         fc, move = at[:, 0], cand - x
+        predicted = _row_dot(d, move)
         if sphere:
             # Python's float power: the rounding of a one-start run
             squares = np.array([g**2 for g in gnorm.tolist()])
             ok = fc < fx - ARMIJO_DECREASE * t * squares
         else:
-            ok = fc < fx + ARMIJO_DECREASE * _row_dot(d, move)
+            ok = fc < fx + ARMIJO_DECREASE * predicted
         # every row's step as if accepted; a rejected row keeps its state
-        # and halves its trial step
+        # and halves its trial step, or ends at a decrease below p's rounding
+        stalled = ~(np.abs(predicted) > _NOISE_ULPS * np.finfo(float).eps * sx)
         d_new = at[:, 1:]
         if sphere:
             d_new = d_new - _row_dot(d_new, cand)[:, None] * cand
-        t = np.where(ok, _bb_rows(move, d_new - d, 2.0 * t), t * ARMIJO_SHRINK)
+        halved = np.where(stalled, 0.0, t * ARMIJO_SHRINK)
+        t = np.where(ok, _bb_rows(move, d_new - d, 2.0 * t), halved)
         rows_ok = ok[:, None]
         x, fx, d = np.where(rows_ok, cand, x), np.where(ok, fc, fx), np.where(rows_ok, d_new, d)
+        sx = np.where(ok, sc, sx)
         it = it + ok
         if traces is not None:
             for j in np.flatnonzero(ok).tolist():
@@ -559,21 +581,22 @@ def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveRes
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
 
-    ``region`` must expose ``lmo(direction) -> vertex``, as :class:`Hrep`,
-    :class:`VertexTable` and :class:`Zonotope` do; nothing else is read.
-    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
-    m + 1 vertices that the oracle returns for m + 1 Gaussian directions,
-    m = p.num_vars.  Unlike a mixture of many vertices, such a point does
-    not crowd the region's centroid, so starts land near vertices and faces
-    as well as inside.
+    ``region`` must expose ``lmo(direction) -> vertex``, answering a stack
+    of directions along the last axis with a stack of vertices, as
+    :class:`Hrep`, :class:`VertexTable` and :class:`Zonotope` do; nothing
+    else is read.  Every start, the restart draw's too, is a Dirichlet(1)
+    mixture of the m + 1 vertices that the oracle returns for m + 1 Gaussian
+    directions, m = p.num_vars; one oracle call answers a whole draw.
+    Unlike a mixture of many vertices, such a point does not crowd the
+    region's centroid, so starts land near vertices and faces as well as
+    inside.
     """
     opts = opts or SolveOptions()
     evaluator = GradientEvaluator(p)
     dim = p.num_vars
 
     def draw(rng, count):
-        directions = rng.standard_normal((count, dim + 1, dim))
-        vertices = np.array([[region.lmo(d) for d in row] for row in directions])
+        vertices = region.lmo(rng.standard_normal((count, dim + 1, dim)))
         weights = rng.dirichlet(np.ones(dim + 1), size=count)
         return np.matmul(weights[:, None, :], vertices)[:, 0]
 

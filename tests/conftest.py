@@ -405,7 +405,23 @@ def reference_moment_matrix(h: Polynomial) -> np.ndarray:
 ARMIJO_INIT = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
+_NOISE_ULPS = 64
+# the least trial step of a run given no rounding scale: the brute-force
+# polish, and serial_multi_start's min_step_floor reference
 _MIN_STEP = 1e-16
+
+
+def _trial_allowed(t: float, scale) -> bool:
+    return t >= _MIN_STEP if scale is None else t > 0.0
+
+
+def _stalled(predicted: float, scale, x: np.ndarray) -> bool:
+    """Whether a rejected trial ends the run: with a rounding ``scale``,
+    once its predicted decrease is within _NOISE_ULPS rounding units of
+    scale(x); without one, never (the step floor ends it)."""
+    if scale is None:
+        return False
+    return not abs(predicted) > _NOISE_ULPS * float(np.finfo(float).eps) * scale(x)
 
 
 def _project_ball(x: np.ndarray) -> np.ndarray:
@@ -423,11 +439,14 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
     return min(max(t, 1e-12), 1e6)
 
 
-def _pgd(value, grad, project, x0, max_iter, tol, trace=None):
+def _pgd(value, grad, project, x0, max_iter, tol, trace=None, scale=None):
     """Projected descent with BB trial steps under a monotone Armijo test.
 
     Exits "converged" either at projected-gradient norm < tol or when no step
-    achieves sufficient decrease at float resolution (numerically stationary).
+    achieves sufficient decrease at float resolution (numerically
+    stationary): a rejected trial whose predicted decrease is below the
+    rounding ``scale`` of the value at x, or a trial step that underflows to
+    0; with no ``scale``, a trial step below _MIN_STEP.
     """
     x = project(np.array(x0, dtype=float))
     fx = value(x)
@@ -441,11 +460,14 @@ def _pgd(value, grad, project, x0, max_iter, tol, trace=None):
             return x, fx, it, True
         t = trial
         accepted = False
-        while t >= _MIN_STEP:
+        while _trial_allowed(t, scale):
             cand = project(x - t * g)
             fc = value(cand)
-            if fc < fx + ARMIJO_DECREASE * float(g @ (cand - x)):
+            predicted = float(g @ (cand - x))
+            if fc < fx + ARMIJO_DECREASE * predicted:
                 accepted = True
+                break
+            if _stalled(predicted, scale, x):
                 break
             t *= ARMIJO_SHRINK
         if not accepted:
@@ -458,15 +480,15 @@ def _pgd(value, grad, project, x0, max_iter, tol, trace=None):
     return x, fx, max_iter, False
 
 
-def _pgd_ball(value, grad, x0, max_iter, tol, trace=None):
-    return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace)
+def _pgd_ball(value, grad, x0, max_iter, tol, trace=None, scale=None):
+    return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace, scale=scale)
 
 
 def _tangent(x, g):
     return g - float(g @ x) * x
 
 
-def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None):
+def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None, scale=None):
     x = np.array(x0, dtype=float)
     x = x / np.linalg.norm(x)
     fx = value(x)
@@ -480,12 +502,14 @@ def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None):
             return x, fx, it, True
         t = trial
         accepted = False
-        while t >= _MIN_STEP:
+        while _trial_allowed(t, scale):
             cand = x - t * gt
             cand = cand / np.linalg.norm(cand)
             fc = value(cand)
             if fc < fx - ARMIJO_DECREASE * t * gnorm**2:
                 accepted = True
+                break
+            if _stalled(float(gt @ (cand - x)), scale, x):
                 break
             t *= ARMIJO_SHRINK
         if not accepted:
@@ -502,15 +526,18 @@ _RESTART_GAP = 1e-4
 
 
 def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, tol: float,
-                       seed: int) -> tuple[float, np.ndarray, int, str, int]:
+                       seed: int, min_step_floor: bool = False
+                       ) -> tuple[float, np.ndarray, int, str, int]:
     """(value, point, iterations, status, starts used) of the best serial
     run on the unit "ball" or "sphere", with the solvers' start draws.
 
     Every start runs :func:`_pgd_ball` or :func:`_pgd_sphere` alone, valued
-    through ``GradientEvaluator.at``.  If the two best values differ by more
-    than ``_RESTART_GAP``, as many starts again are drawn and run.  The best
-    run is the least (value, lexicographic point); its point is valued by
-    ``p.evaluate``.
+    through ``GradientEvaluator.at``, and stops at the rounding scale that
+    ``GradientEvaluator.rows`` gives, or with ``min_step_floor`` at a trial
+    step below _MIN_STEP, the solvers' earlier rule.  If the two best values
+    differ by more than ``_RESTART_GAP``, as many starts again are drawn
+    and run.  The best run is the least (value, lexicographic point); its
+    point is valued by ``p.evaluate``.
     """
     evaluator = GradientEvaluator(p)
 
@@ -520,12 +547,16 @@ def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, t
     def grad(x):
         return evaluator.at(x)[1:].copy()
 
+    def scale(x):
+        return float(evaluator.rows(x[None])[1][0])
+
     descend = _pgd_ball if domain == "ball" else _pgd_sphere
     sample = sample_ball if domain == "ball" else sample_sphere
     rng = np.random.default_rng(seed)
 
     def run(count):
-        return [descend(value, grad, x0, max_iter, tol) for x0 in sample(rng, count, p.num_vars)]
+        return [descend(value, grad, x0, max_iter, tol, scale=None if min_step_floor else scale)
+                for x0 in sample(rng, count, p.num_vars)]
 
     runs = run(starts)
     ordered = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
@@ -781,17 +812,26 @@ def _sample_hrep(region: Hrep, rng: np.random.Generator, count: int) -> np.ndarr
 
 def hrep_linprog_vertex(region: Hrep, direction: np.ndarray) -> np.ndarray:
     """A vertex of an H-rep region minimizing direction @ x, by scipy's
-    linprog at tight tolerances, independent of the library's vertex table."""
-    res = linprog(
-        direction,
-        A_ub=region.a_ub if region.a_ub.shape[0] else None,
-        b_ub=region.b_ub if region.b_ub.size else None,
-        bounds=list(zip(region.lo, region.hi)),
-        method="highs",
-        # HiGHS' default tolerances (1e-7) would let it ignore cost entries
-        # below 1e-7.
-        options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
-    )
+    linprog at tight tolerances, independent of the library's vertex table.
+
+    HiGHS' presolve can call a region thinner than those tolerances
+    infeasible (a sliver of width 1e-10 in dimension 4 was), so a region it
+    calls infeasible is solved again without presolve.
+    """
+    for presolve in (True, False):
+        res = linprog(
+            direction,
+            A_ub=region.a_ub if region.a_ub.shape[0] else None,
+            b_ub=region.b_ub if region.b_ub.size else None,
+            bounds=list(zip(region.lo, region.hi)),
+            method="highs",
+            # HiGHS' default tolerances (1e-7) would let it ignore cost
+            # entries below 1e-7.
+            options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10,
+                     "presolve": presolve},
+        )
+        if res.status != 2:
+            break
     assert res.status == 0, res.message
     return res.x
 

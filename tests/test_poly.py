@@ -494,6 +494,11 @@ def test_gradient_evaluator_matches_reference(n, degree, kind, seed):
         fd = finite_difference_gradient(p, x)
         scale = max(1.0, float(np.linalg.norm(want_grad)))
         assert np.linalg.norm(evaluator.grad(x) - fd) / scale < 1e-6
+    # rows: each row is at() bit for bit, with the rounding scale of p there
+    rows, scales = evaluator.rows(pts)
+    for x, row, got in zip(pts, rows, scales):
+        assert row.tobytes() == evaluator.at(x).tobytes()
+        assert abs(got - _magnitude(p, x)) <= 1e-13 * _magnitude(p, x)
     # the remembered point follows the argument's contents, not its identity
     if n:
         x = pts[0].copy()

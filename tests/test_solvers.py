@@ -16,6 +16,8 @@ from conftest import (
     reference_evaluate,
     serial_multi_start,
 )
+from lowform.detection import SparseForm
+from lowform.generate import generate_instance
 from lowform.poly import GradientEvaluator, Polynomial
 from lowform.solvers import (
     Hrep,
@@ -30,6 +32,7 @@ from lowform.solvers import (
     minimize_polytope,
     minimize_sphere,
 )
+from lowform.sphere import reduce_sphere
 
 OPTS = SolveOptions(seed=0)
 
@@ -172,6 +175,73 @@ def test_lockstep_descent_equals_serial_runs_bitwise(m, degree, starts, max_iter
         assert np.float64(res.value).tobytes() == np.float64(value).tobytes(), domain
         assert res.point.tobytes() == np.asarray(point, dtype=float).tobytes(), domain
         assert (res.iterations, res.status, res.starts_used) == (iterations, status, used), domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), degree=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(m=3, degree=4, seed=0)
+def test_rounding_scale_stop_matches_the_step_floor(m, degree, seed):
+    # stopping a start once a rejected trial predicts a decrease below p's
+    # rounding finds the best value that halving down to a step of 1e-16 finds
+    p = random_polynomial(np.random.default_rng(seed), m, degree)
+    for domain, minimize in (("ball", minimize_ball), ("sphere", minimize_sphere)):
+        res = minimize(p, SolveOptions(seed=seed))
+        floor_value = serial_multi_start(p, domain, 32, 500, 1e-9, seed, min_step_floor=True)[0]
+        assert abs(res.value - floor_value) <= 1e-12 * max(1.0, abs(floor_value)), domain
+
+
+def test_reduced_quartic_takes_few_evaluation_rounds(monkeypatch):
+    # the reduced ball problem of generate_instance(0, n=10, m=3, degree=4):
+    # 19 rounds of GradientEvaluator.rows; 93 when every start halved its
+    # trial step down to 1e-16 before stopping
+    inst = generate_instance(0, 10, 3, 4)
+    g = reduce_sphere(SparseForm(f=inst.f0, ell=inst.ell0)).g
+    calls = []
+    real = GradientEvaluator.rows
+
+    def counted(self, points):
+        calls.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(GradientEvaluator, "rows", counted)
+    res = minimize_ball(g, SolveOptions(seed=0))
+    assert res.status == "converged" and res.starts_used == 32
+    assert len(calls) <= 30
+
+
+def test_every_start_of_a_steep_convex_octic_reaches_its_minimum():
+    # 1e8 (x1^8 + x2^8) plus a convex quadratic: S falls by nine orders of
+    # magnitude from the starts to the minimizer, so a stop rule that read
+    # S at the start would end the runs up to 1e-11 apart
+    p = Polynomial(2, {(8, 0): 1e8, (0, 8): 1e8, (2, 0): 10.0, (1, 1): -3.0,
+                       (0, 2): 10.0, (1, 0): -1.0, (0, 1): 0.5})
+    starts = np.array([[1.0, 0.0], [0.0, -1.0], [-0.7, 0.7], [0.6, 0.8], [-0.5, -0.5]])
+    values = [value for _, value, _, _ in _descend(GradientEvaluator(p), starts, 500, 1e-9, False)]
+    assert max(values) - min(values) <= 1e-15
+
+
+@pytest.mark.parametrize("terms, start, sphere", [
+    ({}, [0.0, 0.0], False),
+    ({}, [0.0, 1.0], True),
+    ({(0, 0): 2.5}, [0.3, -0.4], False),
+    ({(0, 0): 2.5}, [0.6, 0.8], True),
+    # S(x) = 0 at the start; x1 + 4 x1^2 rejects its first trial there
+    ({(1, 0): 1.0, (1, 1): 1.0}, [0.0, 0.0], False),
+    ({(1, 0): 1.0, (1, 1): 1.0}, [0.0, 1.0], True),
+    ({(1, 0): 1.0, (2, 0): 4.0}, [0.0, 0.0], False),
+], ids=["zero-ball", "zero-sphere", "constant-ball", "constant-sphere",
+        "x1+x1x2-ball", "x1+x1x2-sphere", "x1+4x1^2-ball"])
+def test_degenerate_descents_converge(terms, start, sphere):
+    p = Polynomial(2, terms)
+    evaluator = GradientEvaluator(p)
+    assert evaluator.rows(np.array([start]))[1][0] == abs(terms.get((0, 0), 0.0))
+    ((x, value, iterations, converged),) = _descend(
+        evaluator, np.array([start]), 500, 1e-9, sphere
+    )
+    assert converged and iterations < 500
+    assert value <= p.evaluate(np.array(start)) and value == p.evaluate(x)
+    if not sphere and (2, 0) in terms:
+        assert value == pytest.approx(-1.0 / 16.0, abs=1e-15)  # at x1 = -1/8
 
 
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
