@@ -8,7 +8,9 @@ to a degree in that order.  Every constructor and operation goes through one
 array path that checks the rows, merges repeated exponents (summing their
 coefficients in row order), drops coefficients whose magnitude falls below
 ``DROP_TOL`` and sorts; the dropping keeps term arrays from accreting
-numerical dust through long chains of arithmetic.  Instances are never
+numerical dust through long chains of arithmetic.  The merge, the monomial
+tree and the moment keys find distinct rows with :func:`unique_rows`, which
+sorts the rows packed into a few int64 words each.  Instances are never
 mutated after construction (both arrays are read-only), so they are safe to
 share across threads.
 
@@ -34,7 +36,8 @@ The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
 one exponent at a time or for a whole exponent matrix.  The formula is
 evaluated as a ratio of exact integers divided once at the end, so results
-are correctly rounded doubles.  ``ball_moment_gram`` gives the
+are correctly rounded doubles, and once per partition of the halved
+exponent, on which alone (with n) it depends.  ``ball_moment_gram`` gives the
 second moments E[p_i p_j] of polynomials over one set of monomials.
 """
 
@@ -67,8 +70,8 @@ class Polynomial:
     ``Polynomial(num_vars, mapping)`` builds one from a map of exponent
     tuples to coefficients, and :meth:`from_arrays` from the two arrays.
     Either way repeated exponents are merged, small coefficients dropped, and
-    a non-finite coefficient or a negative or non-integral exponent raises
-    ValueError.
+    a non-finite coefficient or a negative, non-integral or 2**63-or-larger
+    exponent entry raises ValueError.
     """
 
     __slots__ = ("num_vars", "exps", "coefs", "_cache")
@@ -89,9 +92,9 @@ class Polynomial:
         p._assign(num_vars, exps, coefs)
         return p
 
-    def _assign(self, num_vars: int, exps, coefs) -> None:
+    def _assign(self, num_vars: int, exps, coefs, distinct=False) -> None:
         self.num_vars = int(num_vars)
-        self.exps, self.coefs = _canonical(self.num_vars, exps, coefs)
+        self.exps, self.coefs = _canonical(self.num_vars, exps, coefs, distinct)
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -308,8 +311,9 @@ class Polynomial:
 
         Besides the checks of every constructor, it rejects what only the
         JSON form can carry: a ``num_vars`` or exponent entries that are not
-        integral numbers (a boolean would read as 0 or 1, 2.5 as 2) and a
-        repeated exponent, which the constructor would merge.
+        integral numbers (a boolean would read as 0 or 1, 2.5 as 2), a
+        coefficient that is not a number (a string, a boolean, null or a
+        list), and a repeated exponent, which the constructor would merge.
         """
         num_vars = data["num_vars"]
         if not (type(num_vars) is int or type(num_vars) is float and num_vars.is_integer()):
@@ -317,12 +321,16 @@ class Polynomial:
         num_vars = int(num_vars)
         terms = data["terms"]
         rows = [t["exp"] for t in terms]
+        coefs = [t["coef"] for t in terms]
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
             raise ValueError("exponent entries must be integers")
-        if len(set(map(tuple, rows))) < len(rows):
-            raise ValueError("an exponent appears twice")
-        exps = np.array(rows, dtype=float) if rows else np.zeros((0, num_vars))
-        return cls.from_arrays(num_vars, exps, [t["coef"] for t in terms])
+        if not set(map(type, coefs)) <= {int, float}:
+            row, coef = next((r, c) for r, c in zip(rows, coefs) if type(c) not in (int, float))
+            raise ValueError(f"coefficient of {row} is {coef!r}, not a number")
+        exps = np.array(rows) if rows else np.zeros((0, num_vars), dtype=np.int64)
+        p = cls.__new__(cls)
+        p._assign(num_vars, exps, coefs, distinct=True)
+        return p
 
 
 def _merge(exps: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +342,10 @@ def _merge(exps: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rows[:, 1:], np.bincount(inverse, weights=coefs, minlength=rows.shape[0])
 
 
-def _canonical(num_vars: int, exps, coefs) -> tuple[np.ndarray, np.ndarray]:
+def _canonical(num_vars: int, exps, coefs, distinct=False) -> tuple[np.ndarray, np.ndarray]:
     """The stored form of the terms coefs[i] x^exps[i]: checked, merged,
-    stripped of coefficients below ``DROP_TOL`` and read-only."""
+    stripped of coefficients below ``DROP_TOL`` and read-only.  With
+    ``distinct`` a repeated exponent raises ValueError instead of merging."""
     if num_vars < 0:
         raise ValueError("num_vars must be nonnegative")
     exps = np.asarray(exps)
@@ -353,16 +362,23 @@ def _canonical(num_vars: int, exps, coefs) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"coefficient of {exps[row].tolist()} is {coefs[row]}")
-    if exps.dtype.kind not in "iu":
+    if exps.dtype.kind != "i":  # the int64 cast could round, wrap or overflow
         real = exps.astype(float)
         bad = ~np.all(np.isfinite(real) & (real == np.round(real)), axis=1)
         if bad.any():
             raise ValueError(f"exponent {real[np.argmax(bad)].tolist()} is not all integers")
-    exps = exps.astype(np.int64)
+        bad = np.any(real >= 2.0**63, axis=1)
+        if bad.any():
+            row = exps[np.argmax(bad)].tolist()
+            raise ValueError(f"exponent {row} has an entry of 2**63 or more")
+    exps = exps.astype(np.int64, copy=False)
     bad = np.any(exps < 0, axis=1)
     if bad.any():
         raise ValueError(f"negative exponent in {exps[np.argmax(bad)].tolist()}")
+    terms = exps.shape[0]
     exps, coefs = _merge(exps, coefs)
+    if distinct and exps.shape[0] < terms:
+        raise ValueError("an exponent appears twice")
     keep = np.abs(coefs) >= DROP_TOL
     exps, coefs = exps[keep], coefs[keep]
     exps.flags.writeable = False
@@ -380,16 +396,33 @@ _BLOCK_BYTES = 1 << 20
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` for a 2-D integer
-    array with at least one column, by a lexsort of the columns (much faster
-    than sorting the rows as records)."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(rows.shape[0], dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    """``np.unique(rows, axis=0, return_inverse=True)`` for a 2-D array of
+    nonnegative integers with at least one column.
+
+    Each row is packed, most significant column first, into as few int64
+    words as hold its digits at radix max + 1, and the rows are sorted on
+    those words: by the last word, then by each word before it in a stable
+    sort.  The packing relies on the entries being nonnegative.
+    """
+    count, width = rows.shape
+    radix = int(rows.max(initial=0)) + 1
+    per_word = max(1, 62 // radix.bit_length())  # radix**per_word < 2**62
+    words = []
+    for lo in range(0, width, per_word):
+        hi = min(lo + per_word, width)
+        powers = np.array([radix**k for k in range(hi - lo - 1, -1, -1)], dtype=np.int64)
+        words.append(rows[:, lo:hi] @ powers)
+    order = np.argsort(words[-1])
+    for word in words[-2::-1]:
+        order = order[np.argsort(word[order], kind="stable")]
+    first = np.zeros(count, dtype=bool)
+    first[:1] = True
+    for word in words:
+        ordered = word[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(count, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return rows[order[first]], inverse
 
 
 class _MonomialTree:
@@ -585,8 +618,10 @@ def ball_monomial_moment(alpha: Sequence[int], n: int) -> float:
 def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
     """E[x^alpha] for every row alpha of an (N, n) integer exponent matrix.
 
-    Rows with an odd entry are 0, by sign symmetry, and every other distinct
-    row is evaluated once by an exact integer formula.
+    Rows with an odd entry are 0, by sign symmetry.  Every other row 2 beta
+    is keyed by its partition, the sorted entries of beta, on which the
+    exact integer formula depends alone (with n), and each distinct
+    partition is evaluated once.
     """
     exps = np.asarray(exponents)
     if exps.ndim != 2 or exps.shape[1] != n:
@@ -596,10 +631,15 @@ def ball_moments(exponents: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return np.ones(exps.shape[0])
     out = np.zeros(exps.shape[0])
-    even = ~np.any(exps & 1, axis=1)
+    even = (np.bitwise_or.reduce(exps, axis=1) & 1) == 0  # no (N, n) temporary
     if even.any():
-        halves, inverse = unique_rows(exps[even] >> 1)
-        values = np.array([_even_moment(tuple(row), n) for row in halves.tolist()])
+        halves = exps[even]  # a copy, sorted in place: no second matrix
+        halves >>= 1
+        halves.sort(axis=1)
+        # a partition of k has at most k nonzero parts, all at the end
+        parts = max(1, min(n, int(halves.sum(axis=1).max())))
+        keys, inverse = unique_rows(halves[:, n - parts :])
+        values = np.array([_even_moment(tuple(filter(None, key)), n) for key in keys.tolist()])
         out[even] = values[inverse]
     return out
 

@@ -5,12 +5,13 @@ ball moments are estimated by rejection sampling from the cube (not the
 library's Gaussian sampler) and computed by the rational formula in
 ``Fraction`` arithmetic (not the library's integer ratio), gradients by
 central finite differences, LPs by exhaustive vertex enumeration, the
-gradient moment matrix by a term-pair double loop over scalar moments
-rather than the library's G K G^T form, the surrogate's L2 error by Monte Carlo over the lift rather
-than the exact ball-moment sum, evaluation by a term-by-term loop over the
-term map, arithmetic and partial derivatives by loops over term maps (dicts
-from exponent tuples to coefficients) rather than the library's exponent
-arrays and ``partial_terms``, and composition by
+gradient moment matrix and the moment Gram by term-pair double loops over
+scalar moments rather than the library's G K G^T form, the surrogate's L2
+error by Monte Carlo over the lift rather than the exact ball-moment sum,
+evaluation by a term-by-term loop over the term map, arithmetic and partial
+derivatives by loops over term maps (dicts from exponent tuples to
+coefficients) rather than the library's exponent arrays and
+``partial_terms``, and composition by
 multiplying out powers of the forms with that arithmetic, rather than the
 library's monomial tree.  The brute-force minimum oracle samples densely
 and polishes with that term loop, never with the solvers' evaluator, and
@@ -357,6 +358,28 @@ def lp_vertex_enumeration(c, a_ub, b_ub, a_eq, b_eq, bounds):
             if best is None or val < best:
                 best = val
     return best
+
+
+def reference_ball_moment_gram(monos, coefs) -> np.ndarray:
+    """(k, k) matrix of sum_(a, b) C[i, a] C[j, b] E[x^(monos[a] + monos[b])]
+    on the unit ball for a (k, u) coefficient matrix C over u exponent rows:
+    a double loop over every pair of monomials, each moment from
+    ``fraction_ball_moment``, each entry summed by ``math.fsum``."""
+    monos = [tuple(int(e) for e in row) for row in monos]
+    coefs = np.asarray(coefs, dtype=float)
+    n = len(monos[0]) if monos else 0
+    moments = [
+        [fraction_ball_moment([x + y for x, y in zip(a, b)], n) for b in monos] for a in monos
+    ]
+    k = coefs.shape[0]
+    out = np.zeros((k, k))
+    for i, j in itertools.product(range(k), repeat=2):
+        out[i, j] = math.fsum(
+            coefs[i, a] * coefs[j, b] * moments[a][b]
+            for a in range(len(monos))
+            for b in range(len(monos))
+        )
+    return out
 
 
 def reference_moment_matrix(h: Polynomial) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,28 @@ def test_malformed_input_exits_2(tmp_path):
         bad_term.write_text(json.dumps({"num_vars": 2, "terms": [
             {"exp": [0, 2], "coef": 1.0}, term]}))
         assert run(["detect", "--input", bad_term, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("coef", ["1.5", True, None, [1.0]])
+def test_non_numeric_coefficient_exits_2(tmp_path, capsys, coef):
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps({"num_vars": 2, "terms": [
+        {"exp": [2, 0], "coef": 1.0}, {"exp": [0, 2], "coef": coef}]}))
+    assert _rejected(["solve", "--objective", bad, "--domain", "sphere"], tmp_path / "o")
+    assert f"coefficient of [0, 2] is {coef!r}, not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [1e30, 2**70, 2**63])
+def test_exponent_of_2_pow_63_or_more_exits_2_naming_it(tmp_path, capsys, entry):
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps({"num_vars": 2, "terms": [
+        {"exp": [2, 0], "coef": 1.0}, {"exp": [entry, 0], "coef": 1.0}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy cast warning on the way
+        assert _rejected(["solve", "--objective", bad, "--domain", "sphere"], tmp_path / "o")
+    err = capsys.readouterr().err
+    assert "has an entry of 2**63 or more" in err
+    assert f"exponent [{entry!r}, 0" in err or f"exponent [{float(entry)!r}, 0" in err
 
 
 @pytest.mark.parametrize("num_vars", [2.5, True, "2"])

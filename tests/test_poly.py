@@ -19,6 +19,7 @@ from conftest import (
     mc_expectation,
     random_polynomial,
     reference_add,
+    reference_ball_moment_gram,
     reference_compose,
     reference_evaluate,
     reference_gradient,
@@ -34,9 +35,11 @@ from lowform.poly import (
     DimensionMismatchError,
     GradientEvaluator,
     Polynomial,
+    ball_moment_gram,
     ball_moments,
     graded_monomials,
     partial_terms,
+    unique_rows,
 )
 from lowform.sampling import sample_ball
 
@@ -157,6 +160,92 @@ def test_ball_moment_equals_fraction_formula_bitwise(n, slots):
     assert ball_moment(alpha, n).hex() == fraction_ball_moment(alpha, n).hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    partitions=st.lists(st.lists(st.integers(1, 4), max_size=6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, partitions=[[4, 4, 3, 2, 1, 1], [1], []], seed=0)
+def test_ball_moments_of_a_batch_of_permuted_partitions_bitwise(n, partitions, seed):
+    # each partition beta is placed at 4 random sets of positions, so rows
+    # share a partition in different columns; one copy of each gets an odd
+    # entry, whose moment is 0
+    rng = np.random.default_rng(seed)
+    rows = []
+    for beta in partitions:
+        beta = np.array(beta[:n], dtype=np.int64)
+        for copy in range(4):
+            alpha = np.zeros(n, dtype=np.int64)
+            alpha[rng.permutation(n)[: beta.size]] = 2 * beta
+            if copy == 3:
+                alpha[rng.integers(n)] += 1
+            rows.append(alpha)
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    want = np.array([fraction_ball_moment(alpha.tolist(), n) for alpha in rows])
+    assert ball_moments(rows, n).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    degree=st.integers(0, 6),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=16, unique=True),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, degree=6, picks=[0, 1, 2, 3, 4, 5, 10**6], k=2, seed=0)
+def test_ball_moment_gram_matches_fraction_pair_sum(n, degree, picks, k, seed):
+    # monomials of degree <= 6, so the pairs reach degree 12.  Both sides
+    # sum at most u^2 rounded products, so they may differ by the rounding
+    # bound of such a sum: u^2 ulps of its absolute terms' total, which is
+    # the Gram of |C| (every nonzero ball moment is positive)
+    table = graded_lex_exponents(n, degree)
+    monos = np.array(sorted({table[-1 - i % len(table)] for i in picks}), dtype=np.int64)
+    coefs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, monos.shape[0]))
+    got = ball_moment_gram(monos, coefs)
+    want = reference_ball_moment_gram(monos, coefs)
+    scale = reference_ball_moment_gram(monos, np.abs(coefs))
+    bound = (monos.shape[0] ** 2 + 4) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - want) <= bound), np.abs(got - want).max()
+
+
+@st.composite
+def _nonnegative_rows(draw):
+    """Up to 60 rows of one width in 1..60, entries up to 2**40: copies of a
+    few rows that each differ from the last in one entry, some followed by
+    their successor in lexicographic order (the last entry below the top
+    raised by one and the entries after it set to 0, a carry at the largest
+    digit), so rows repeat and nearly equal rows fall in one packed word."""
+    width = draw(st.integers(1, 60))
+    top = draw(st.sampled_from([1, 4, 12, 2**20, 2**40]))
+    entry = st.integers(0, top)
+    pool = [draw(st.lists(entry, min_size=width, max_size=width))]
+    for col, value in draw(st.lists(st.tuples(st.integers(0, width - 1), entry), max_size=6)):
+        pool.append(pool[-1][:col] + [value] + pool[-1][col + 1 :])
+        below = [j for j, e in enumerate(pool[-1]) if e < top]
+        if draw(st.booleans()) and below:
+            j = below[-1]
+            pool.append(pool[-1][:j] + [pool[-1][j] + 1] + [0] * (width - 1 - j))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_nonnegative_rows())
+@example(rows=np.zeros((0, 3), dtype=np.int64))
+@example(rows=np.array([[2**40, 0, 7]], dtype=np.int64))
+@example(rows=np.tile(np.arange(60, dtype=np.int64) % 5, (500, 1)))
+@example(rows=np.array([[0] * 19 + [4, 0], [0] * 20 + [4], [4] + [0] * 20], dtype=np.int64))
+@example(rows=np.array([[2, 4, 4], [3, 0, 0], [2, 4, 3]], dtype=np.int64))
+def test_unique_rows_matches_numpy(rows):
+    got_rows, got_inverse = unique_rows(rows)
+    want_rows, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert got_rows.dtype == want_rows.dtype and got_inverse.dtype == want_inverse.dtype
+    assert got_rows.shape == want_rows.shape and np.array_equal(got_rows, want_rows)
+    assert got_inverse.shape == want_inverse.shape and np.array_equal(got_inverse, want_inverse)
+
+
 def test_ball_moment_against_monte_carlo():
     est, se = mc_ball_moment_cached((2, 0, 0), 3)
     assert abs(0.2 - est) <= 3 * se
@@ -258,6 +347,11 @@ def test_json_round_trip_graded_lex():
     [{"exp": [1.7, 0], "coef": 1.0}],
     [{"exp": [True, 0], "coef": 1.0}],
     [{"exp": [1, 0], "coef": 1.0}, {"exp": [1, 0], "coef": 2.0}],
+    [{"exp": [1, 0], "coef": 1.0}, {"exp": [1, 0], "coef": -1.0}],  # they would cancel
+    [{"exp": [1, 0], "coef": "1.5"}],
+    [{"exp": [1, 0], "coef": True}],
+    [{"exp": [1, 0], "coef": None}],
+    [{"exp": [1, 0], "coef": [1.0]}],
 ])
 def test_from_json_dict_rejects_what_the_constructor_repairs(terms):
     with pytest.raises(ValueError):
