@@ -49,10 +49,10 @@ from .solvers import (
     SolveOptions,
     SolveResult,
     VertexTable,
-    Zonotope,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,
+    minimize_zonotope,
 )
 from .sphere import ReducedBallProblem, lift_minimizer, reduce_sphere
 

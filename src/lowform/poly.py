@@ -534,19 +534,15 @@ class GradientEvaluator:
 
     The tree spans the terms of p and of its partials, so one fill at a
     point followed by one product with the (1 + n, nodes) coefficient matrix
-    gives p and its whole gradient.  :meth:`at` takes one point and
-    remembers it, so asking for the value and then the gradient there fills
-    the tree once; that memory makes an instance unsafe to share between
-    threads.  :meth:`rows` contracts each of a few points by its own
-    matrix-vector product, so every row equals :meth:`at` bit for bit (the
-    lockstep descents rely on it), and adds the rounding scale of p's value
-    at each point, which tells the descents when p can fall no further at
-    float resolution; :meth:`values` contracts a block by one
-    matrix product, whose last bits depend on the block.
+    gives p and its whole gradient.  :meth:`rows` contracts each of a few
+    points by its own matrix-vector product, so every row equals :meth:`at`
+    bit for bit (the lockstep descents rely on it), and adds the rounding
+    scale of p's value at each point, which tells the descents when p can
+    fall no further at float resolution; :meth:`values` contracts a block by
+    one matrix product, whose last bits depend on the block.
     """
 
     def __init__(self, p: Polynomial):
-        self.degree = p.degree()
         exps, coefs = p.exps, p.coefs
         var, shifted, partial_coefs = partial_terms(exps, coefs)
         rows = np.zeros((1 + p.num_vars, exps.shape[0] + var.size))
@@ -555,8 +551,6 @@ class GradientEvaluator:
         self._tree = _MonomialTree(np.vstack([exps, shifted]))
         self._coefs = self._tree.weights(rows)
         self._abs_value_coefs = np.abs(self._coefs[:1])
-        self._key: bytes | None = None
-        self._at_key = np.zeros(1 + p.num_vars)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """(1 + n, N) array: p, then its partials, at each row of an (N, n)
@@ -577,16 +571,11 @@ class GradientEvaluator:
         return at, scale
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """(1 + n,) array: p, then its partials, at one point (read only)."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key != self._key:
-            self._key = key
-            self._at_key = self._coefs @ self._tree.fill(x)
-        return self._at_key
+        """(1 + n,) array: p, then its partials, at one point."""
+        return self._coefs @ self._tree.fill(np.asarray(x, dtype=float))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.at(x)[1:].copy()
+        return self.at(x)[1:]
 
 
 # ----------------------------------------------------------------------

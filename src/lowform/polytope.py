@@ -5,14 +5,13 @@ objective h(x) = f(ell^T x), the minimum of h over Omega is the minimum of f
 over the projection P = ell^T Omega.  P is the convex hull of the images of
 Omega's vertices, the basic feasible solutions, so :func:`vertex_reduce`
 enumerates them in one batched solve and minimizes f once over that vertex
-table.  The canonical simplex goes the same way.  For the unit box, P is
-the zonotope ell^T [-1, 1]^n, whose linear minimization oracle is
-closed-form, so :func:`box_reduce` minimizes f over it directly.
+table, descending in weights on its rows.  The canonical simplex goes the
+same way.  For the unit box, P is the zonotope ell^T [-1, 1]^n, so
+:func:`box_reduce` minimizes f over it by descending in x itself.
 
-Both take the witness by one rule: the table row, or the zonotope oracle's
-box vertex at grad f(X*), whose image is X* to rounding, as it is for a
-concave f; else one LP over the domain for the point whose image is
-nearest X* (:func:`_witness_lp`), clipped to the domain's bounds.
+Both read the witness off the solve, with no LP: the box point x, or the
+weights' mixture of Omega's vertices, feasible by construction, whose
+image is X*.
 
 The table also answers the questions that would otherwise take LPs over
 Omega.  A nonempty table shows Omega nonempty, and its first row is a
@@ -23,8 +22,7 @@ sum(x) on all of Omega, and y . b is that row's value.  With c = -1 and
 eps = 1/2 this proves Omega bounded and bounds sum(x) on it; with
 c = ell grad f(X*) it proves that no point of Omega beats the table in
 that direction.  So a request over a general polytope or the simplex
-solves no LP when X* is a vertex image; each LP runs only where its
-certificate fails.
+solves no LP; each LP runs only where its certificate fails.
 
 The paper's Farkas cut loop, :func:`cut_loop`, is the fallback for the
 cases the table cannot answer (too many bases, a row-rank-deficient A, a
@@ -49,14 +47,13 @@ from .detection import SparseForm
 from .linalg import LpProblem, lp_solve
 from .poly import GradientEvaluator, Polynomial
 from .solvers import (
-    _ROUNDING_TOL,
     Hrep,
     SolveOptions,
     SolveResult,
     VertexTable,
-    Zonotope,
     basic_feasible_solutions,
     minimize_polytope,
+    minimize_zonotope,
 )
 
 # Sign-robust replacement for the exact "separation value is zero" stop rule.
@@ -250,7 +247,7 @@ def cut_loop(
             converged = res.status == "converged"
             break
         cuts.append(cut)
-    witness, witness_gap = _witness_lp(ell, res.point, (0.0, None), poly.a, poly.b)
+    witness, witness_gap = _witness_lp(ell, res.point, poly)
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -311,15 +308,15 @@ def vertex_reduce(
     solutions, so one :func:`minimize_polytope` call over ``poly.table``
     finds X*: each of its starts mixes a few table rows, so the starts
     reach a basin at a vertex as well as one inside.  ``converged`` is that
-    solve's status and ``iterations`` its Frank-Wolfe steps.  The witness is the table row whose image is X* to
-    rounding (:func:`_is_rounding`), or else the point of Omega that one
-    LP finds (:func:`_witness_lp`).  Two checks read dual certificates off
-    the table (:func:`_dual_certificate`) and ask an LP over Omega only
-    where the certificate fails: that Omega is bounded (else
+    solve's status and ``iterations`` its descent steps.  The witness is
+    the solve's weights' mixture of the table rows, a point of Omega whose
+    image is X* to rounding.  Two checks read dual certificates off the
+    table (:func:`_dual_certificate`) and ask an LP over Omega only where
+    the certificate fails: that Omega is bounded (else
     UnboundedDomainError), and that no point of P beats every table row in
     the direction grad f(X*) by more than ``SEPARATION_TOL`` (relative),
-    that is, that the Frank-Wolfe gap over the true P does not exceed the
-    table's.  When the second check fails the result comes from
+    that is, that the first-order gap of X* over the true P does not exceed
+    the table's.  When the second check fails the result comes from
     :func:`cut_loop`, as it does when there is no table (too many bases, or
     a row-rank-deficient A).  A constant f returns at once, with
     :meth:`Polytope.feasible_point` as the witness.
@@ -347,8 +344,7 @@ def vertex_reduce(
         lp_best = float(grad @ (ell.T @ poly.lmo(ell @ grad)))
         if lp_best < table_best - tol:
             return cut_loop(sf, poly, opts)
-    row = int(np.argmin(np.abs(region.points - res.point).sum(axis=1)))
-    return _one_solve_result(res, ell, vertices[row].copy(), (0.0, None), poly.a, poly.b)
+    return _one_solve_result(res, ell, res.preimage @ vertices)
 
 
 def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
@@ -359,27 +355,16 @@ def simplex_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> Polytope
 def box_reduce(sf: SparseForm, opts: SolveOptions | None = None) -> PolytopeReduceResult:
     """Minimize f(ell^T x) over the box [-1, 1]^n.
 
-    One :func:`minimize_polytope` call over the zonotope ell^T [-1, 1]^n
-    finds X*; ``converged`` is that solve's status and ``iterations`` its
-    Frank-Wolfe steps.  The witness is the zonotope oracle's box vertex
-    -sign(ell grad f(X*)) when its image is X* to rounding
-    (:func:`_is_rounding`), as it is for a concave f; otherwise one LP
-    finds it.  A constant f returns at once, with the box's center as the
-    witness.
+    One :func:`minimize_zonotope` call finds X* over the zonotope
+    ell^T [-1, 1]^n, descending in x; ``converged`` is that solve's status,
+    ``iterations`` its descent steps, and the witness its box point x.  A
+    constant f returns at once, with the box's center as the witness.
     """
     ell = np.asarray(sf.ell, dtype=float)
     if sf.f.is_constant():
         return _constant_result(sf.f, ell, np.zeros(ell.shape[0]))
-    res = minimize_polytope(sf.f, Zonotope(ell), opts)
-    vertex = -np.sign(ell @ GradientEvaluator(sf.f).grad(res.point))
-    n = ell.shape[0]
-    return _one_solve_result(res, ell, vertex, (-1.0, 1.0), np.zeros((0, n)), np.zeros(0))
-
-
-def _is_rounding(gap: float, x_star: np.ndarray) -> bool:
-    """True when an image's l1 distance ``gap`` to x_star is rounding:
-    within ``_ROUNDING_TOL`` of 1 + |x_star|_1."""
-    return gap <= _ROUNDING_TOL * (1.0 + np.abs(x_star).sum())
+    res = minimize_zonotope(sf.f, ell, opts)
+    return _one_solve_result(res, ell, res.preimage)
 
 
 def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):
@@ -396,16 +381,9 @@ def _constant_result(f: Polynomial, ell: np.ndarray, witness: np.ndarray):
     )
 
 
-def _one_solve_result(res: SolveResult, ell, vertex, bounds, a, b) -> PolytopeReduceResult:
-    """The result of one inner solve over P itself: no cuts.
-
-    The witness is the domain's point ``vertex`` when its image is X* to
-    rounding (:func:`_is_rounding`), or else one :func:`_witness_lp` over
-    the domain {x : a @ x = b, x within ``bounds``}.
-    """
-    witness, witness_gap = vertex, float(np.abs(ell.T @ vertex - res.point).sum())
-    if not _is_rounding(witness_gap, res.point):
-        witness, witness_gap = _witness_lp(ell, res.point, bounds, a, b)
+def _one_solve_result(res: SolveResult, ell, witness) -> PolytopeReduceResult:
+    """The result of one inner solve over P itself: no cuts, and the
+    domain's point ``witness``, whose image is X* to rounding."""
     return PolytopeReduceResult(
         rho=res.value,
         x_star=res.point,
@@ -414,29 +392,26 @@ def _one_solve_result(res: SolveResult, ell, vertex, bounds, a, b) -> PolytopeRe
         converged=res.status == "converged",
         inner_values=[res.value],
         witness=witness,
-        witness_gap=witness_gap,
+        witness_gap=float(np.abs(ell.T @ witness - res.point).sum()),
     )
 
 
-def _witness_lp(ell: np.ndarray, x_star: np.ndarray, bounds, a: np.ndarray, b: np.ndarray):
-    """x with a @ x = b and entries within ``bounds`` minimizing
-    |ell^T x - x_star|_1, by slacks d+, d- >= 0 with ell^T x - d+ + d- =
-    x_star, and that distance; (None, None) when the LP fails.  HiGHS may
-    overstep ``bounds`` by its tolerance, so x is clipped to them."""
+def _witness_lp(ell: np.ndarray, x_star: np.ndarray, poly: Polytope):
+    """x in Omega minimizing |ell^T x - x_star|_1, by slacks d+, d- >= 0
+    with ell^T x - d+ + d- = x_star, and that distance; (None, None) when
+    the LP fails.  HiGHS may overstep x >= 0 by its tolerance, so x is
+    clipped at 0."""
     n, m = ell.shape
     a_eq = np.vstack(
         [
-            np.hstack([a, np.zeros((a.shape[0], 2 * m))]),
+            np.hstack([poly.a, np.zeros((poly.a.shape[0], 2 * m))]),
             np.hstack([ell.T, -np.eye(m), np.eye(m)]),
         ]
     )
-    b_eq = np.concatenate([b, x_star])
+    b_eq = np.concatenate([poly.b, x_star])
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    res = lp_solve(
-        LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=[bounds] * n + [(0.0, None)] * (2 * m))
-    )
+    res = lp_solve(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * (n + 2 * m)))
     if res.status != "optimal":
         return None, None
-    x = np.clip(res.point[:n], *bounds)
+    x = np.maximum(res.point[:n], 0.0)
     return x, float(np.abs(ell.T @ x - x_star).sum())
-

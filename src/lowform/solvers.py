@@ -1,40 +1,45 @@
 """Desk-scale minimization of polynomials on balls, spheres, and polyhedra.
 
-All solvers are multi-start local methods: projected gradient descent with
-Armijo backtracking on the ball and sphere, and pairwise Frank-Wolfe with an
-exact step on polyhedra.  The ball solver also minimizes the surrogate's
-problem Q (:func:`lowform.approx.solve_Q`).  Objective values and gradients
-come from one :class:`~lowform.poly.GradientEvaluator` per solve, a monomial
-tree over p and its partials filled once per point.  The ball and sphere
-descents run all their starts in lockstep, as the rows of one (starts, m)
-array: each round makes every unfinished start's next Armijo trial in one
-batched evaluation and drops the starts that finished.  A start stops when
-its projected gradient is small or when a rejected trial predicts a decrease
-below the rounding of p's value at its point, a test relative to p's scale.
-Frank-Wolfe runs its starts one after another, each a random mixture of the
-vertices that the region's linear-minimization oracle returns for one draw
-of directions, all in one oracle call, so a region needs nothing but that
-oracle.  The oracle scans a :class:`VertexTable`, which an H-rep region
-builds once, by enumerating row subsets or, above a cap, by qhull after one
-LP, and :func:`basic_feasible_solutions` enumerates the vertices of a
-standard-form polytope in one batched solve, each with its basis, from which
-:mod:`lowform.polytope` reads simplex dual certificates in place of LPs.  A
-:class:`Zonotope`, the image of a box, answers in closed form.  The
-brute-force oracle that checks these solvers lives with the tests, apart
-from the code it checks.
+All solvers are multi-start projected gradient descent with a
+Barzilai-Borwein trial step under a monotone Armijo test (the spectral
+projected gradient of Birgin, Martinez & Raydan, SIAM J. Optim. 2000), in
+one lockstep loop, :func:`_descend`.  The ball solver also minimizes the
+surrogate's problem Q (:func:`lowform.approx.solve_Q`).  Objective values
+and gradients come from one :class:`~lowform.poly.GradientEvaluator` per
+solve, a monomial tree over p and its partials filled once per point.  A
+descent runs all its starts as the rows of one array: each round makes
+every unfinished start's next Armijo trial in one batched evaluation and
+drops the starts that finished.  A start stops when its projected gradient
+is small or when a rejected trial predicts a decrease below the rounding of
+p's value at its point, a test relative to p's scale.
+
+Every region is a row-wise projection plus, for polyhedra, a linear map
+into p's variables.  The ball and sphere descend in X itself.  The zonotope
+ell^T [-1, 1]^n of a box descends in x, clipped to the box, with X = ell^T
+x.  The hull of a :class:`VertexTable`'s rows descends in weights on the
+probability simplex over the rows, with X their mixture of the rows; an
+H-rep region (:class:`Hrep`) builds its table once, by enumerating row
+subsets or, above a cap, by qhull after one LP.  So a polyhedral result
+carries its preimage, a point of the box or a convex mixture of the rows,
+from which :mod:`lowform.polytope` reads a feasible witness without an LP.
+Each polyhedral start is a Dirichlet(1) mixture of the m + 1 vertices least
+along m + 1 Gaussian directions.  :func:`basic_feasible_solutions`
+enumerates the vertices of a standard-form polytope in one batched solve,
+each with its basis, from which :mod:`lowform.polytope` reads simplex dual
+certificates in place of LPs.  The brute-force oracle that checks these
+solvers lives with the tests, apart from the code it checks.
 
 Determinism: all randomness flows through a single seeded generator and
 candidate results are reduced by (value, lexicographic point), so identical
 (problem, options, seed) triples give bitwise-identical results.  In a
 lockstep descent each start computes exactly what a one-start run would:
-every value, gradient, dot product and norm of a row is taken by one
+every value, gradient, image, dot product and norm of a row is taken by one
 matrix-vector product or ddot per row, never by a matrix product whose
 summation order could depend on the other rows.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,11 +63,6 @@ _NOISE_ULPS = 64
 # If the two best multi-start values disagree by more than this, the start
 # count is doubled once.
 _RESTART_GAP = 1e-4
-
-# Leading coefficients of a fitted restriction's derivative this small,
-# relative to its largest, are rounding noise and are left out of the root
-# search.
-_FIT_NOISE = 1e-12
 
 # Most row subsets a vertex table enumerates (qhull builds larger H-rep ones).
 _TABLE_MAX_SUBSETS = 30_000
@@ -108,40 +108,28 @@ class SolveResult:
     status: str  # "converged" | "max_iter" | "infeasible"
     iterations: int
     starts_used: int
+    # a polyhedral solve's own point, whose image is ``point``: the box
+    # point x, or the weights on a vertex table's rows
+    preimage: np.ndarray | None = None
 
 
 @dataclass
 class VertexTable:
-    """Convex hull of the rows of ``points``; a scan of them answers the LMO.
+    """Convex hull of the rows of ``points``.
 
     Rows need not all be extreme points of the hull: a repeated or inner row
-    only lengthens the scan.
+    only adds a weight to the descent over the hull.
     """
 
     points: np.ndarray
 
-    def lmo(self, direction: np.ndarray) -> np.ndarray:
-        """The first row least along ``direction``, or one such row per
-        direction of a stack along the last axis, in one product that
-        scores every direction by its own matrix-vector product."""
-        scores = np.matmul(self.points, np.asarray(direction, dtype=float)[..., None])[..., 0]
-        return np.take(self.points, np.argmin(scores, axis=-1), axis=0)
 
-
-@dataclass
-class Zonotope:
-    """The image ell^T [-1, 1]^n of the box under the (n, m) matrix ell.
-
-    Its linear minimization oracle is closed-form: ell^T x over the box is
-    least in direction c at x = -sign(ell c), for each of a stack of
-    directions by its own products.
-    """
-
-    ell: np.ndarray
-
-    def lmo(self, direction: np.ndarray) -> np.ndarray:
-        signs = np.sign(np.matmul(self.ell, np.asarray(direction)[..., None]))
-        return -np.matmul(signs.swapaxes(-1, -2), self.ell)[..., 0, :]
+def _least_rows(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The index of the first row of ``points`` least along each direction
+    of a stack along the last axis, each scored by its own matrix-vector
+    product."""
+    scores = np.matmul(points, np.asarray(directions, dtype=float)[..., None])[..., 0]
+    return np.argmin(scores, axis=-1)
 
 
 def _solve_regular(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +185,9 @@ class Hrep:
     The box part is mandatory and finite, so the region is bounded; a
     non-finite bound raises UnboundedRegionError, a ValueError, at
     construction, as do a non-finite entry of a_ub or b_ub and any array of
-    the wrong shape.  The first :meth:`lmo` call builds the region's
-    :class:`VertexTable` and every call scans it; the fields must not change
-    after that.
+    the wrong shape.  The first read of :attr:`points` builds the region's
+    vertex table, which :func:`minimize_polytope` descends over and
+    :meth:`lmo` scans; the fields must not change after that.
     """
 
     a_ub: np.ndarray
@@ -240,11 +228,11 @@ class Hrep:
     def lmo(self, direction: np.ndarray) -> np.ndarray:
         """Vertex minimizing direction @ x over the region, or one per
         direction of a stack: a table scan."""
-        return self._vertex_table.lmo(direction)
+        return np.take(self.points, _least_rows(self.points, direction), axis=0)
 
     @cached_property
-    def _vertex_table(self) -> VertexTable:
-        """Points of the region, its vertices among them, as a table.
+    def points(self) -> np.ndarray:
+        """Points of the region, its vertices among them, as a table's rows.
 
         Up to ``_TABLE_MAX_SUBSETS`` dim-subsets of the halfspaces, and in
         dimension 1, it holds the regular subsets' solutions that satisfy
@@ -269,7 +257,7 @@ class Hrep:
                 from scipy.spatial import HalfspaceIntersection
 
                 halfspaces = np.hstack([rows_q, -rhs_q[:, None]])
-                return VertexTable(HalfspaceIntersection(halfspaces, center).intersections)
+                return HalfspaceIntersection(halfspaces, center).intersections
         subsets = np.array(list(itertools.combinations(range(rows.shape[0]), dim)))
         _, points = _solve_regular(rows[subsets], rhs[subsets])
         slack = _ROUNDING_TOL * (1.0 + np.abs(rhs) + np.abs(points) @ np.abs(rows).T)
@@ -278,7 +266,7 @@ class Hrep:
             if center is None:
                 center = _chebyshev_center(rows, rhs)
             points = center[None]
-        return VertexTable(points)
+        return points
 
 
 def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -318,6 +306,26 @@ def _sphere_rows(x: np.ndarray) -> np.ndarray:
     return x / _row_norm(x)[:, None]
 
 
+def _box_rows(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, -1.0, 1.0)
+
+
+def _simplex_rows(v: np.ndarray) -> np.ndarray:
+    """The Euclidean projection of every row onto the probability simplex,
+    by sorting (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008).
+
+    With u a row sorted in decreasing order and c_j = u_1 + ... + u_j - 1
+    summed in that order, rho is the last j with u_j - c_j / j > 0 (j = 1
+    always qualifies), and the projection is max(v - c_rho / rho, 0).
+    """
+    u = -np.sort(-v, axis=1)
+    c = np.cumsum(u, axis=1) - 1.0
+    j = np.arange(1, v.shape[1] + 1)
+    rho = v.shape[1] - np.argmax((u - c / j > 0.0)[:, ::-1], axis=1)
+    theta = c[np.arange(v.shape[0]), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
+
+
 def _bb_rows(s: np.ndarray, y: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     # Spectral (Barzilai-Borwein) trial steps, clamped to a sane range; the
     # Armijo test keeps descent monotone regardless.
@@ -327,19 +335,24 @@ def _bb_rows(s: np.ndarray, y: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(sy <= 0.0, fallback, steps)
 
 
-def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
-    """Projected descent on the unit ball (or sphere) from every row of
-    ``starts``, in lockstep; one candidate (x, value, iterations, converged)
-    per start, in start order.
+def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
+    """Projected descent from every row of ``starts``, in lockstep; one
+    candidate (y, value, iterations, converged) per start, in start order.
 
-    Per start this is projected gradient descent (on the sphere, along the
-    tangent gradient with renormalization) with a Barzilai-Borwein trial
+    The rows y live where ``project`` maps each row: the unit ball
+    (:func:`_ball_rows`), the sphere (:func:`_sphere_rows`), the box
+    [-1, 1]^k (:func:`_box_rows`) or the probability simplex
+    (:func:`_simplex_rows`).  p is read at X = y or, given a (k, m)
+    ``lift`` M, at X = M^T y, where its gradient in y is M grad p(X).
+
+    Per start this is projected gradient descent in y (on the sphere, along
+    the tangent gradient with renormalization) with a Barzilai-Borwein trial
     step under a monotone Armijo test, halved on each rejection.  A start
     exits "converged" at projected-gradient norm < tol or when it is
     numerically stationary, and "max_iter" after ``max_iter`` accepted
     steps.  It is numerically stationary once a rejected trial's predicted
-    decrease |d . (cand - x)| is within ``_NOISE_ULPS`` rounding units of
-    the rounding scale S(x) = sum |c_alpha| |x^alpha| of p's value at x, or
+    decrease |d . (cand - y)| is within ``_NOISE_ULPS`` rounding units of
+    the rounding scale S(X) = sum |c_alpha| |X^alpha| of p's value at X, or
     once its trial step underflows to 0.  The test is relative to S, so it
     does not depend on the scale of p.
 
@@ -351,10 +364,18 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
     ``traces``, a list of one list per start, receives each start's first
     value and its value after every accepted step.
     """
-    project = _sphere_rows if sphere else _ball_rows
+    sphere = project is _sphere_rows
+
+    def oracle(y):
+        # p at each row's X, its gradient in y, and S(X)
+        if lift is None:
+            at, scale = evaluator.rows(y)
+            return at[:, 0], at[:, 1:], scale
+        at, scale = evaluator.rows(np.matmul(y[:, None, :], lift)[:, 0])
+        return at[:, 0], np.matmul(lift, at[:, 1:, None])[:, :, 0], scale
+
     x = project(np.array(starts, dtype=float))
-    at, sx = evaluator.rows(x)
-    fx, d = at[:, 0], at[:, 1:]
+    fx, d, sx = oracle(x)
     if sphere:
         d = d - _row_dot(d, x)[:, None] * x
     if traces is not None:
@@ -382,8 +403,8 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
             if not idx.size:
                 break
         cand = project(x - t[:, None] * d)
-        at, sc = evaluator.rows(cand)
-        fc, move = at[:, 0], cand - x
+        fc, d_new, sc = oracle(cand)
+        move = cand - x
         predicted = _row_dot(d, move)
         if sphere:
             # Python's float power: the rounding of a one-start run
@@ -394,7 +415,6 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
         # every row's step as if accepted; a rejected row keeps its state
         # and halves its trial step, or ends at a decrease below p's rounding
         stalled = ~(np.abs(predicted) > _NOISE_ULPS * np.finfo(float).eps * sx)
-        d_new = at[:, 1:]
         if sphere:
             d_new = d_new - _row_dot(d_new, cand)[:, None] * cand
         halved = np.where(stalled, 0.0, t * ARMIJO_SHRINK)
@@ -409,198 +429,101 @@ def _descend(evaluator, starts, max_iter, tol, sphere, traces=None):
     return list(zip(out_x, out_f.tolist(), out_it.tolist(), out_ok.tolist()))
 
 
-@functools.cache
-def _hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The equispaced nodes of [0, 1] after 0, as a column, and the matrix
-    that maps the values, then the slopes, of a polynomial of degree
-    2 * nodes - 1 at all the nodes to its coefficients, lowest first."""
-    s = np.linspace(0.0, 1.0, nodes)[:, None]
-    powers = np.arange(2 * nodes)
-    slopes = powers * s ** np.maximum(powers - 1, 0)
-    return s[1:], np.linalg.inv(np.vstack([s**powers, slopes]))
-
-
-def _horner(coefs: list[float], s: float) -> float:
-    out = 0.0
-    for c in reversed(coefs):
-        out = out * s + c
-    return out
-
-
-def _fit_minimum(coefs: list[float]) -> tuple[float, float] | None:
-    """(value, s) at the lowest local minimum in (0, 1) of the polynomial
-    with coefficients ``coefs`` (lowest first), or None."""
-    dc = [i * c for i, c in enumerate(coefs[1:], 1)]
-    ddc = [i * c for i, c in enumerate(dc[1:], 1)]
-    top, noise = len(dc), _FIT_NOISE * max(map(abs, dc))
-    while top > 1 and abs(dc[top - 1]) <= noise:
-        top -= 1
-    if top == 2:
-        roots = [-dc[0] / dc[1]]
-    elif top == 3:
-        # the quadratic formula in its cancellation-free form
-        c, b, a = dc[:3]
-        disc = b * b - 4.0 * a * c
-        q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
-        roots = [q / a, c / q] if disc >= 0.0 and q != 0.0 else []
-    elif top > 3:
-        found = np.roots(dc[top - 1 :: -1])
-        roots = found.real[np.abs(found.imag) <= 1e-6 * (1.0 + np.abs(found))].tolist()
-        for _ in range(3):  # Newton polish on the whole derivative
-            roots = [r - _horner(dc, r) / h if (h := _horner(ddc, r)) else r for r in roots]
-    else:
-        roots = []
-    minima = [(_horner(coefs, r), r) for r in roots if 0.0 < r < 1.0 and _horner(ddc, r) > 0.0]
-    return min(minima, default=None)
-
-
-def _exact_step(evaluator, x: np.ndarray, at_x: np.ndarray, d: np.ndarray, w: float):
-    """Exact minimizer t of phi(t) = p(x + t d) on [0, w], with the point
-    y = x + t d and ``evaluator.at(y)``.
-
-    phi has the degree of p, so the Hermite interpolant of its values and
-    slopes at k equispaced nodes of [0, w], with 2k > degree, is phi
-    itself.  Node 0 is x; every other node, and an interior minimizer that
-    is not a node, costs one tree fill.
-    """
-    k = max(2, (evaluator.degree + 2) // 2)
-    if k == 2:  # the cubic Hermite interpolant, in closed form
-        ys = [x + w * d]
-        at_nodes = evaluator.at(ys[0])[:, None]
-        f0, f1 = float(at_x[0]), float(at_nodes[0, 0])
-        s0, s1 = w * float(d @ at_x[1:]), w * float(d @ at_nodes[1:, 0])
-        coefs = [f0, s0, 3.0 * (f1 - f0) - 2.0 * s0 - s1, 2.0 * (f0 - f1) + s0 + s1]
-    else:
-        nodes, inverse = _hermite(k)
-        ys = x + (w * nodes) * d
-        at_nodes = evaluator.values(ys)
-        slopes = w * (d @ np.hstack([at_x[1:, None], at_nodes[1:]]))
-        coefs = (inverse @ np.concatenate(([at_x[0]], at_nodes[0], slopes))).tolist()
-    fit = _fit_minimum(coefs)
-    if fit is not None and fit[0] < at_nodes[0, -1]:
-        t = w * fit[1]
-        y = x + t * d
-        return t, y, evaluator.at(y)
-    return w, ys[-1], at_nodes[:, -1]
-
-
-def _frank_wolfe(evaluator, lmo, x0, max_iter, tol, trace=None):
-    """Pairwise Frank-Wolfe from x0 with an exact step.
-
-    The run keeps x0 and every vertex the oracle has returned as weighted
-    atoms whose mixture is x.  Each step moves weight t from the atom worst
-    along the gradient (away) to the oracle's vertex, with t the exact
-    minimizer on [0, w_away] (:func:`_exact_step`); t = w_away drops the
-    away atom.  Lacoste-Julien & Jaggi, "On the global linear convergence
-    of Frank-Wolfe optimization variants", NeurIPS 2015.
-
-    Exits "converged" at Frank-Wolfe gap < tol, or when an exact step
-    inside [0, w_away] does not lower p at float resolution.  A drop step
-    never ends a run.
-    """
-    x = np.array(x0, dtype=float)
-    at_x = evaluator.at(x)
-    fx = float(at_x[0])
-    atoms = {x.tobytes(): [x, 1.0]}
-    if trace is not None:
-        trace.append(fx)
-    for it in range(1, max_iter + 1):
-        g = at_x[1:]
-        v = lmo(g)
-        if float(g @ (x - v)) < tol:
-            return x, fx, it, True
-        key, (a, w) = max(atoms.items(), key=lambda item: g @ item[1][0])
-        t, y, at_y = _exact_step(evaluator, x, at_x, v - a, w)
-        if t == w:
-            del atoms[key]
-        elif at_y[0] >= fx:
-            return x, fx, it, True
-        else:
-            atoms[key][1] = w - t
-        atoms.setdefault(v.tobytes(), [v, 0.0])[1] += t
-        x, at_x, fx = y, at_y, float(at_y[0])
-        if trace is not None:
-            trace.append(fx)
-    return x, fx, max_iter, False
-
-
 def _best_candidate(candidates):
     # (value, lexicographic point) ordering keeps multi-start reductions
     # deterministic even under exact value ties.
     return min(candidates, key=lambda c: (c[1], tuple(c[0])))
 
 
-def _result(p: Polynomial, candidate, starts_used: int) -> SolveResult:
-    """The result of a run (x, value, iterations, converged), valued by p."""
-    x, _, iterations, converged = candidate
+def _result(p: Polynomial, candidate, starts_used: int, lift=None) -> SolveResult:
+    """The result of a run (y, value, iterations, converged), valued by p at
+    its point y, or at X = lift^T y with y kept as the preimage."""
+    y, _, iterations, converged = candidate
+    point = y if lift is None else y @ lift
     return SolveResult(
-        value=p.evaluate(x),
-        point=np.asarray(x, dtype=float),
+        value=p.evaluate(point),
+        point=np.asarray(point, dtype=float),
         status="converged" if converged else "max_iter",
         iterations=iterations,
         starts_used=starts_used,
+        preimage=None if lift is None else y,
     )
 
 
-def _multi_start(p: Polynomial, run, draw_starts, opts: SolveOptions) -> SolveResult:
-    """Best result of ``run``, which maps a (k, dim) array of starts to one
-    candidate per start; the start count doubles once on a wide gap."""
+def _multi_start(p: Polynomial, project, draw_starts, opts: SolveOptions, lift=None):
+    """Best :func:`_descend` run of p, with ``project`` and ``lift``, from
+    the rows that ``draw_starts(rng, k)`` draws, k = opts.starts; the start
+    count doubles once on a wide gap."""
+    evaluator = GradientEvaluator(p)
     rng = np.random.default_rng(opts.seed)
+
+    def run(starts):
+        return _descend(evaluator, starts, opts.max_iter, opts.tol, project, lift)
+
     candidates = run(draw_starts(rng, opts.starts))
     ordered = sorted(candidates, key=lambda c: (c[1], tuple(c[0])))
     starts_used = opts.starts
     if len(ordered) >= 2 and abs(ordered[0][1] - ordered[1][1]) > _RESTART_GAP:
         candidates += run(draw_starts(rng, opts.starts))
         starts_used += opts.starts
-    return _result(p, _best_candidate(candidates), starts_used)
-
-
-def _minimize_ball_or_sphere(
-    p: Polynomial, opts: SolveOptions | None, sphere: bool
-) -> SolveResult:
-    opts = opts or SolveOptions()
-    evaluator = GradientEvaluator(p)
-    sample = sample_sphere if sphere else sample_ball
-
-    def run(starts):
-        return _descend(evaluator, starts, opts.max_iter, opts.tol, sphere)
-
-    return _multi_start(p, run, lambda rng, k: sample(rng, k, p.num_vars), opts)
+    return _result(p, _best_candidate(candidates), starts_used, lift)
 
 
 def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over the closed unit ball in p.num_vars dimensions."""
-    return _minimize_ball_or_sphere(p, opts, sphere=False)
+    return _multi_start(
+        p, _ball_rows, lambda rng, k: sample_ball(rng, k, p.num_vars), opts or SolveOptions()
+    )
 
 
 def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize p over the unit sphere in p.num_vars dimensions."""
-    return _minimize_ball_or_sphere(p, opts, sphere=True)
+    return _multi_start(
+        p, _sphere_rows, lambda rng, k: sample_sphere(rng, k, p.num_vars), opts or SolveOptions()
+    )
 
 
 def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
-    """Minimize p over a polyhedral region by multi-start Frank-Wolfe.
+    """Minimize p over the convex hull of ``region.points``, the rows of a
+    :class:`VertexTable` or an :class:`Hrep` region's table, by multi-start
+    projected descent in weights y on the probability simplex over the rows,
+    with X = points^T y.  The result's ``preimage`` is the best start's y.
 
-    ``region`` must expose ``lmo(direction) -> vertex``, answering a stack
-    of directions along the last axis with a stack of vertices, as
-    :class:`Hrep`, :class:`VertexTable` and :class:`Zonotope` do; nothing
-    else is read.  Every start, the restart draw's too, is a Dirichlet(1)
-    mixture of the m + 1 vertices that the oracle returns for m + 1 Gaussian
-    directions, m = p.num_vars; one oracle call answers a whole draw.
-    Unlike a mixture of many vertices, such a point does not crowd the
-    region's centroid, so starts land near vertices and faces as well as
-    inside.
+    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
+    m + 1 rows least along m + 1 Gaussian directions, m = p.num_vars, kept
+    as weights on those rows.  Unlike a mixture of many rows, such a point
+    does not crowd the hull's centroid, so starts land near vertices and
+    faces as well as inside.
     """
-    opts = opts or SolveOptions()
-    evaluator = GradientEvaluator(p)
-    dim = p.num_vars
+    points = region.points
 
     def draw(rng, count):
-        vertices = region.lmo(rng.standard_normal((count, dim + 1, dim)))
-        weights = rng.dirichlet(np.ones(dim + 1), size=count)
-        return np.matmul(weights[:, None, :], vertices)[:, 0]
+        rows = _least_rows(points, rng.standard_normal((count, p.num_vars + 1, p.num_vars)))
+        weights = np.zeros((count, points.shape[0]))
+        mixtures = rng.dirichlet(np.ones(p.num_vars + 1), size=count)
+        np.add.at(weights, (np.arange(count)[:, None], rows), mixtures)
+        return weights
 
-    def run(starts):
-        return [_frank_wolfe(evaluator, region.lmo, x0, opts.max_iter, opts.tol) for x0 in starts]
+    return _multi_start(p, _simplex_rows, draw, opts or SolveOptions(), lift=points)
 
-    return _multi_start(p, run, draw, opts)
+
+def minimize_zonotope(
+    p: Polynomial, ell: np.ndarray, opts: SolveOptions | None = None
+) -> SolveResult:
+    """Minimize p over the zonotope ell^T [-1, 1]^n of the (n, m) matrix
+    ell by multi-start projected descent in x, clipped to the box, with
+    X = ell^T x.  The result's ``preimage`` is the best start's x.
+
+    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
+    m + 1 box vertices -sign(ell c) least along m + 1 Gaussian directions c,
+    as :func:`minimize_polytope` draws its starts.
+    """
+    ell = np.asarray(ell, dtype=float)
+
+    def draw(rng, count):
+        directions = rng.standard_normal((count, p.num_vars + 1, p.num_vars))
+        vertices = -np.sign(np.matmul(ell, directions[..., None]))[..., 0]
+        mixtures = rng.dirichlet(np.ones(p.num_vars + 1), size=count)
+        return np.matmul(mixtures[:, None, :], vertices)[:, 0]
+
+    return _multi_start(p, _box_rows, draw, opts or SolveOptions(), lift=ell)

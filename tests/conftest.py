@@ -545,41 +545,94 @@ def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None, scale=None):
     return x, fx, max_iter, False
 
 
+def _project_box(y: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(y, -1.0), 1.0)
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """The nearest point of the probability simplex, by the sorting rule of
+    Duchi et al. (ICML 2008), one entry at a time: theta is (u_1 + ... +
+    u_rho - 1) / rho over the sorted entries, for the last rho whose entry
+    u_rho exceeds that ratio."""
+    total, theta = 0.0, 0.0
+    for j, u in enumerate(sorted(v.tolist(), reverse=True), 1):
+        total += u
+        if u - (total - 1.0) / j > 0.0:
+            theta = (total - 1.0) / j
+    return np.maximum(v - theta, 0.0)
+
+
+def _draw_lifted_starts(rng, count: int, domain: str, lift: np.ndarray) -> list[np.ndarray]:
+    """Starts as the solvers draw them, one at a time: a Dirichlet(1)
+    mixture of the m + 1 vertices least along m + 1 Gaussian directions,
+    as weights on the lift's rows ("simplex") or as a point of the box."""
+    m = lift.shape[1]
+    directions = rng.standard_normal((count, m + 1, m))
+    mixtures = rng.dirichlet(np.ones(m + 1), size=count)
+    starts = []
+    for cs, ws in zip(directions, mixtures):
+        if domain == "simplex":
+            y = np.zeros(lift.shape[0])
+            for c, w in zip(cs, ws):
+                y[int(np.argmin(lift @ c))] += w
+        else:
+            y = ws @ np.array([-np.sign(lift @ c) for c in cs])
+        starts.append(y)
+    return starts
+
+
 _RESTART_GAP = 1e-4
 
 
 def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, tol: float,
-                       seed: int, min_step_floor: bool = False
+                       seed: int, min_step_floor: bool = False, lift: np.ndarray | None = None
                        ) -> tuple[float, np.ndarray, int, str, int]:
     """(value, point, iterations, status, starts used) of the best serial
-    run on the unit "ball" or "sphere", with the solvers' start draws.
+    run, with the solvers' start draws: on the unit "ball" or "sphere", or
+    in y over the "box" [-1, 1]^k or the probability "simplex" in R^k, with
+    p read at X = lift^T y for a (k, m) ``lift``.
 
-    Every start runs :func:`_pgd_ball` or :func:`_pgd_sphere` alone, valued
-    through ``GradientEvaluator.at``, and stops at the rounding scale that
-    ``GradientEvaluator.rows`` gives, or with ``min_step_floor`` at a trial
-    step below _MIN_STEP, the solvers' earlier rule.  If the two best values
-    differ by more than ``_RESTART_GAP``, as many starts again are drawn
-    and run.  The best run is the least (value, lexicographic point); its
-    point is valued by ``p.evaluate``.
+    Every start runs :func:`_pgd_ball`, :func:`_pgd_sphere` or
+    :func:`_pgd` alone, valued through ``GradientEvaluator.at``, and stops
+    at the rounding scale that ``GradientEvaluator.rows`` gives, or with
+    ``min_step_floor`` at a trial step below _MIN_STEP, the solvers' earlier
+    rule.  If the two best values differ by more than ``_RESTART_GAP``, as
+    many starts again are drawn and run.  The best run is the least (value,
+    lexicographic point); its point, y over a lift, is valued by
+    ``p.evaluate`` at its X.
     """
     evaluator = GradientEvaluator(p)
+    image = (lambda y: y) if lift is None else (lambda y: y @ lift)
 
-    def value(x):
-        return float(evaluator.at(x)[0])
+    def value(y):
+        return float(evaluator.at(image(y))[0])
 
-    def grad(x):
-        return evaluator.at(x)[1:].copy()
+    def grad(y):
+        g = evaluator.at(image(y))[1:]
+        return g.copy() if lift is None else lift @ g
 
-    def scale(x):
-        return float(evaluator.rows(x[None])[1][0])
+    def scale(y):
+        return float(evaluator.rows(image(y)[None])[1][0])
 
-    descend = _pgd_ball if domain == "ball" else _pgd_sphere
-    sample = sample_ball if domain == "ball" else sample_sphere
     rng = np.random.default_rng(seed)
+    if lift is None:
+        descend = _pgd_ball if domain == "ball" else _pgd_sphere
+        sample = sample_ball if domain == "ball" else sample_sphere
+
+        def draw(count):
+            return sample(rng, count, p.num_vars)
+    else:
+        project = _project_simplex if domain == "simplex" else _project_box
+
+        def descend(value, grad, x0, max_iter, tol, scale=None):
+            return _pgd(value, grad, project, x0, max_iter, tol, scale=scale)
+
+        def draw(count):
+            return _draw_lifted_starts(rng, count, domain, lift)
 
     def run(count):
         return [descend(value, grad, x0, max_iter, tol, scale=None if min_step_floor else scale)
-                for x0 in sample(rng, count, p.num_vars)]
+                for x0 in draw(count)]
 
     runs = run(starts)
     ordered = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
@@ -588,7 +641,7 @@ def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, t
         runs += run(starts)
         used += starts
     x, _, iterations, converged = min(runs, key=lambda r: (r[1], tuple(r[0])))
-    return p.evaluate(x), x, iterations, "converged" if converged else "max_iter", used
+    return p.evaluate(image(x)), x, iterations, "converged" if converged else "max_iter", used
 
 
 # ----------------------------------------------------------------------

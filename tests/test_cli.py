@@ -425,9 +425,10 @@ def test_simplex_pipeline_solves_no_lp(tmp_path, monkeypatch):
     assert len(calls) == 0
 
 
-def test_simplex_pipeline_with_interior_minimizer_solves_one_lp(tmp_path, monkeypatch):
+def test_simplex_pipeline_with_interior_minimizer_solves_no_lp(tmp_path, monkeypatch):
     # h(x) = |L^T x - L^T c|^2 is least at the simplex's centroid c, whose
-    # image is no vertex image: one LP over the simplex finds the witness
+    # image is no vertex image: the witness is the descent's mixture of the
+    # simplex's vertices, and no LP runs
     from lowform.linalg import lp_solve
 
     n = 5
@@ -446,10 +447,30 @@ def test_simplex_pipeline_with_interior_minimizer_solves_one_lp(tmp_path, monkey
     assert run(["pipeline", "--input", path, "--domain", "simplex", "--out", out]) == 0
     report = read(out / "report.json")
     assert report["route"] == "exact/simplex" and report["converged"]
-    assert len(calls) == 1
+    assert len(calls) == 0
     witness = np.asarray(report["witness"])
     assert abs(witness.sum() - 1.0) <= 1e-7 and witness.min() >= 0.0
     assert report["rho"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_box_request_of_seed_9_converges_at_default_options(tmp_path):
+    # its minimizer lies on an edge of the zonotope, where the inner solve
+    # once stopped at max_iter (exit 4) with rho -2.8360963
+    assert run(["gen", "--seed", 9, "--n", 5, "--m", 2, "--degree", 3,
+                "--out", tmp_path / "gen"]) == 0
+    h = tmp_path / "gen" / "h.json"
+    assert run(["detect", "--input", h, "--out", tmp_path / "det"]) == 0
+    assert run(["extract", "--input", h, "--report", tmp_path / "det" / "report.json",
+                "--out", tmp_path / "ext"]) == 0
+    out = tmp_path / "box"
+    assert run(["reduce-polytope", "--sparse", tmp_path / "ext" / "report.json",
+                "--preset", "box", "--out", out]) == 0
+    report = read(out / "report.json")
+    assert report["converged"] and report["rho"] <= -2.8361333
+    witness = np.asarray(report["witness"])
+    assert witness.shape == (5,) and np.abs(witness).max() <= 1.0
+    value = Polynomial.from_json_dict(read(h)).evaluate(witness)
+    assert abs(value - report["rho"]) <= 1e-9
 
 
 @pytest.fixture()

@@ -24,13 +24,14 @@ from lowform.solvers import (
     InfeasibleRegionError,
     SolveOptions,
     VertexTable,
+    _ball_rows,
     _descend,
-    _exact_step,
-    _fit_minimum,
-    _frank_wolfe,
+    _simplex_rows,
+    _sphere_rows,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,
+    minimize_zonotope,
 )
 from lowform.sphere import reduce_sphere
 
@@ -138,16 +139,20 @@ def test_monotone_descent_traces():
     p = random_polynomial(rng, 2, 4)
     evaluator = GradientEvaluator(p)
     starts = np.array([[0.4, -0.3], [0.6, 0.8], [-0.9, 0.1]])
-    for sphere in (False, True):
+    for project in (_ball_rows, _sphere_rows):
         traces = [[] for _ in starts]
-        _descend(evaluator, starts, 200, 1e-9, sphere, traces=traces)
+        _descend(evaluator, starts, 200, 1e-9, project, traces=traces)
         for trace in traces:
             assert len(trace) >= 2
             assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
+    # over an H-rep square, from the weights whose image is its center
     region = Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1, -1], hi=[1, 1])
+    rows = region.points.shape[0]
     trace = []
-    _frank_wolfe(evaluator, region.lmo, np.zeros(2), 200, 1e-9, trace=trace)
+    _descend(evaluator, np.full((1, rows), 1.0 / rows), 200, 1e-9, _simplex_rows,
+             lift=region.points, traces=[trace])
+    assert len(trace) >= 2
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
 
@@ -163,17 +168,30 @@ def test_monotone_descent_traces():
 @example(m=2, degree=4, starts=32, max_iter=500, tol=1e-9, seed=0)
 @example(m=3, degree=5, starts=7, max_iter=3, tol=1e-12, seed=1)
 def test_lockstep_descent_equals_serial_runs_bitwise(m, degree, starts, max_iter, tol, seed):
-    # the lockstep ball and sphere solvers return exactly the best of the
-    # serial one-start runs from the same drawn starts, restart included
-    p = random_polynomial(np.random.default_rng(seed), m, degree)
+    # the lockstep solvers on the ball, the sphere, a zonotope (x clipped to
+    # the box) and a vertex table (weights projected onto the simplex)
+    # return exactly the best of the serial one-start runs from the same
+    # drawn starts, restart included
+    rng = np.random.default_rng(seed)
+    p = random_polynomial(rng, m, degree)
+    ell, points = rng.standard_normal((m + 2, m)), rng.standard_normal((m + 3, m))
     opts = SolveOptions(starts=starts, max_iter=max_iter, tol=tol, seed=seed)
-    for domain, minimize in (("ball", minimize_ball), ("sphere", minimize_sphere)):
+    for domain, minimize, lift in (
+        ("ball", minimize_ball, None),
+        ("sphere", minimize_sphere, None),
+        ("box", lambda p, opts: minimize_zonotope(p, ell, opts), ell),
+        ("simplex", lambda p, opts: minimize_polytope(p, VertexTable(points), opts), points),
+    ):
         res = minimize(p, opts)
         value, point, iterations, status, used = serial_multi_start(
-            p, domain, starts, max_iter, tol, seed
+            p, domain, starts, max_iter, tol, seed, lift=lift
         )
+        point = np.asarray(point, dtype=float)
         assert np.float64(res.value).tobytes() == np.float64(value).tobytes(), domain
-        assert res.point.tobytes() == np.asarray(point, dtype=float).tobytes(), domain
+        if lift is not None:
+            assert res.preimage.tobytes() == point.tobytes(), domain
+            point = point @ lift
+        assert res.point.tobytes() == point.tobytes(), domain
         assert (res.iterations, res.status, res.starts_used) == (iterations, status, used), domain
 
 
@@ -216,7 +234,8 @@ def test_every_start_of_a_steep_convex_octic_reaches_its_minimum():
     p = Polynomial(2, {(8, 0): 1e8, (0, 8): 1e8, (2, 0): 10.0, (1, 1): -3.0,
                        (0, 2): 10.0, (1, 0): -1.0, (0, 1): 0.5})
     starts = np.array([[1.0, 0.0], [0.0, -1.0], [-0.7, 0.7], [0.6, 0.8], [-0.5, -0.5]])
-    values = [value for _, value, _, _ in _descend(GradientEvaluator(p), starts, 500, 1e-9, False)]
+    values = [value for _, value, _, _ in _descend(GradientEvaluator(p), starts, 500, 1e-9,
+                                                    _ball_rows)]
     assert max(values) - min(values) <= 1e-15
 
 
@@ -236,7 +255,7 @@ def test_degenerate_descents_converge(terms, start, sphere):
     evaluator = GradientEvaluator(p)
     assert evaluator.rows(np.array([start]))[1][0] == abs(terms.get((0, 0), 0.0))
     ((x, value, iterations, converged),) = _descend(
-        evaluator, np.array([start]), 500, 1e-9, sphere
+        evaluator, np.array([start]), 500, 1e-9, _sphere_rows if sphere else _ball_rows
     )
     assert converged and iterations < 500
     assert value <= p.evaluate(np.array(start)) and value == p.evaluate(x)
@@ -247,46 +266,78 @@ def test_degenerate_descents_converge(terms, start, sphere):
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
+SKEWED = Polynomial(2, {(2, 0): 1.0, (1, 1): 1.8, (0, 2): 1.0, (1, 0): -0.24, (0, 1): -0.14})
+
+
 @pytest.mark.parametrize("region", [
     VertexTable(SQUARE),
     Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1.0, -1.0], hi=[1.0, 1.0]),
 ], ids=["VertexTable", "Hrep"])
-def test_frank_wolfe_reaches_interior_minimizer(region):
+def test_polytope_descent_reaches_interior_minimizer(region):
     # x^2 + 1.8xy + y^2 - 0.24x - 0.14y: Hessian eigenvalues 3.8 and 0.2, and
-    # its minimizer (0.3, -0.2) lies inside the square, off every vertex
-    p = Polynomial(2, {(2, 0): 1.0, (1, 1): 1.8, (0, 2): 1.0, (1, 0): -0.24, (0, 1): -0.14})
-    res = minimize_polytope(p, region, OPTS)
+    # its minimizer (0.3, -0.2) lies inside the square, off every vertex; the
+    # weights of the best start mix the square's rows into it
+    res = minimize_polytope(SKEWED, region, OPTS)
     assert res.status == "converged"
     assert np.abs(res.point - [0.3, -0.2]).max() < 1e-7
+    weights = res.preimage
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-15
+    assert res.point.tobytes() == (weights @ region.points).tobytes()
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
-def test_exact_step_matches_dense_grid(degree):
-    # the step minimizes phi(t) = p(x + t d) over [0, w]: no point of a dense
-    # grid, evaluated by the reference term loop, is lower
+def test_polytope_descent_matches_dense_grid(degree):
+    # no point of a dense grid of the square, evaluated by the reference
+    # term loop, is below the descent's minimum over the square's table,
+    # and the minimizer is the mixture of the table's rows by its weights
+    grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)
     for seed in range(20):
-        rng = np.random.default_rng([degree, seed])
-        p = random_polynomial(rng, 2, degree)
-        evaluator = GradientEvaluator(p)
-        x, d, w = rng.uniform(-1.0, 1.0, 2), rng.standard_normal(2), rng.uniform(0.05, 1.5)
-        at_x = evaluator.at(x).copy()
-        d = -d if at_x[1:] @ d > 0 else d  # Frank-Wolfe steps descend
-        t, y, at_y = _exact_step(evaluator, x, at_x, d, w)
-        grid = np.linspace(0.0, w, 20_001)
-        phi = reference_evaluate(p, x + grid[:, None] * d)
-        assert 0.0 < t <= w and np.array_equal(y, x + t * d)
-        assert at_y[0] == pytest.approx(reference_evaluate(p, y), abs=1e-12)
-        assert reference_evaluate(p, y) <= phi.min() + 1e-12, seed
+        p = random_polynomial(np.random.default_rng([degree, seed]), 2, degree)
+        res = minimize_polytope(p, VertexTable(SQUARE), SolveOptions(seed=seed))
+        assert res.status == "converged", seed
+        assert np.abs(res.point).max() <= 1.0 + 1e-15 and res.preimage.min() >= 0.0
+        assert res.value == pytest.approx(reference_evaluate(p, res.point), abs=1e-12)
+        assert res.value <= reference_evaluate(p, grid).min() + 1e-12, seed
 
 
 @pytest.mark.parametrize("cubic", [0.0, 1e-10, 1e-6])
-def test_fit_minimum_of_a_near_quadratic(cubic):
-    # p(s) = (s - 0.3)^2 + cubic s^3: the textbook quadratic formula loses
-    # about 1e-16 / cubic of the root of p' to cancellation
-    value, s = _fit_minimum([0.09, -0.6, 1.0, cubic])
+def test_descent_to_the_minimum_of_a_near_quadratic(cubic):
+    # p(s) = (s - 0.3)^2 + cubic s^3 over the interval [0, 1], as the hull
+    # of the rows 0 and 1 and as the zonotope of the box [-1, 1] under 1/2
+    # (shifted to [-1/2, 1/2]): the descent reaches the root of p' that the
+    # cancellation-free quadratic formula gives
     root = 0.6 / (1.0 + math.sqrt(1.0 + 1.8 * cubic))
-    assert s == pytest.approx(root, abs=1e-14)
-    assert value == pytest.approx((root - 0.3) ** 2 + cubic * root**3, abs=1e-15)
+    p = Polynomial(1, {(2,): 1.0, (1,): -0.6, (0,): 0.09, (3,): cubic})
+    half = Polynomial(1, {(2,): 1.0, (1,): 0.4, (0,): 0.04}) + cubic * Polynomial(
+        1, {(3,): 1.0, (2,): 1.5, (1,): 0.75, (0,): 0.125})  # p(s + 1/2)
+    for res, s in (
+        (minimize_polytope(p, VertexTable(np.array([[0.0], [1.0]])), OPTS), 0.0),
+        (minimize_zonotope(half, np.array([[0.5]]), OPTS), 0.5),
+    ):
+        assert res.status == "converged"
+        assert res.point[0] + s == pytest.approx(root, abs=1e-8)
+        assert res.value == pytest.approx((root - 0.3) ** 2 + cubic * root**3, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0, -1.0]), min_size=1, max_size=8))
+@example([0.5, 0.5])
+@example([1.0, 1.0, 1.0])
+@example([-3.0])
+def test_simplex_rows_satisfy_kkt(entries):
+    # the projection w of v onto the probability simplex is its KKT point:
+    # w >= 0, sum(w) = 1, and one theta with v - w = theta where w > 0 and
+    # v <= theta where w = 0
+    v = np.array(entries)
+    w = _simplex_rows(np.vstack([v, np.zeros_like(v)]))[0]
+    scale = np.finfo(float).eps * 4.0 * (1.0 + np.abs(v).max()) * v.size
+    assert w.min() >= 0.0
+    assert abs(w.sum() - 1.0) <= scale
+    support = w > 0.0
+    assert support.any()
+    theta = v[support] - w[support]
+    assert theta.max() - theta.min() <= scale
+    assert np.all(v[~support] <= theta.mean() + scale)
 
 
 def test_determinism_bitwise():
@@ -416,7 +467,7 @@ def test_lmo_above_the_subset_cap_matches_linprog(case, data):
 
 
 def test_hrep_lmo_solves_no_lp_in_dimension_4(monkeypatch):
-    # the skewed quadratic of test_frank_wolfe_reaches_interior_minimizer
+    # the skewed quadratic of test_polytope_descent_reaches_interior_minimizer
     # plus z^2 + w^2, over [-1, 1]^4: minimizer (0.3, -0.2, 0, 0)
     calls = _counting_lp(monkeypatch)
     box4 = Hrep(a_ub=np.zeros((0, 4)), b_ub=np.zeros(0), lo=[-1.0] * 4, hi=[1.0] * 4)
@@ -447,7 +498,7 @@ def test_hrep_lmo_solves_no_lp_in_dimension_4(monkeypatch):
     ([[1.0, 1.0]], [-np.inf], [0.0, 0.0], [1.0, 1.0]),
 ])
 def test_malformed_region_is_rejected(a_ub, b_ub, lo, hi):
-    # Frank-Wolfe needs a bounded region, and the box is its only guarantee
+    # the descent needs a bounded region, and the box is its only guarantee
     with pytest.raises(ValueError):
         Hrep(a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
 
