@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import SymEig
-from .poly import Polynomial, ball_moment_gram, ball_moments, graded_monomials, unique_rows
+from .poly import Polynomial, ball_moment_gram, ball_moments, graded_monomials, monomial_values
 from .sampling import sample_ball
 from .solvers import SolveOptions, minimize_ball
 
@@ -189,18 +189,6 @@ def conditional_expectation_exact(
 # ----------------------------------------------------------------------
 
 
-def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """(r, k) array whose entry (j, t) is points[j] ** exponents[t]."""
-    vals = np.ones((points.shape[0], exponents.shape[0]))
-    for i in range(points.shape[1]):
-        # one scalar power per distinct exponent keeps numpy's fast x**2 path
-        for a in np.unique(exponents[:, i]):
-            if a:
-                cols = exponents[:, i] == a
-                vals[:, cols] *= points[:, i, None] ** int(a)
-    return vals
-
-
 @dataclass(frozen=True)
 class CubatureRule:
     """Positive rule exact for all monomials of total degree <= degree.
@@ -220,8 +208,7 @@ class CubatureRule:
 
     def moments(self, exponents: np.ndarray) -> np.ndarray:
         """sum_j w_j v_j^beta for every row beta of a (k, dim) exponent matrix."""
-        unique, inverse = unique_rows(exponents)
-        return (self.weights @ _monomial_values(self.nodes, unique))[inverse]
+        return monomial_values(exponents, self.nodes) @ self.weights
 
 
 def _validate_rule(rule: CubatureRule) -> float:
@@ -360,7 +347,7 @@ def build_cubature(dim: int, degree: int, /, *, seed: int) -> CubatureRule:
     for attempt in range(5):
         half = sample_ball(rng, num_pairs, dim)
         # columns: v^alpha + (-v)^alpha = 2 v^alpha for even total degree
-        matrix = 2.0 * _monomial_values(half, even_targets).T
+        matrix = 2.0 * monomial_values(even_targets, half)
         weights, residual = _nnls(matrix, b)
         if residual <= 1e-10:
             keep = weights > 1e-14

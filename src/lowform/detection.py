@@ -135,7 +135,7 @@ def detect_randomized(
         raise ValueError("max_k must be at least 2")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, max_k, n)
-    gradients = GradientEvaluator(h).values(points)[1:]  # column k: grad h at point k
+    gradients = GradientEvaluator(h).rows(points)[0].T[1:]  # column k: grad h at point k
 
     rank_trace: list[int] = []
     prev_rank = None

@@ -22,7 +22,9 @@ one variable.  The tree is built once per instance, on first use.
 * ``evaluate_many`` fills the tree level by level, one multiply per node and
   point, and returns the coefficient vector times the node values.  Points
   go through in blocks sized by a fixed byte budget, so memory stays flat
-  whatever the point count; ``evaluate`` is the one-point case.
+  whatever the point count; ``evaluate`` fills a block of one point.
+  :func:`monomial_values`, the cubature rule's evaluator, reads each row's
+  monomial off one fill.
 * ``compose(A)`` is the linear substitution x = A t.  It walks the same
   tree top-down as a multivariate Horner scheme: each node carries the
   image of its subtree, a dense vector over the graded monomials of the
@@ -30,7 +32,7 @@ one variable.  The tree is built once per instance, on first use.
   is the result.  A level holds nodes x such monomials floats.
 * :class:`GradientEvaluator` serves the solvers: one tree over p and its
   partials gives value and gradient from a single fill per point, for one
-  point or for the rows of a lockstep batch.
+  point (``at``) or for the rows of a batch (``rows``).
 
 The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
@@ -232,7 +234,7 @@ class Polynomial:
                 f"point has length {x.shape[0]}, expected {self.num_vars}"
             )
         tree, weights = self._kernel()
-        return float(weights @ tree.fill(x))
+        return float(weights @ tree.fill(x[:, None])[:, 0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at ``points`` of shape (N, num_vars)."""
@@ -481,21 +483,12 @@ class _MonomialTree:
         return max(1, _BLOCK_BYTES // (8 * self.size))
 
     def fill(self, columns: np.ndarray) -> np.ndarray:
-        """Every node's value at the points whose coordinates are the rows
-        of ``columns``: shape (size,) for one point of shape (num_vars,),
-        (size, B) for a (num_vars, B) array of B points."""
-        values = np.empty((self.size,) + columns.shape[1:])
+        """(size, B) array of every node's value at the B points whose
+        coordinates are the rows of a (num_vars, B) array."""
+        values = np.empty((self.size, columns.shape[1]))
         values[0] = 1.0
-        # take gathers the rows of a 2-D fill faster than fancy indexing, and
-        # the entries of one point more slowly; both give the same bits
-        if columns.ndim == 1:
-            for lo, hi, parent, var in self.levels:
-                np.multiply(values[parent], columns[var], out=values[lo:hi])
-        else:
-            for lo, hi, parent, var in self.levels:
-                np.multiply(
-                    values.take(parent, axis=0), columns.take(var, axis=0), out=values[lo:hi]
-                )
+        for lo, hi, parent, var in self.levels:
+            np.multiply(values.take(parent, axis=0), columns.take(var, axis=0), out=values[lo:hi])
         return values
 
 
@@ -529,17 +522,24 @@ def graded_monomials(k: int, d: int) -> np.ndarray:
     return _graded_basis(k, d)[0].copy()
 
 
+def monomial_values(exponents: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(k, r) array whose entry (t, j) is points[j] ** exponents[t], for a
+    (k, dim) exponent matrix and an (r, dim) array of points, from one fill
+    of the exponents' monomial tree (a repeated row is one node)."""
+    tree = _MonomialTree(np.asarray(exponents, dtype=np.int64))
+    return tree.fill(np.asarray(points, dtype=float).T)[tree.index]
+
+
 class GradientEvaluator:
     """Value and gradient of a fixed polynomial from one monomial tree.
 
     The tree spans the terms of p and of its partials, so one fill at a
     point followed by one product with the (1 + n, nodes) coefficient matrix
-    gives p and its whole gradient.  :meth:`rows` contracts each of a few
-    points by its own matrix-vector product, so every row equals :meth:`at`
-    bit for bit (the lockstep descents rely on it), and adds the rounding
-    scale of p's value at each point, which tells the descents when p can
-    fall no further at float resolution; :meth:`values` contracts a block by
-    one matrix product, whose last bits depend on the block.
+    gives p and its whole gradient.  :meth:`rows`, the one batch entry,
+    contracts each of a few points by its own matrix-vector product, so
+    every row equals :meth:`at` bit for bit (the lockstep descents rely on
+    it), and adds the rounding scale of p's value at each point, which tells
+    the descents when p can fall no further at float resolution.
     """
 
     def __init__(self, p: Polynomial):
@@ -551,11 +551,6 @@ class GradientEvaluator:
         self._tree = _MonomialTree(np.vstack([exps, shifted]))
         self._coefs = self._tree.weights(rows)
         self._abs_value_coefs = np.abs(self._coefs[:1])
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """(1 + n, N) array: p, then its partials, at each row of an (N, n)
-        array of a few points (in one block)."""
-        return self._coefs @ self._tree.fill(np.asarray(points, dtype=float).T)
 
     def rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, 1 + n) array whose row i is :meth:`at` of row i of a (k, n)
@@ -572,7 +567,7 @@ class GradientEvaluator:
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """(1 + n,) array: p, then its partials, at one point."""
-        return self._coefs @ self._tree.fill(np.asarray(x, dtype=float))
+        return self._coefs @ self._tree.fill(np.asarray(x, dtype=float)[:, None])[:, 0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.at(x)[1:]

@@ -7,17 +7,19 @@ one lockstep loop, :func:`_descend`.  The ball solver also minimizes the
 surrogate's problem Q (:func:`lowform.approx.solve_Q`).  Objective values
 and gradients come from one :class:`~lowform.poly.GradientEvaluator` per
 solve, a monomial tree over p and its partials filled once per point.  A
-descent runs all its starts as the rows of one array: each round makes
-every unfinished start's next Armijo trial in one batched evaluation and
-drops the starts that finished.  A start stops when its projected gradient
-is small or when a rejected trial predicts a decrease below the rounding of
-p's value at its point, a test relative to p's scale.
+solve runs one batch of ``opts.starts`` starts, as the rows of one array:
+each round makes every unfinished start's next Armijo trial in one batched
+evaluation and drops the starts that finished.  A start stops when its
+projected gradient is small or when a rejected trial predicts a decrease
+below the rounding of p's value at its point, a test relative to p's scale.
 
 Every region is a row-wise projection plus, for polyhedra, a linear map
-into p's variables.  The ball and sphere descend in X itself.  The zonotope
-ell^T [-1, 1]^n of a box descends in x, clipped to the box, with X = ell^T
-x.  The hull of a :class:`VertexTable`'s rows descends in weights on the
-probability simplex over the rows, with X their mixture of the rows; an
+into p's variables.  The ball and sphere descend in X itself; the sphere
+takes the tangent part of the gradient, and otherwise the stop norm and the
+Armijo test of every other region.  The zonotope ell^T [-1, 1]^n of a box
+descends in x, clipped to the box, with X = ell^T x.  The hull of a
+:class:`VertexTable`'s rows descends in weights on the probability simplex
+over the rows, with X their mixture of the rows; an
 H-rep region (:class:`Hrep`) builds its table once, by enumerating row
 subsets or, above a cap, by qhull after one LP.  So a polyhedral result
 carries its preimage, a point of the box or a convex mixture of the rows,
@@ -60,10 +62,6 @@ ARMIJO_DECREASE = 1e-4
 # step lowers p there at float resolution.
 _NOISE_ULPS = 64
 
-# If the two best multi-start values disagree by more than this, the start
-# count is doubled once.
-_RESTART_GAP = 1e-4
-
 # Most row subsets a vertex table enumerates (qhull builds larger H-rep ones).
 _TABLE_MAX_SUBSETS = 30_000
 # Row subsets whose unit-normalized determinant is below this are singular.
@@ -105,7 +103,7 @@ class SolveOptions:
 class SolveResult:
     value: float
     point: np.ndarray
-    status: str  # "converged" | "max_iter" | "infeasible"
+    status: str  # "converged" | "max_iter"
     iterations: int
     starts_used: int
     # a polyhedral solve's own point, whose image is ``point``: the box
@@ -345,15 +343,18 @@ def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
     (:func:`_simplex_rows`).  p is read at X = y or, given a (k, m)
     ``lift`` M, at X = M^T y, where its gradient in y is M grad p(X).
 
-    Per start this is projected gradient descent in y (on the sphere, along
-    the tangent gradient with renormalization) with a Barzilai-Borwein trial
-    step under a monotone Armijo test, halved on each rejection.  A start
-    exits "converged" at projected-gradient norm < tol or when it is
-    numerically stationary, and "max_iter" after ``max_iter`` accepted
-    steps.  It is numerically stationary once a rejected trial's predicted
-    decrease |d . (cand - y)| is within ``_NOISE_ULPS`` rounding units of
-    the rounding scale S(X) = sum |c_alpha| |X^alpha| of p's value at X, or
-    once its trial step underflows to 0.  The test is relative to S, so it
+    Per start this is projected gradient descent in y with a Barzilai-Borwein
+    trial step under a monotone Armijo test, halved on each rejection.  On
+    the sphere the gradient is its tangent part, and the step from y along
+    it is renormalized; the stop norm |y - P(y - d)| and the Armijo test
+    f(cand) < f(y) + c d . (cand - y) are those of every other region, with
+    d the (tangent) gradient and P the projection.  A start exits
+    "converged" at that norm < tol or when it is numerically stationary,
+    and "max_iter" after ``max_iter`` accepted steps.  It is numerically
+    stationary once a rejected trial's predicted decrease |d . (cand - y)|
+    is within ``_NOISE_ULPS`` rounding units of the rounding scale
+    S(X) = sum |c_alpha| |X^alpha| of p's value at X, or once its trial
+    step underflows to 0.  The test is relative to S, so it
     does not depend on the scale of p.
 
     Each round makes every active start's next Armijo trial, all through one
@@ -367,17 +368,18 @@ def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
     sphere = project is _sphere_rows
 
     def oracle(y):
-        # p at each row's X, its gradient in y, and S(X)
+        # p at each row's X, its gradient in y (tangent on the sphere), and S(X)
         if lift is None:
             at, scale = evaluator.rows(y)
-            return at[:, 0], at[:, 1:], scale
+            g = at[:, 1:]
+            if sphere:
+                g = g - _row_dot(g, y)[:, None] * y
+            return at[:, 0], g, scale
         at, scale = evaluator.rows(np.matmul(y[:, None, :], lift)[:, 0])
         return at[:, 0], np.matmul(lift, at[:, 1:, None])[:, :, 0], scale
 
     x = project(np.array(starts, dtype=float))
     fx, d, sx = oracle(x)
-    if sphere:
-        d = d - _row_dot(d, x)[:, None] * x
     if traces is not None:
         for trace, value in zip(traces, fx.tolist()):
             trace.append(value)
@@ -389,34 +391,24 @@ def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
     while idx.size:
         # the stop tests of a start's iteration; a numerically stationary
         # start has t = 0
-        gnorm = _row_norm(d if sphere else x - project(x - d))
         over = it > max_iter
-        done = over | (gnorm < tol) | ~(t > 0.0)
+        done = over | (_row_norm(x - project(x - d)) < tol) | ~(t > 0.0)
         if done.any():
             out_x[idx[done]], out_f[idx[done]] = x[done], fx[done]
             out_it[idx[done]] = np.where(over[done], max_iter, it[done])
             out_ok[idx[done]] = ~over[done]
             keep = ~done
-            idx, x, fx, sx, d, t, it, gnorm = (
-                a[keep] for a in (idx, x, fx, sx, d, t, it, gnorm)
-            )
+            idx, x, fx, sx, d, t, it = (a[keep] for a in (idx, x, fx, sx, d, t, it))
             if not idx.size:
                 break
         cand = project(x - t[:, None] * d)
         fc, d_new, sc = oracle(cand)
         move = cand - x
         predicted = _row_dot(d, move)
-        if sphere:
-            # Python's float power: the rounding of a one-start run
-            squares = np.array([g**2 for g in gnorm.tolist()])
-            ok = fc < fx - ARMIJO_DECREASE * t * squares
-        else:
-            ok = fc < fx + ARMIJO_DECREASE * predicted
+        ok = fc < fx + ARMIJO_DECREASE * predicted
         # every row's step as if accepted; a rejected row keeps its state
         # and halves its trial step, or ends at a decrease below p's rounding
         stalled = ~(np.abs(predicted) > _NOISE_ULPS * np.finfo(float).eps * sx)
-        if sphere:
-            d_new = d_new - _row_dot(d_new, cand)[:, None] * cand
         halved = np.where(stalled, 0.0, t * ARMIJO_SHRINK)
         t = np.where(ok, _bb_rows(move, d_new - d, 2.0 * t), halved)
         rows_ok = ok[:, None]
@@ -452,21 +444,10 @@ def _result(p: Polynomial, candidate, starts_used: int, lift=None) -> SolveResul
 
 def _multi_start(p: Polynomial, project, draw_starts, opts: SolveOptions, lift=None):
     """Best :func:`_descend` run of p, with ``project`` and ``lift``, from
-    the rows that ``draw_starts(rng, k)`` draws, k = opts.starts; the start
-    count doubles once on a wide gap."""
-    evaluator = GradientEvaluator(p)
-    rng = np.random.default_rng(opts.seed)
-
-    def run(starts):
-        return _descend(evaluator, starts, opts.max_iter, opts.tol, project, lift)
-
-    candidates = run(draw_starts(rng, opts.starts))
-    ordered = sorted(candidates, key=lambda c: (c[1], tuple(c[0])))
-    starts_used = opts.starts
-    if len(ordered) >= 2 and abs(ordered[0][1] - ordered[1][1]) > _RESTART_GAP:
-        candidates += run(draw_starts(rng, opts.starts))
-        starts_used += opts.starts
-    return _result(p, _best_candidate(candidates), starts_used, lift)
+    the rows that ``draw_starts(rng, k)`` draws, k = opts.starts."""
+    starts = draw_starts(np.random.default_rng(opts.seed), opts.starts)
+    candidates = _descend(GradientEvaluator(p), starts, opts.max_iter, opts.tol, project, lift)
+    return _result(p, _best_candidate(candidates), opts.starts, lift)
 
 
 def minimize_ball(p: Polynomial, opts: SolveOptions | None = None) -> SolveResult:
@@ -489,11 +470,11 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     projected descent in weights y on the probability simplex over the rows,
     with X = points^T y.  The result's ``preimage`` is the best start's y.
 
-    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
-    m + 1 rows least along m + 1 Gaussian directions, m = p.num_vars, kept
-    as weights on those rows.  Unlike a mixture of many rows, such a point
-    does not crowd the hull's centroid, so starts land near vertices and
-    faces as well as inside.
+    Every start is a Dirichlet(1) mixture of the m + 1 rows least along
+    m + 1 Gaussian directions, m = p.num_vars, kept as weights on those
+    rows.  Unlike a mixture of many rows, such a point does not crowd the
+    hull's centroid, so starts land near vertices and faces as well as
+    inside.
     """
     points = region.points
 
@@ -514,9 +495,9 @@ def minimize_zonotope(
     ell by multi-start projected descent in x, clipped to the box, with
     X = ell^T x.  The result's ``preimage`` is the best start's x.
 
-    Every start, the restart draw's too, is a Dirichlet(1) mixture of the
-    m + 1 box vertices -sign(ell c) least along m + 1 Gaussian directions c,
-    as :func:`minimize_polytope` draws its starts.
+    Every start is a Dirichlet(1) mixture of the m + 1 box vertices
+    -sign(ell c) least along m + 1 Gaussian directions c, as
+    :func:`minimize_polytope` draws its starts.
     """
     ell = np.asarray(ell, dtype=float)
 

@@ -503,46 +503,16 @@ def _pgd(value, grad, project, x0, max_iter, tol, trace=None, scale=None):
     return x, fx, max_iter, False
 
 
-def _pgd_ball(value, grad, x0, max_iter, tol, trace=None, scale=None):
-    return _pgd(value, grad, _project_ball, x0, max_iter, tol, trace=trace, scale=scale)
+def _project_sphere(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x)
 
 
-def _tangent(x, g):
-    return g - float(g @ x) * x
-
-
-def _pgd_sphere(value, grad, x0, max_iter, tol, trace=None, scale=None):
-    x = np.array(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    fx = value(x)
-    if trace is not None:
-        trace.append(fx)
-    gt = _tangent(x, grad(x))
-    trial = ARMIJO_INIT
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(gt))
-        if gnorm < tol:
-            return x, fx, it, True
-        t = trial
-        accepted = False
-        while _trial_allowed(t, scale):
-            cand = x - t * gt
-            cand = cand / np.linalg.norm(cand)
-            fc = value(cand)
-            if fc < fx - ARMIJO_DECREASE * t * gnorm**2:
-                accepted = True
-                break
-            if _stalled(float(gt @ (cand - x)), scale, x):
-                break
-            t *= ARMIJO_SHRINK
-        if not accepted:
-            return x, fx, it, True
-        gt_new = _tangent(cand, grad(cand))
-        trial = _bb_step(cand - x, gt_new - gt, 2.0 * t)
-        x, fx, gt = cand, fc, gt_new
-        if trace is not None:
-            trace.append(fx)
-    return x, fx, max_iter, False
+def _tangent_gradient(grad):
+    """The part of ``grad`` tangent to the unit sphere, at a point on it."""
+    def tangent(x):
+        g = grad(x)
+        return g - float(g @ x) * x
+    return tangent
 
 
 def _project_box(y: np.ndarray) -> np.ndarray:
@@ -581,25 +551,20 @@ def _draw_lifted_starts(rng, count: int, domain: str, lift: np.ndarray) -> list[
     return starts
 
 
-_RESTART_GAP = 1e-4
-
-
 def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, tol: float,
                        seed: int, min_step_floor: bool = False, lift: np.ndarray | None = None
-                       ) -> tuple[float, np.ndarray, int, str, int]:
-    """(value, point, iterations, status, starts used) of the best serial
-    run, with the solvers' start draws: on the unit "ball" or "sphere", or
-    in y over the "box" [-1, 1]^k or the probability "simplex" in R^k, with
+                       ) -> tuple[float, np.ndarray, int, str]:
+    """(value, point, iterations, status) of the best serial run, with the
+    solvers' start draws: on the unit "ball" or "sphere", or in y over the
+    "box" [-1, 1]^k or the probability "simplex" in R^k, with
     p read at X = lift^T y for a (k, m) ``lift``.
 
-    Every start runs :func:`_pgd_ball`, :func:`_pgd_sphere` or
-    :func:`_pgd` alone, valued through ``GradientEvaluator.at``, and stops
-    at the rounding scale that ``GradientEvaluator.rows`` gives, or with
+    Every start runs :func:`_pgd` alone (on the sphere along the tangent
+    gradient), valued through ``GradientEvaluator.at``, and stops at the
+    rounding scale that ``GradientEvaluator.rows`` gives, or with
     ``min_step_floor`` at a trial step below _MIN_STEP, the solvers' earlier
-    rule.  If the two best values differ by more than ``_RESTART_GAP``, as
-    many starts again are drawn and run.  The best run is the least (value,
-    lexicographic point); its point, y over a lift, is valued by
-    ``p.evaluate`` at its X.
+    rule.  The best run is the least (value, lexicographic point); its
+    point, y over a lift, is valued by ``p.evaluate`` at its X.
     """
     evaluator = GradientEvaluator(p)
     image = (lambda y: y) if lift is None else (lambda y: y @ lift)
@@ -615,33 +580,18 @@ def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, t
         return float(evaluator.rows(image(y)[None])[1][0])
 
     rng = np.random.default_rng(seed)
-    if lift is None:
-        descend = _pgd_ball if domain == "ball" else _pgd_sphere
-        sample = sample_ball if domain == "ball" else sample_sphere
-
-        def draw(count):
-            return sample(rng, count, p.num_vars)
+    if domain == "ball":
+        project, x0s = _project_ball, sample_ball(rng, starts, p.num_vars)
+    elif domain == "sphere":
+        project, x0s = _project_sphere, sample_sphere(rng, starts, p.num_vars)
+        grad = _tangent_gradient(grad)
     else:
         project = _project_simplex if domain == "simplex" else _project_box
-
-        def descend(value, grad, x0, max_iter, tol, scale=None):
-            return _pgd(value, grad, project, x0, max_iter, tol, scale=scale)
-
-        def draw(count):
-            return _draw_lifted_starts(rng, count, domain, lift)
-
-    def run(count):
-        return [descend(value, grad, x0, max_iter, tol, scale=None if min_step_floor else scale)
-                for x0 in draw(count)]
-
-    runs = run(starts)
-    ordered = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
-    used = starts
-    if len(ordered) >= 2 and abs(ordered[0][1] - ordered[1][1]) > _RESTART_GAP:
-        runs += run(starts)
-        used += starts
+        x0s = _draw_lifted_starts(rng, starts, domain, lift)
+    runs = [_pgd(value, grad, project, x0, max_iter, tol, scale=None if min_step_floor else scale)
+            for x0 in x0s]
     x, _, iterations, converged = min(runs, key=lambda r: (r[1], tuple(r[0])))
-    return p.evaluate(image(x)), x, iterations, "converged" if converged else "max_iter", used
+    return p.evaluate(image(x)), x, iterations, "converged" if converged else "max_iter"
 
 
 # ----------------------------------------------------------------------
@@ -814,9 +764,10 @@ def brute_force_min(
         best = float(vals[best_idx[0]])
         for i in best_idx:
             if domain == "ball":
-                _, fx, _, _ = _pgd_ball(value, grad, pts[i], _POLISH_STEPS, 1e-12)
+                _, fx, _, _ = _pgd(value, grad, _project_ball, pts[i], _POLISH_STEPS, 1e-12)
             else:
-                _, fx, _, _ = _pgd_sphere(value, grad, pts[i], _POLISH_STEPS, 1e-12)
+                _, fx, _, _ = _pgd(value, _tangent_gradient(grad), _project_sphere, pts[i],
+                                   _POLISH_STEPS, 1e-12)
             best = min(best, fx)
         return best
 

@@ -24,6 +24,7 @@ from conftest import (
     y_mass,
 )
 from lowform.approx import (
+    CubatureConstructionError,
     LiftedPolynomial,
     SpectrumSplit,
     _nnls,
@@ -185,6 +186,33 @@ def test_nnls_builds_cubature_at_the_first_attempt(dim, degree, seed, monkeypatc
     [(a, b, x, rnorm)] = systems
     assert rnorm <= 1e-10
     _assert_nnls_optimal(a, b, x, rnorm)
+
+
+def test_build_cubature_resamples_a_larger_pool_after_a_failed_attempt(monkeypatch):
+    # a test double of _nnls whose first solve reports a residual above
+    # tolerance: the second attempt draws twice the candidate pairs, and its
+    # rule matches every moment up to its degree
+    shapes = []
+
+    def failing_once(a, b):
+        shapes.append(a.shape)
+        x, rnorm = _nnls(a, b)
+        return x, (np.inf if len(shapes) == 1 else rnorm)
+
+    monkeypatch.setattr("lowform.approx._nnls", failing_once)
+    rule = build_cubature.__wrapped__(4, 4, seed=0)
+    assert shapes == [(46, 368), (46, 736)]
+    for alpha in graded_lex_exponents(4, 4):
+        target = fraction_ball_moment(alpha, 4)
+        assert rule.moments(np.array([alpha]))[0] == pytest.approx(target, abs=1e-8)
+
+    # a double that always fails: five attempts, each pool twice the last
+    shapes.clear()
+    monkeypatch.setattr("lowform.approx._nnls",
+                        lambda a, b: shapes.append(a.shape) or (np.zeros(a.shape[1]), np.inf))
+    with pytest.raises(CubatureConstructionError):
+        build_cubature.__wrapped__(4, 4, seed=0)
+    assert shapes == [(46, 368 * 2**k) for k in range(5)]
 
 
 def test_build_cubature_builds_each_rule_once(monkeypatch):

@@ -638,6 +638,27 @@ def test_cubature_rule_is_built_at_the_degree_of_h(tmp_path, perturbed_instance,
     assert [args[:2] for args, _ in calls] == [(2, degree)]
 
 
+def test_approx_route_falls_back_to_the_exact_path_without_a_cubature_rule(
+    tmp_path, perturbed_instance, monkeypatch
+):
+    # a test double of build_cubature that raises CubatureConstructionError,
+    # as when no rule reaches tolerance: the request answers by the exact path
+    from lowform.approx import CubatureConstructionError
+
+    def no_rule(*args, **kwargs):
+        raise CubatureConstructionError("no rule reaches tolerance")
+
+    monkeypatch.setattr("lowform.cli.build_cubature", no_rule)
+    cubature, exact = tmp_path / "cubature", tmp_path / "exact"
+    assert run(["approx", "--input", perturbed_instance, "--m", 2, "--path", "cubature",
+                "--out", cubature]) == 0
+    assert run(["approx", "--input", perturbed_instance, "--m", 2, "--path", "exact",
+                "--out", exact]) == 0
+    report = read(cubature / "report.json")
+    assert report["path"] == "exact"
+    assert report == read(exact / "report.json")
+
+
 @pytest.mark.parametrize("argv", [
     ["approx"],
     ["approx", "--m", "2"],

@@ -38,6 +38,7 @@ from lowform.poly import (
     ball_moment_gram,
     ball_moments,
     graded_monomials,
+    monomial_values,
     partial_terms,
     unique_rows,
 )
@@ -561,6 +562,36 @@ def test_evaluate_many_across_block_boundaries():
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, _magnitude(p, np.ones(4)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(0, 5),
+    k=st.integers(0, 8),
+    extra=st.sampled_from(["none", "zero row", "repeated rows"]),
+    num_points=st.sampled_from([0, 1, 6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=3, k=0, extra="none", num_points=4, seed=0)
+@example(dim=2, k=3, extra="zero row", num_points=4, seed=0)
+@example(dim=4, k=5, extra="repeated rows", num_points=6, seed=1)
+def test_monomial_values_matches_reference(dim, k, extra, num_points, seed):
+    # entry (t, j) is the single monomial x^exponents[t] at point j, as the
+    # reference term loop takes it; repeated rows get the same values
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(0, 4, (k, dim))
+    if extra == "zero row":
+        exponents = np.vstack([exponents, np.zeros((1, dim), dtype=np.int64)])
+    elif extra == "repeated rows" and k:
+        exponents = np.vstack([exponents, exponents[rng.integers(0, k, 3)]])
+    pts = rng.uniform(-1.5, 1.5, (num_points, dim))
+    got = monomial_values(exponents, pts)
+    assert got.shape == (exponents.shape[0], num_points)
+    for row, values in zip(exponents, got):
+        want = reference_evaluate(Polynomial(dim, {tuple(row.tolist()): 1.0}), pts)
+        assert np.all(np.abs(values - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    for a, b in zip(*np.nonzero(np.all(exponents[:, None] == exponents[None], axis=2))):
+        assert got[a].tobytes() == got[b].tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(0, 5),
@@ -576,15 +607,15 @@ def test_gradient_evaluator_matches_reference(n, degree, kind, seed):
     grads = reference_gradient(p)
     evaluator = GradientEvaluator(p)
     pts = rng.uniform(-1.0, 1.0, (4, n))
-    batch = evaluator.values(pts)
-    assert batch.shape == (1 + n, 4)
-    for x, column in zip(pts, batch.T):
+    batch, _ = evaluator.rows(pts)
+    assert batch.shape == (4, 1 + n)
+    for x, row in zip(pts, batch):
         tol = 1e-12 * max(1.0, _magnitude(p, x) * max(degree, 1))
         want_value = reference_evaluate(p, x)
         want_grad = np.array([reference_evaluate(g, x) for g in grads], dtype=float)
         assert abs(evaluator.at(x)[0] - want_value) <= tol
         assert np.max(np.abs(evaluator.grad(x) - want_grad), initial=0.0) <= tol
-        assert np.max(np.abs(column - np.concatenate([[want_value], want_grad]))) <= tol
+        assert np.max(np.abs(row - np.concatenate([[want_value], want_grad]))) <= tol
         fd = finite_difference_gradient(p, x)
         scale = max(1.0, float(np.linalg.norm(want_grad)))
         assert np.linalg.norm(evaluator.grad(x) - fd) / scale < 1e-6
