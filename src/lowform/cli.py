@@ -152,10 +152,7 @@ def _write_outputs(args, report: dict, inputs: list[str], started: float) -> Non
         "argv": sys.argv[1:],
         "inputs": {p: _digest(p) for p in inputs},
         "seed": getattr(args, "seed", None),
-        "tolerances": {
-            "rank_tol": getattr(args, "rank_tol", None),
-            "tol": getattr(args, "tol", None),
-        },
+        "tolerances": {"rank_tol": getattr(args, "rank_tol", None)},
         "version": __version__,
         "wall_time_s": time.monotonic() - started,
     }
@@ -175,13 +172,10 @@ def _checked_options(args) -> SolveOptions | None:
     if not hasattr(args, "starts"):
         return None
     try:
-        return SolveOptions(
-            starts=args.starts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
-        )
+        return SolveOptions(starts=args.starts, max_iter=args.max_iter, seed=args.seed)
     except ValueError as exc:
         raise CliInputError(
-            f"--starts and --max-iter must be positive and --tol finite and positive, "
-            f"got {args.starts}, {args.max_iter} and {args.tol}"
+            f"--starts and --max-iter must be positive, got {args.starts} and {args.max_iter}"
         ) from exc
 
 
@@ -455,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rank = argparse.ArgumentParser(add_help=False)
     rank.add_argument("--rank-tol", type=float, default=1e-8)
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=1e-9)
     solver.add_argument("--starts", type=int, default=32)
     solver.add_argument("--max-iter", type=int, default=500)
 

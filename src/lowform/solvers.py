@@ -9,13 +9,13 @@ and gradients come from one :class:`~lowform.poly.GradientEvaluator` per
 solve, a monomial tree over p and its partials filled once per point.  A
 solve runs one batch of ``opts.starts`` starts, as the rows of one array:
 each round makes every unfinished start's next Armijo trial in one batched
-evaluation and drops the starts that finished.  A start stops when its
-projected gradient is small or when a rejected trial predicts a decrease
-below the rounding of p's value at its point, a test relative to p's scale.
+evaluation and drops the starts that finished.  A start stops when a
+rejected trial predicts a decrease below the rounding of p's value at its
+point, a test relative to p's scale, or after ``opts.max_iter`` steps.
 
 Every region is a row-wise projection plus, for polyhedra, a linear map
 into p's variables.  The ball and sphere descend in X itself; the sphere
-takes the tangent part of the gradient, and otherwise the stop norm and the
+takes the tangent part of the gradient, and otherwise the stop rule and the
 Armijo test of every other region.  The zonotope ell^T [-1, 1]^n of a box
 descends in x, clipped to the box, with X = ell^T x.  The hull of a
 :class:`VertexTable`'s rows descends in weights on the probability simplex
@@ -91,12 +91,11 @@ class UnboundedRegionError(ValueError):
 class SolveOptions:
     starts: int = 32
     max_iter: int = 500
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts <= 0 or self.max_iter <= 0 or not 0.0 < self.tol < math.inf:
-            raise ValueError("starts and max_iter must be positive, tol finite and positive")
+        if self.starts <= 0 or self.max_iter <= 0:
+            raise ValueError("starts and max_iter must be positive")
 
 
 @dataclass
@@ -312,10 +311,14 @@ def _simplex_rows(v: np.ndarray) -> np.ndarray:
     """The Euclidean projection of every row onto the probability simplex,
     by sorting (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008).
 
-    With u a row sorted in decreasing order and c_j = u_1 + ... + u_j - 1
-    summed in that order, rho is the last j with u_j - c_j / j > 0 (j = 1
-    always qualifies), and the projection is max(v - c_rho / rho, 0).
+    Each row is first shifted by its maximum, which leaves its projection
+    unchanged; the entries that survive then lie in [-1, 0], so their sum
+    rounds at the scale of 1, not of the row.  With u a shifted row sorted in
+    decreasing order and c_j = u_1 + ... + u_j - 1 summed in that order, rho
+    is the last j with u_j - c_j / j > 0 (j = 1 always qualifies), and the
+    projection is max(v - c_rho / rho, 0).
     """
+    v = v - v.max(axis=1, keepdims=True)
     u = -np.sort(-v, axis=1)
     c = np.cumsum(u, axis=1) - 1.0
     j = np.arange(1, v.shape[1] + 1)
@@ -333,7 +336,7 @@ def _bb_rows(s: np.ndarray, y: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(sy <= 0.0, fallback, steps)
 
 
-def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
+def _descend(evaluator, starts, max_iter, project, lift=None, traces=None):
     """Projected descent from every row of ``starts``, in lockstep; one
     candidate (y, value, iterations, converged) per start, in start order.
 
@@ -346,16 +349,15 @@ def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
     Per start this is projected gradient descent in y with a Barzilai-Borwein
     trial step under a monotone Armijo test, halved on each rejection.  On
     the sphere the gradient is its tangent part, and the step from y along
-    it is renormalized; the stop norm |y - P(y - d)| and the Armijo test
-    f(cand) < f(y) + c d . (cand - y) are those of every other region, with
-    d the (tangent) gradient and P the projection.  A start exits
-    "converged" at that norm < tol or when it is numerically stationary,
-    and "max_iter" after ``max_iter`` accepted steps.  It is numerically
-    stationary once a rejected trial's predicted decrease |d . (cand - y)|
-    is within ``_NOISE_ULPS`` rounding units of the rounding scale
-    S(X) = sum |c_alpha| |X^alpha| of p's value at X, or once its trial
-    step underflows to 0.  The test is relative to S, so it
-    does not depend on the scale of p.
+    it is renormalized; the Armijo test f(cand) < f(y) + c d . (cand - y)
+    is that of every other region, with d the (tangent) gradient.  A start
+    has one stop rule: it exits "converged" once it is numerically
+    stationary, and "max_iter" after ``max_iter`` accepted steps.  It is
+    numerically stationary once a rejected trial's predicted decrease
+    |d . (cand - y)| is within ``_NOISE_ULPS`` rounding units of the
+    rounding scale S(X) = sum |c_alpha| |X^alpha| of p's value at X, or once
+    its trial step underflows to 0.  The test is relative to S, so it does
+    not depend on the scale of p.
 
     Each round makes every active start's next Armijo trial, all through one
     :meth:`GradientEvaluator.rows` call, which also gives S at the trial
@@ -392,7 +394,7 @@ def _descend(evaluator, starts, max_iter, tol, project, lift=None, traces=None):
         # the stop tests of a start's iteration; a numerically stationary
         # start has t = 0
         over = it > max_iter
-        done = over | (_row_norm(x - project(x - d)) < tol) | ~(t > 0.0)
+        done = over | ~(t > 0.0)
         if done.any():
             out_x[idx[done]], out_f[idx[done]] = x[done], fx[done]
             out_it[idx[done]] = np.where(over[done], max_iter, it[done])
@@ -446,7 +448,7 @@ def _multi_start(p: Polynomial, project, draw_starts, opts: SolveOptions, lift=N
     """Best :func:`_descend` run of p, with ``project`` and ``lift``, from
     the rows that ``draw_starts(rng, k)`` draws, k = opts.starts."""
     starts = draw_starts(np.random.default_rng(opts.seed), opts.starts)
-    candidates = _descend(GradientEvaluator(p), starts, opts.max_iter, opts.tol, project, lift)
+    candidates = _descend(GradientEvaluator(p), starts, opts.max_iter, project, lift)
     return _result(p, _best_candidate(candidates), opts.starts, lift)
 
 

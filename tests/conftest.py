@@ -462,14 +462,14 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
     return min(max(t, 1e-12), 1e6)
 
 
-def _pgd(value, grad, project, x0, max_iter, tol, trace=None, scale=None):
+def _pgd(value, grad, project, x0, max_iter, trace=None, scale=None):
     """Projected descent with BB trial steps under a monotone Armijo test.
 
-    Exits "converged" either at projected-gradient norm < tol or when no step
-    achieves sufficient decrease at float resolution (numerically
-    stationary): a rejected trial whose predicted decrease is below the
-    rounding ``scale`` of the value at x, or a trial step that underflows to
-    0; with no ``scale``, a trial step below _MIN_STEP.
+    Exits "converged" when no step achieves sufficient decrease at float
+    resolution (numerically stationary): a rejected trial whose predicted
+    decrease is below the rounding ``scale`` of the value at x, or a trial
+    step that underflows to 0; with no ``scale``, a trial step below
+    _MIN_STEP.  Exits "max_iter" after ``max_iter`` accepted steps.
     """
     x = project(np.array(x0, dtype=float))
     fx = value(x)
@@ -478,9 +478,6 @@ def _pgd(value, grad, project, x0, max_iter, tol, trace=None, scale=None):
     g = grad(x)
     trial = ARMIJO_INIT
     for it in range(1, max_iter + 1):
-        pg = x - project(x - g)
-        if np.linalg.norm(pg) < tol:
-            return x, fx, it, True
         t = trial
         accepted = False
         while _trial_allowed(t, scale):
@@ -521,9 +518,11 @@ def _project_box(y: np.ndarray) -> np.ndarray:
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """The nearest point of the probability simplex, by the sorting rule of
-    Duchi et al. (ICML 2008), one entry at a time: theta is (u_1 + ... +
-    u_rho - 1) / rho over the sorted entries, for the last rho whose entry
-    u_rho exceeds that ratio."""
+    Duchi et al. (ICML 2008), one entry at a time on v shifted by its
+    maximum (which moves no projection): theta is (u_1 + ... + u_rho - 1) /
+    rho over the sorted entries, for the last rho whose entry u_rho exceeds
+    that ratio."""
+    v = v - v.max()
     total, theta = 0.0, 0.0
     for j, u in enumerate(sorted(v.tolist(), reverse=True), 1):
         total += u
@@ -551,8 +550,8 @@ def _draw_lifted_starts(rng, count: int, domain: str, lift: np.ndarray) -> list[
     return starts
 
 
-def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, tol: float,
-                       seed: int, min_step_floor: bool = False, lift: np.ndarray | None = None
+def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, seed: int,
+                       min_step_floor: bool = False, lift: np.ndarray | None = None
                        ) -> tuple[float, np.ndarray, int, str]:
     """(value, point, iterations, status) of the best serial run, with the
     solvers' start draws: on the unit "ball" or "sphere", or in y over the
@@ -588,7 +587,7 @@ def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, t
     else:
         project = _project_simplex if domain == "simplex" else _project_box
         x0s = _draw_lifted_starts(rng, starts, domain, lift)
-    runs = [_pgd(value, grad, project, x0, max_iter, tol, scale=None if min_step_floor else scale)
+    runs = [_pgd(value, grad, project, x0, max_iter, scale=None if min_step_floor else scale)
             for x0 in x0s]
     x, _, iterations, converged = min(runs, key=lambda r: (r[1], tuple(r[0])))
     return p.evaluate(image(x)), x, iterations, "converged" if converged else "max_iter"
@@ -661,17 +660,6 @@ def _fw_polish(p: Polynomial, grad, lmo, x0: np.ndarray, steps: int) -> float:
             break
         x, fx = cand, fc
     return fx
-
-
-def _project_simplex(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the canonical simplex {x >= 0, sum x = 1}."""
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, z.size + 1)
-    cond = u - css / ks > 0
-    k = int(ks[cond][-1])
-    tau = css[k - 1] / k
-    return np.maximum(z - tau, 0.0)
 
 
 def _hrep_projector(region: Hrep):
@@ -764,10 +752,10 @@ def brute_force_min(
         best = float(vals[best_idx[0]])
         for i in best_idx:
             if domain == "ball":
-                _, fx, _, _ = _pgd(value, grad, _project_ball, pts[i], _POLISH_STEPS, 1e-12)
+                _, fx, _, _ = _pgd(value, grad, _project_ball, pts[i], _POLISH_STEPS)
             else:
                 _, fx, _, _ = _pgd(value, _tangent_gradient(grad), _project_sphere, pts[i],
-                                   _POLISH_STEPS, 1e-12)
+                                   _POLISH_STEPS)
             best = min(best, fx)
         return best
 
@@ -781,7 +769,7 @@ def brute_force_min(
         project = _hrep_projector(domain)
         for i in best_idx:
             if project is not None:
-                _, fx, _, _ = _pgd(value, grad, project, pts[i], _POLISH_STEPS, 1e-12)
+                _, fx, _, _ = _pgd(value, grad, project, pts[i], _POLISH_STEPS)
             else:
                 lmo = functools.partial(hrep_linprog_vertex, domain)
                 fx = _fw_polish(p, grad, lmo, pts[i], _POLISH_STEPS)
@@ -805,7 +793,7 @@ def brute_force_min(
         best = float(vals.min())
         for i in best_idx:
             if simplex:
-                _, fx, _, _ = _pgd(value, grad, _project_simplex, pts[i], _POLISH_STEPS, 1e-12)
+                _, fx, _, _ = _pgd(value, grad, _project_simplex, pts[i], _POLISH_STEPS)
             else:
                 fx = _fw_polish(p, grad, domain.lmo, pts[i], _POLISH_STEPS)
             best = min(best, fx)

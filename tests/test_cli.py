@@ -11,7 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
+import lowform.cli
 from lowform.cli import _build_parser, main
+from lowform.detection import RankNotStabilizedError
 from lowform.poly import Polynomial
 
 
@@ -77,6 +79,22 @@ def test_detect_randomized_flag(tmp_path, sparse_instance):
     assert report["samples_used"] == len(report["spectrum"])
 
 
+def test_detect_randomized_falls_back_to_the_exact_spectrum(tmp_path, sparse_instance,
+                                                           monkeypatch):
+    # a detect_randomized whose sampled rank never settles: the request
+    # reports the exact method's detection, as --method exact does
+    def unsettled(*args, **kwargs):
+        raise RankNotStabilizedError("the sampled rank kept growing")
+
+    monkeypatch.setattr(lowform.cli, "detect_randomized", unsettled)
+    fallback, exact = tmp_path / "fallback", tmp_path / "exact"
+    assert run(["detect", "--input", sparse_instance, "--method", "randomized",
+                "--out", fallback]) == 0
+    assert run(["detect", "--input", sparse_instance, "--method", "exact", "--out", exact]) == 0
+    assert read(fallback / "report.json")["method"] == "exact"
+    assert (fallback / "report.json").read_bytes() == (exact / "report.json").read_bytes()
+
+
 def test_reduce_sphere_command(tmp_path, sparse_instance):
     det, ext, red = tmp_path / "det", tmp_path / "ext", tmp_path / "red"
     run(["detect", "--input", sparse_instance, "--out", det])
@@ -131,8 +149,8 @@ def test_solve_command_and_nonconvergence_exit(tmp_path):
     assert run(["solve", "--objective", obj, "--domain", "ball", "--out", out]) == 0
     assert read(out / "report.json")["value"] == pytest.approx(-1.0, abs=1e-9)
 
-    # a quartic cannot reach gradient tolerance in one iteration: exit 4,
-    # but the partial report is still written
+    # a quartic is not numerically stationary after one accepted step: exit
+    # 4, but the partial report is still written
     hard = tmp_path / "q.json"
     hard.write_text(json.dumps({"num_vars": 2, "terms": [
         {"exp": [4, 0], "coef": 1.0}, {"exp": [0, 3], "coef": -2.0},
@@ -500,17 +518,12 @@ def test_zero_max_iter_exits_2(tmp_path, sparse_instance):
                       "--max-iter", 0], tmp_path / "o")
 
 
-def test_zero_tol_exits_2(tmp_path, sparse_instance):
-    assert _rejected(["pipeline", "--input", sparse_instance, "--domain", "sphere",
-                      "--tol", 0], tmp_path / "o")
-
-
 _SPHERE = ["pipeline", "--input", "h", "--domain", "sphere"]
 
 
 @pytest.mark.parametrize("argv", [
-    _SPHERE + ["--tol", "nan"],
-    _SPHERE + ["--tol", "inf"],
+    _SPHERE + ["--starts", -1],
+    _SPHERE + ["--max-iter", -1],
     _SPHERE + ["--rank-tol", -1],
     _SPHERE + ["--rank-tol", "nan"],
     _SPHERE + ["--rank-tol", 1],
@@ -522,14 +535,15 @@ _SPHERE = ["pipeline", "--input", "h", "--domain", "sphere"]
 ])
 def test_malformed_numeric_option_exits_2_and_writes_nothing(tmp_path, sparse_instance, capsys,
                                                               argv):
-    # --tol finite and positive, --rank-tol in (0, 1), --seed >= 0, --epsilon finite
+    # --starts and --max-iter positive, --rank-tol in (0, 1), --seed >= 0,
+    # --epsilon finite
     out = tmp_path / "out"
     capsys.readouterr()
     assert run([sparse_instance if a == "h" else a for a in argv] + ["--out", out]) == 2
     assert capsys.readouterr().out == "" and not out.exists()
 
 
-SOLVER = {"--seed", "--tol", "--starts", "--max-iter"}
+SOLVER = {"--seed", "--starts", "--max-iter"}
 COMMAND_OPTIONS = {
     "detect": {"--input", "--method", "--seed", "--rank-tol"},
     "extract": {"--input", "--report", "--seed"},
@@ -560,8 +574,11 @@ def test_each_command_takes_only_the_options_it_reads():
         ("reduce-polytope", ["--sparse", "s.json", "--preset", "box"]),
         ("solve", ["--objective", "p.json", "--domain", "ball"]),
         ("approx", ["--input", "h.json"]),
+        ("pipeline", ["--input", "h.json", "--domain", "sphere"]),
         ("gen", ["--n", "3", "--m", "1"]),
     ]
+    # --tol is no command's option: the descents have one stop rule, relative
+    # to the objective's scale
     for option in ["--seed", "--rank-tol", "--tol", "--starts", "--max-iter"]
     if option not in COMMAND_OPTIONS[command]
 ])
@@ -741,6 +758,18 @@ def test_golden_reports(tmp_path, case):
     assert run(argv + ["--out", run_out]) == spec["exit"]
     with open(os.path.join(case_dir, "report.json"), "rb") as fh:
         assert fh.read() == (run_out / "report.json").read_bytes()
+
+
+def test_pipeline_exact_sphere_route_out_of_iterations_exits_4(tmp_path):
+    # case_sphere's h on its exact sphere route, one step per start: exit 4,
+    # and the partial report and the manifest are still written
+    out = tmp_path / "run"
+    h = os.path.join(GOLDEN_DIR, "case_sphere", "h.json")
+    assert run(["pipeline", "--input", h, "--domain", "sphere", "--max-iter", 1,
+                "--out", out]) == 4
+    report = read(out / "report.json")
+    assert report["route"] == "exact/sphere" and np.isfinite(report["rho"])
+    assert read(out / "manifest.json")["command"] == "pipeline"
 
 
 def test_approx_cubature_l2_error_scales_with_h(tmp_path):
