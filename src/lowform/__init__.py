@@ -4,7 +4,6 @@ from .approx import (
     CubatureRule,
     LiftedPolynomial,
     SpectrumSplit,
-    SurrogateMinimum,
     build_cubature,
     choose_m,
     conditional_expectation_cubature,
@@ -48,7 +47,6 @@ from .solvers import (
     Hrep,
     SolveOptions,
     SolveResult,
-    VertexTable,
     minimize_ball,
     minimize_polytope,
     minimize_sphere,

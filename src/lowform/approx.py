@@ -30,7 +30,7 @@ here in numpy, so neither path loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import SymEig
 from .poly import Polynomial, ball_moment_gram, ball_moments, graded_monomials, monomial_values
 from .sampling import sample_ball
-from .solvers import SolveOptions, minimize_ball
+from .solvers import SolveOptions, SolveResult, minimize_ball
 
 _ODD_Y_TOL = 1e-12
 # choose_m keeps the head whose spectral tail fraction falls below this
@@ -75,17 +75,14 @@ class SpectrumSplit:
 
 @dataclass(frozen=True)
 class LiftedPolynomial:
-    """Surrogate polynomial in (X_1, ..., X_m, Y); Y is the last variable."""
+    """Surrogate polynomial in (X_1, ..., X_m, Y); Y is the last variable,
+    so m is one less than ``poly.num_vars``."""
 
-    m: int
     poly: Polynomial
 
-    def __post_init__(self):
-        if self.poly.num_vars != self.m + 1:
-            raise ValueError(
-                f"lifted polynomial must have {self.m + 1} variables, "
-                f"got {self.poly.num_vars}"
-            )
+    @property
+    def m(self) -> int:
+        return self.poly.num_vars - 1
 
     def odd_y_violation(self) -> float:
         """Largest |coefficient| among odd-Y terms (zero for valid lifts)."""
@@ -167,7 +164,7 @@ def _surrogate(
     exps = rotated.exps
     head = np.column_stack([exps[:, :m], exps[:, m:].sum(axis=1)])
     return LiftedPolynomial(
-        m, Polynomial.from_arrays(m + 1, head, rotated.coefs * moments(exps[:, m:]))
+        Polynomial.from_arrays(m + 1, head, rotated.coefs * moments(exps[:, m:]))
     )
 
 
@@ -387,24 +384,17 @@ def conditional_expectation_cubature(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SurrogateMinimum:
-    """Minimum of problem Q."""
-
-    rho: float
-    point: np.ndarray  # (X, Y) on the unit sphere in R^(m+1), Y >= 0
-    status: str  # the ball solve's status: "converged" | "max_iter"
-
-
-def solve_Q(fhat: LiftedPolynomial, opts: SolveOptions | None = None) -> SurrogateMinimum:
+def solve_Q(fhat: LiftedPolynomial, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize B = ``fhat.to_ball_polynomial()`` over the m-ball.
 
-    The minimizer X is returned lifted to (X, sqrt(1 - |X|^2)), where fhat
-    takes the value B(X).
+    Returns the ball solve's result, its ``value`` the minimum rho of
+    problem Q, with the minimizer X lifted to the point
+    (X, sqrt(1 - |X|^2)) of the unit sphere in R^(m+1), where fhat takes
+    the value B(X).
     """
     res = minimize_ball(fhat.to_ball_polynomial(), opts)
     y = np.sqrt(max(0.0, 1.0 - res.point @ res.point))
-    return SurrogateMinimum(res.value, np.append(res.point, y), res.status)
+    return replace(res, point=np.append(res.point, y))
 
 
 def l2_error(h: Polynomial, fhat: LiftedPolynomial, split: SpectrumSplit) -> float:

@@ -275,7 +275,7 @@ def cmd_solve(args, opts):
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"{args.domain} is not a valid region file: {exc}") from exc
         inputs.append(args.domain)
-        res = minimize_polytope(p, region, opts)
+        res = minimize_polytope(p, region.points, opts)
     report = {
         "value": res.value,
         "point": res.point,
@@ -321,9 +321,9 @@ def _approx_route(
             "eigenvalues_head": split.lambda_head,
             "eigenvalues_tail": split.lambda_tail,
         },
-        "rho": minimum.rho,
-        "rho_plus": minimum.rho,
-        "rho_minus": minimum.rho,
+        "rho": minimum.value,
+        "rho_plus": minimum.value,
+        "rho_minus": minimum.value,
         "point": minimum.point,
         "l2_error": {"value": l2_error(h, fhat, split)},
     }

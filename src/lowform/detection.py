@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    SymEig,
-    fix_column_signs,
-    numeric_rank,
-    orthonormalize,
-    sym_eig,
-)
+from .linalg import DEFAULT_RANK_TOL, SymEig, numeric_rank, orthonormalize, sym_eig
 from .poly import (
     GradientEvaluator,
     Polynomial,
@@ -125,6 +118,8 @@ def detect_randomized(
     The gradients at all ``max_k`` samples come from one fill of h's gradient
     tree; the run takes them one sample at a time and stops at the first k
     where the numeric rank of the Gram matrix matches the previous one.
+    The basis comes from the same eigendecomposition of the k x k Gram: the
+    gradients times its top m eigenvectors span the gradients' column space.
     Raises :class:`RankNotStabilizedError` when the rank is still growing at
     ``max_k`` samples (default n + 2).
     """
@@ -142,14 +137,13 @@ def detect_randomized(
     for k in range(1, max_k + 1):
         stacked = gradients[:, :k]
         gram = stacked.T @ stacked
-        ranks = numeric_rank(sym_eig((gram + gram.T) / 2.0).eigenvalues, rank_tol)
+        eig = sym_eig((gram + gram.T) / 2.0)
+        ranks = numeric_rank(eig.eigenvalues, rank_tol)
         rank_trace.append(ranks)
         if prev_rank is not None and ranks == prev_rank:
-            m = ranks
-            basis = _gradient_basis(stacked, m)
             return DetectionReport(
-                m=m,
-                basis=basis,
+                m=ranks,
+                basis=orthonormalize(stacked @ eig.eigenvectors[:, :ranks]),
                 spectrum=rank_trace,
                 method="randomized",
                 samples_used=k,
@@ -159,19 +153,6 @@ def detect_randomized(
     raise RankNotStabilizedError(
         f"gradient rank did not stabilize within {max_k} samples"
     )
-
-
-def _gradient_basis(stacked: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormalize m independent gradient columns (pivoted QR).
-
-    scipy's QR is imported here, so only the randomized method loads scipy.
-    """
-    import scipy.linalg
-
-    if m == 0:
-        return np.zeros((stacked.shape[0], 0))
-    q, _, _ = scipy.linalg.qr(stacked, pivoting=True, mode="economic")
-    return fix_column_signs(q[:, :m])
 
 
 def extract_sparse_form(h: Polynomial, basis: np.ndarray) -> SparseForm:

@@ -31,8 +31,9 @@ one variable.  The tree is built once per instance, on first use.
   target variables of degree <= depth - d at level d, and the root's image
   is the result.  A level holds nodes x such monomials floats.
 * :class:`GradientEvaluator` serves the solvers: one tree over p and its
-  partials gives value and gradient from a single fill per point, for one
-  point (``at``) or for the rows of a batch (``rows``).
+  partials gives value and gradient from a single fill per point, for the
+  rows of a batch (``rows``, its one entry; a single point is a batch of
+  one).
 
 The module also provides closed-form expectations of monomials under the
 uniform probability distribution on the n-dimensional Euclidean unit ball,
@@ -535,11 +536,12 @@ class GradientEvaluator:
 
     The tree spans the terms of p and of its partials, so one fill at a
     point followed by one product with the (1 + n, nodes) coefficient matrix
-    gives p and its whole gradient.  :meth:`rows`, the one batch entry,
-    contracts each of a few points by its own matrix-vector product, so
-    every row equals :meth:`at` bit for bit (the lockstep descents rely on
-    it), and adds the rounding scale of p's value at each point, which tells
-    the descents when p can fall no further at float resolution.
+    gives p and its whole gradient.  :meth:`rows`, the one entry, contracts
+    each of a few points by its own matrix-vector product, so every row is
+    what a batch of that point alone gives, bit for bit (the lockstep
+    descents rely on it), and adds the rounding scale of p's value at each
+    point, which tells the descents when p can fall no further at float
+    resolution.
     """
 
     def __init__(self, p: Polynomial):
@@ -553,8 +555,8 @@ class GradientEvaluator:
         self._abs_value_coefs = np.abs(self._coefs[:1])
 
     def rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, 1 + n) array whose row i is :meth:`at` of row i of a (k, n)
-        array, bit for bit, and the (k,) rounding scales of p's value there,
+        """(k, 1 + n) array whose row i is p, then its partials, at row i of
+        a (k, n) array, and the (k,) rounding scales of p's value there,
         S(x) = sum |c_alpha| |x^alpha|.
 
         Both come from one tree fill, and each row by its own products, so
@@ -564,13 +566,6 @@ class GradientEvaluator:
         at = np.matmul(self._coefs, nodes[:, :, None])[:, :, 0]
         scale = np.matmul(self._abs_value_coefs, np.abs(nodes)[:, :, None])[:, 0, 0]
         return at, scale
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        """(1 + n,) array: p, then its partials, at one point."""
-        return self._coefs @ self._tree.fill(np.asarray(x, dtype=float)[:, None])[:, 0]
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.at(x)[1:]
 
 
 # ----------------------------------------------------------------------

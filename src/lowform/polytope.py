@@ -50,7 +50,6 @@ from .solvers import (
     Hrep,
     SolveOptions,
     SolveResult,
-    VertexTable,
     basic_feasible_solutions,
     minimize_polytope,
     minimize_zonotope,
@@ -240,7 +239,7 @@ def cut_loop(
     converged = False
     for _ in range(_MAX_CUTS):
         region = Hrep([c.u for c in cuts], [c.rhs for c in cuts], box_lo, box_hi)
-        res = minimize_polytope(f, region, opts)
+        res = minimize_polytope(f, region.points, opts)
         inner_values.append(res.value)
         tau, cut = separation_lp(poly, ell, res.point)
         if tau >= -SEPARATION_TOL:
@@ -330,10 +329,10 @@ def vertex_reduce(
     if poly.table is None:
         return cut_loop(sf, poly, opts)
     vertices = poly.table[0]
-    region = VertexTable(vertices @ ell)
-    res = minimize_polytope(sf.f, region, opts)
-    grad = GradientEvaluator(sf.f).grad(res.point)
-    table_best = float(np.min(region.points @ grad))
+    images = vertices @ ell
+    res = minimize_polytope(sf.f, images, opts)
+    grad = GradientEvaluator(sf.f).rows(res.point[None])[0][0, 1:]
+    table_best = float(np.min(images @ grad))
     tol = SEPARATION_TOL * max(1.0, abs(table_best))
     # half of tol for the reduced costs over sum(x) <= sum_bound, half for
     # the rounding of y . b against the table's value

@@ -7,8 +7,6 @@ import numpy as np
 
 def sample_sphere(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Rows uniform on the unit sphere in R^dim, shape (count, dim)."""
-    if dim == 0:
-        return np.zeros((count, 0))
     g = rng.standard_normal((count, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0

@@ -17,13 +17,13 @@ Every region is a row-wise projection plus, for polyhedra, a linear map
 into p's variables.  The ball and sphere descend in X itself; the sphere
 takes the tangent part of the gradient, and otherwise the stop rule and the
 Armijo test of every other region.  The zonotope ell^T [-1, 1]^n of a box
-descends in x, clipped to the box, with X = ell^T x.  The hull of a
-:class:`VertexTable`'s rows descends in weights on the probability simplex
-over the rows, with X their mixture of the rows; an
-H-rep region (:class:`Hrep`) builds its table once, by enumerating row
-subsets or, above a cap, by qhull after one LP.  So a polyhedral result
-carries its preimage, a point of the box or a convex mixture of the rows,
-from which :mod:`lowform.polytope` reads a feasible witness without an LP.
+descends in x, clipped to the box, with X = ell^T x.  The hull of the
+rows of a table, a plain array, descends in weights on the probability
+simplex over the rows, with X their mixture; an H-rep region
+(:class:`Hrep`) builds its table once, by enumerating row subsets or,
+above a cap, by qhull after one LP.  So a polyhedral result carries its
+preimage, a point of the box or a convex mixture of the rows, from which
+:mod:`lowform.polytope` reads a feasible witness without an LP.
 Each polyhedral start is a Dirichlet(1) mixture of the m + 1 vertices least
 along m + 1 Gaussian directions.  :func:`basic_feasible_solutions`
 enumerates the vertices of a standard-form polytope in one batched solve,
@@ -108,17 +108,6 @@ class SolveResult:
     # a polyhedral solve's own point, whose image is ``point``: the box
     # point x, or the weights on a vertex table's rows
     preimage: np.ndarray | None = None
-
-
-@dataclass
-class VertexTable:
-    """Convex hull of the rows of ``points``.
-
-    Rows need not all be extreme points of the hull: a repeated or inner row
-    only adds a weight to the descent over the hull.
-    """
-
-    points: np.ndarray
 
 
 def _least_rows(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -336,7 +325,7 @@ def _bb_rows(s: np.ndarray, y: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(sy <= 0.0, fallback, steps)
 
 
-def _descend(evaluator, starts, max_iter, project, lift=None, traces=None):
+def _descend(evaluator, starts, max_iter, project, lift=None):
     """Projected descent from every row of ``starts``, in lockstep; one
     candidate (y, value, iterations, converged) per start, in start order.
 
@@ -364,8 +353,6 @@ def _descend(evaluator, starts, max_iter, project, lift=None, traces=None):
     point; a start keeps S of its current point next to its value.  The
     round drops the starts that finished.  Every product is taken row by
     row, so each start computes exactly what a one-start run would.
-    ``traces``, a list of one list per start, receives each start's first
-    value and its value after every accepted step.
     """
     sphere = project is _sphere_rows
 
@@ -382,9 +369,6 @@ def _descend(evaluator, starts, max_iter, project, lift=None, traces=None):
 
     x = project(np.array(starts, dtype=float))
     fx, d, sx = oracle(x)
-    if traces is not None:
-        for trace, value in zip(traces, fx.tolist()):
-            trace.append(value)
     out_x, out_f = np.empty_like(x), np.empty_like(fx)
     out_it, out_ok = np.empty(len(x), dtype=int), np.empty(len(x), dtype=bool)
     idx = np.arange(len(x))
@@ -417,9 +401,6 @@ def _descend(evaluator, starts, max_iter, project, lift=None, traces=None):
         x, fx, d = np.where(rows_ok, cand, x), np.where(ok, fc, fx), np.where(rows_ok, d_new, d)
         sx = np.where(ok, sc, sx)
         it = it + ok
-        if traces is not None:
-            for j in np.flatnonzero(ok).tolist():
-                traces[idx[j]].append(float(fc[j]))
     return list(zip(out_x, out_f.tolist(), out_it.tolist(), out_ok.tolist()))
 
 
@@ -466,11 +447,15 @@ def minimize_sphere(p: Polynomial, opts: SolveOptions | None = None) -> SolveRes
     )
 
 
-def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -> SolveResult:
-    """Minimize p over the convex hull of ``region.points``, the rows of a
-    :class:`VertexTable` or an :class:`Hrep` region's table, by multi-start
-    projected descent in weights y on the probability simplex over the rows,
-    with X = points^T y.  The result's ``preimage`` is the best start's y.
+def minimize_polytope(
+    p: Polynomial, points: np.ndarray, opts: SolveOptions | None = None
+) -> SolveResult:
+    """Minimize p over the convex hull of the rows of ``points``, such as an
+    :class:`Hrep` region's table, by multi-start projected descent in
+    weights y on the probability simplex over the rows, with
+    X = points^T y.  The result's ``preimage`` is the best start's y.  Rows
+    need not all be extreme points of the hull: a repeated or inner row only
+    adds a weight.
 
     Every start is a Dirichlet(1) mixture of the m + 1 rows least along
     m + 1 Gaussian directions, m = p.num_vars, kept as weights on those
@@ -478,7 +463,6 @@ def minimize_polytope(p: Polynomial, region, opts: SolveOptions | None = None) -
     hull's centroid, so starts land near vertices and faces as well as
     inside.
     """
-    points = region.points
 
     def draw(rng, count):
         rows = _least_rows(points, rng.standard_normal((count, p.num_vars + 1, p.num_vars)))

@@ -550,47 +550,62 @@ def _draw_lifted_starts(rng, count: int, domain: str, lift: np.ndarray) -> list[
     return starts
 
 
-def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, seed: int,
-                       min_step_floor: bool = False, lift: np.ndarray | None = None
-                       ) -> tuple[float, np.ndarray, int, str]:
-    """(value, point, iterations, status) of the best serial run, with the
-    solvers' start draws: on the unit "ball" or "sphere", or in y over the
-    "box" [-1, 1]^k or the probability "simplex" in R^k, with
-    p read at X = lift^T y for a (k, m) ``lift``.
+def serial_descent(p: Polynomial, domain: str, max_iter: int, lift: np.ndarray | None = None,
+                   min_step_floor: bool = False):
+    """The one-start run x0 -> (y, value, iterations, converged) of
+    :func:`_pgd` (``trace=`` passes on to it) on the unit "ball" or
+    "sphere" (along the tangent gradient), or in y over the "box" [-1, 1]^k
+    or the probability "simplex" in R^k, with p read at X = lift^T y for a
+    (k, m) ``lift``.
 
-    Every start runs :func:`_pgd` alone (on the sphere along the tangent
-    gradient), valued through ``GradientEvaluator.at``, and stops at the
-    rounding scale that ``GradientEvaluator.rows`` gives, or with
-    ``min_step_floor`` at a trial step below _MIN_STEP, the solvers' earlier
-    rule.  The best run is the least (value, lexicographic point); its
-    point, y over a lift, is valued by ``p.evaluate`` at its X.
+    Values and gradients come from ``GradientEvaluator.rows`` of the one
+    point, and the run stops at the rounding scale that ``rows`` gives, or
+    with ``min_step_floor`` at a trial step below _MIN_STEP, the solvers'
+    earlier rule.
     """
     evaluator = GradientEvaluator(p)
     image = (lambda y: y) if lift is None else (lambda y: y @ lift)
 
+    def at(y):
+        return evaluator.rows(image(y)[None])
+
     def value(y):
-        return float(evaluator.at(image(y))[0])
+        return float(at(y)[0][0, 0])
 
     def grad(y):
-        g = evaluator.at(image(y))[1:]
+        g = at(y)[0][0, 1:]
         return g.copy() if lift is None else lift @ g
 
     def scale(y):
-        return float(evaluator.rows(image(y)[None])[1][0])
+        return float(at(y)[1][0])
 
+    project = {"ball": _project_ball, "sphere": _project_sphere,
+               "box": _project_box, "simplex": _project_simplex}[domain]
+    if domain == "sphere":
+        grad = _tangent_gradient(grad)
+    return functools.partial(_pgd, value, grad, project, max_iter=max_iter,
+                             scale=None if min_step_floor else scale)
+
+
+def serial_multi_start(p: Polynomial, domain: str, starts: int, max_iter: int, seed: int,
+                       min_step_floor: bool = False, lift: np.ndarray | None = None
+                       ) -> tuple[float, np.ndarray, int, str]:
+    """(value, point, iterations, status) of the best :func:`serial_descent`
+    run, from the solvers' start draws.  The best run is the least (value,
+    lexicographic point); its point, y over a lift, is valued by
+    ``p.evaluate`` at its X.
+    """
+    run = serial_descent(p, domain, max_iter, lift, min_step_floor)
     rng = np.random.default_rng(seed)
     if domain == "ball":
-        project, x0s = _project_ball, sample_ball(rng, starts, p.num_vars)
+        x0s = sample_ball(rng, starts, p.num_vars)
     elif domain == "sphere":
-        project, x0s = _project_sphere, sample_sphere(rng, starts, p.num_vars)
-        grad = _tangent_gradient(grad)
+        x0s = sample_sphere(rng, starts, p.num_vars)
     else:
-        project = _project_simplex if domain == "simplex" else _project_box
         x0s = _draw_lifted_starts(rng, starts, domain, lift)
-    runs = [_pgd(value, grad, project, x0, max_iter, scale=None if min_step_floor else scale)
-            for x0 in x0s]
-    x, _, iterations, converged = min(runs, key=lambda r: (r[1], tuple(r[0])))
-    return p.evaluate(image(x)), x, iterations, "converged" if converged else "max_iter"
+    x, _, iterations, converged = min(map(run, x0s), key=lambda r: (r[1], tuple(r[0])))
+    point = x if lift is None else x @ lift
+    return p.evaluate(point), x, iterations, "converged" if converged else "max_iter"
 
 
 # ----------------------------------------------------------------------

@@ -284,9 +284,9 @@ def test_cubature_degree_deficiency_rejected():
 
 
 def test_solve_q_tail_square():
-    fhat = LiftedPolynomial(2, Polynomial(3, {(0, 0, 2): 1 / 3}))
+    fhat = LiftedPolynomial(Polynomial(3, {(0, 0, 2): 1 / 3}))
     res = solve_Q(fhat, OPTS)
-    assert res.rho == pytest.approx(0.0, abs=1e-10)
+    assert res.value == pytest.approx(0.0, abs=1e-10)
     assert np.linalg.norm(res.point[:2]) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -297,7 +297,7 @@ def test_solve_q_no_y_terms_reduces_to_ball():
     res = solve_Q(fhat, OPTS)
     x_only = Polynomial(2, {e[:2]: c for e, c in fhat.poly.terms.items()})
     ball = minimize_ball(x_only, OPTS)
-    assert abs(res.rho - ball.value) < 1e-8
+    assert abs(res.value - ball.value) < 1e-8
 
 
 def test_hhat_eval_examples():
@@ -405,20 +405,20 @@ def test_conditional_expectation_matches_per_y_monte_carlo():
 
 
 def test_to_ball_polynomial_eliminates_y():
-    fhat = LiftedPolynomial(2, Polynomial(3, {(0, 0, 2): 1 / 3, (1, 0, 0): 0.5}))
+    fhat = LiftedPolynomial(Polynomial(3, {(0, 0, 2): 1 / 3, (1, 0, 0): 0.5}))
     q = fhat.to_ball_polynomial()
     # (1 - X1^2 - X2^2)/3 + X1/2
     expected = Polynomial(
         2, {(0, 0): 1 / 3, (2, 0): -1 / 3, (0, 2): -1 / 3, (1, 0): 0.5}
     )
     assert coefficient_distance(q, expected) < 1e-14
-    odd = LiftedPolynomial(1, Polynomial(2, {(0, 1): 1.0}))
+    odd = LiftedPolynomial(Polynomial(2, {(0, 1): 1.0}))
     with pytest.raises(ValueError):
         odd.to_ball_polynomial()
     # an odd-Y coefficient 1e-13 of the largest is rounding noise: dropped,
     # not folded into the Y^0 terms
     noisy = LiftedPolynomial(
-        2, Polynomial(3, {(0, 0, 2): 1e10 / 3, (1, 0, 0): 5e9, (0, 1, 1): 1e-3})
+        Polynomial(3, {(0, 0, 2): 1e10 / 3, (1, 0, 0): 5e9, (0, 1, 1): 1e-3})
     )
     assert coefficient_distance(noisy.to_ball_polynomial(), expected * 1e10) < 1e-5
 
@@ -433,7 +433,7 @@ def test_equality_of_surrogate_minima_mini():
         via_q = solve_Q(fhat, SolveOptions(seed=i))
         # fhat is even in Y, so its sphere minimum is its Y >= 0 minimum
         oracle = brute_force_min(fhat.poly, "sphere", 100_000, seed=7000 + i)
-        assert abs(via_q.rho - oracle) < 1e-6
+        assert abs(via_q.value - oracle) < 1e-6
 
 
 def test_l2_ratio_stays_bounded_over_epsilon_family():

@@ -813,7 +813,18 @@ assert cli.main(["approx", "--input", h, "--path", "cubature",
 assert not scipy_loaded(), ("cubature", scipy_loaded())
 assert cli.main(["detect", "--input", h, "--method", "randomized",
                  "--out", os.path.join(out, "detect")]) == 0
-assert "scipy.linalg" in sys.modules
+assert not scipy_loaded(), ("randomized detection", scipy_loaded())
+# the control: a row-rank-deficient A has no vertex table, so a phase-one
+# LP checks its polytope (the simplex, twice over) nonempty
+a, b = os.path.join(out, "A.json"), os.path.join(out, "b.json")
+with open(a, "w") as fh:
+    json.dump([[1.0] * 5, [2.0] * 5], fh)
+with open(b, "w") as fh:
+    json.dump([1.0, 2.0], fh)
+assert cli.main(["pipeline", "--input", os.path.join(golden, "case_simplex", "h.json"),
+                 "--domain", "polytope", "--A", a, "--b", b,
+                 "--out", os.path.join(out, "deficient")]) == 0
+assert "scipy.optimize" in sys.modules
 """
 
 
@@ -827,9 +838,10 @@ def _run_fresh(script: str, *args) -> subprocess.CompletedProcess:
 
 
 def test_golden_requests_never_load_scipy(tmp_path):
-    # scipy is imported only where an LP or a pivoted QR runs: a fresh
-    # interpreter answers the three golden requests and a cubature request
-    # without it, and the randomized detection still loads it
+    # scipy is imported only where an LP (or qhull) runs: a fresh
+    # interpreter answers the three golden requests, a cubature request and
+    # a randomized detection without it, and a polytope request that needs
+    # a phase-one LP still loads it
     done = _run_fresh(_SCIPY_GUARD, GOLDEN_DIR, tmp_path)
     assert done.returncode == 0, done.stderr
 

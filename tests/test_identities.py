@@ -1,12 +1,20 @@
 """Identities between routes: one route checks another where no brute-force
 oracle reaches."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lowform.cli import main
 from lowform.detection import SparseForm, detect_exact, extract_sparse_form, gradient_spectrum
 from lowform.generate import generate_instance
+from lowform.poly import Polynomial
 from lowform.polytope import Polytope, box_reduce, vertex_reduce
 from lowform.solvers import SolveOptions
 
@@ -44,3 +52,38 @@ def test_box_of_the_seed_9_request_equals_its_standard_form_twin():
 def test_box_equals_its_standard_form_twin(m, extra, degree, seed):
     inst = generate_instance(seed, m + extra, m, degree)
     _assert_box_equals_its_twin(SparseForm(f=inst.f0, ell=inst.ell0), SolveOptions(seed=seed))
+
+
+def _pipeline(h: Polynomial, domain: str) -> tuple[dict, int]:
+    """The report and exit code of ``pipeline --domain`` on h, at default
+    options."""
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work) / "h.json", Path(work) / "out"
+        path.write_text(json.dumps(h.to_json_dict()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pipeline", "--input", str(path), "--domain", domain, "--out", str(out)])
+        return json.loads((out / "report.json").read_text()), code
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    shape=st.sampled_from([(6, 2, 4), (6, 2, 3), (5, 2, 3)]),
+    route=st.sampled_from(["exact/sphere", "exact/simplex", "exact/box", "approx"]),
+    c=st.sampled_from([-3.0, 0.5, 10.0]),
+    seed=st.integers(0, 7),
+)
+@example(shape=(6, 2, 4), route="approx", c=10.0, seed=0)
+@example(shape=(5, 2, 3), route="exact/simplex", c=-3.0, seed=1)
+def test_constant_shift_shifts_rho(shape, route, c, seed):
+    # h + c has the gradients of h, so every route reduces it alike and its
+    # minimum is rho + c: the exact routes at epsilon = 0, the approx route
+    # on the sphere at epsilon = 0.05
+    n, m, degree = shape
+    h = generate_instance(seed, n, m, degree, 0.05 if route == "approx" else 0.0).h
+    domain = "sphere" if route == "approx" else route.split("/")[1]
+    base, code = _pipeline(h, domain)
+    assert base["route"] == route
+    shifted, shifted_code = _pipeline(h + Polynomial.constant(n, c), domain)
+    assert (shifted["route"], shifted_code) == (route, code)
+    want = base["rho"] + c
+    assert abs(shifted["rho"] - want) <= 1e-12 * max(1.0, abs(want))

@@ -607,26 +607,27 @@ def test_gradient_evaluator_matches_reference(n, degree, kind, seed):
     grads = reference_gradient(p)
     evaluator = GradientEvaluator(p)
     pts = rng.uniform(-1.0, 1.0, (4, n))
-    batch, _ = evaluator.rows(pts)
+    batch, scales = evaluator.rows(pts)
     assert batch.shape == (4, 1 + n)
     for x, row in zip(pts, batch):
         tol = 1e-12 * max(1.0, _magnitude(p, x) * max(degree, 1))
         want_value = reference_evaluate(p, x)
         want_grad = np.array([reference_evaluate(g, x) for g in grads], dtype=float)
-        assert abs(evaluator.at(x)[0] - want_value) <= tol
-        assert np.max(np.abs(evaluator.grad(x) - want_grad), initial=0.0) <= tol
         assert np.max(np.abs(row - np.concatenate([[want_value], want_grad]))) <= tol
         fd = finite_difference_gradient(p, x)
         scale = max(1.0, float(np.linalg.norm(want_grad)))
-        assert np.linalg.norm(evaluator.grad(x) - fd) / scale < 1e-6
-    # rows: each row is at() bit for bit, with the rounding scale of p there
-    rows, scales = evaluator.rows(pts)
-    for x, row, got in zip(pts, rows, scales):
-        assert row.tobytes() == evaluator.at(x).tobytes()
+        assert np.linalg.norm(row[1:] - fd) / scale < 1e-6
+    # each row is what a batch of its point alone gives, bit for bit, with
+    # the rounding scale of p there
+    for x, row, got in zip(pts, batch, scales):
+        alone, alone_scale = evaluator.rows(x[None])
+        assert row.tobytes() == alone[0].tobytes()
+        assert got.tobytes() == alone_scale[0].tobytes()
         assert abs(got - _magnitude(p, x)) <= 1e-13 * _magnitude(p, x)
     # the remembered point follows the argument's contents, not its identity
     if n:
-        x = pts[0].copy()
-        evaluator.at(x)[0]
-        x[0] += 0.25
-        assert abs(evaluator.at(x)[0] - reference_evaluate(p, x)) <= 1e-12 * max(1.0, _magnitude(p, x))
+        x = pts[:1].copy()
+        evaluator.rows(x)
+        x[0, 0] += 0.25
+        got = evaluator.rows(x)[0][0, 0]
+        assert abs(got - reference_evaluate(p, x[0])) <= 1e-12 * max(1.0, _magnitude(p, x[0]))

@@ -14,7 +14,7 @@ import lowform.polytope as polytope
 from conftest import brute_force_min, polytope_sample
 from lowform.detection import SparseForm, detect_exact, extract_sparse_form, gradient_spectrum
 from lowform.generate import generate_instance
-from lowform.linalg import LpProblem, lp_solve
+from lowform.linalg import LpProblem, LpResult, lp_solve
 from lowform.poly import Polynomial
 from lowform.polytope import (
     InfeasibleDomainError,
@@ -74,6 +74,26 @@ def test_cut_loop_quadratic_simplex():
     assert res.converged
     assert res.rho == pytest.approx(0.0, abs=1e-9)
     assert res.witness is not None and res.witness_gap < 1e-8
+
+
+def test_cut_loop_without_a_witness_when_its_lp_fails(monkeypatch):
+    # test double: an lp_solve that reports the witness LP, the only one
+    # whose equalities add the m forms to Omega's rows, infeasible; the
+    # loop's minimum stands, with no witness and no gap
+    sf = SparseForm(f=Polynomial(1, {(2,): 1.0, (1,): 0.5}), ell=ELL_DIFF)
+    want = cut_loop(sf, simplex3(), OPTS)
+    real = polytope.lp_solve
+
+    def failing(prob):
+        if prob.a_eq is not None and prob.a_eq.shape[0] == 1 + ELL_DIFF.shape[1]:
+            return LpResult("infeasible", None, None)
+        return real(prob)
+
+    monkeypatch.setattr(polytope, "lp_solve", failing)
+    res = cut_loop(sf, simplex3(), OPTS)
+    assert want.witness is not None
+    assert res.witness is None and res.witness_gap is None
+    assert (res.rho, res.converged) == (want.rho, want.converged)
 
 
 def test_cut_loop_linear_simplex():

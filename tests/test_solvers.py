@@ -14,6 +14,7 @@ from conftest import (
     hrep_linprog_vertex,
     random_polynomial,
     reference_evaluate,
+    serial_descent,
     serial_multi_start,
 )
 from lowform.detection import SparseForm
@@ -23,7 +24,6 @@ from lowform.solvers import (
     Hrep,
     InfeasibleRegionError,
     SolveOptions,
-    VertexTable,
     _ball_rows,
     _descend,
     _simplex_rows,
@@ -81,9 +81,9 @@ def test_minimize_sphere_kernel_direction():
 
 def test_minimize_polytope_interval():
     region = Hrep(a_ub=np.zeros((0, 1)), b_ub=np.zeros(0), lo=[-1.0], hi=[1.0])
-    lin = minimize_polytope(Polynomial(1, {(1,): 1.0}), region, OPTS)
+    lin = minimize_polytope(Polynomial(1, {(1,): 1.0}), region.points, OPTS)
     assert lin.value == pytest.approx(-1.0, abs=1e-10)
-    quad = minimize_polytope(Polynomial(1, {(2,): 1.0}), region, OPTS)
+    quad = minimize_polytope(Polynomial(1, {(2,): 1.0}), region.points, OPTS)
     assert quad.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_minimize_polytope_matches_oracle():
         rhs = rng.uniform(0.5, 1.5, 3)
         region = Hrep(a_ub=rows, b_ub=rhs, lo=[-1.5] * m, hi=[1.5] * m)
         p = random_polynomial(rng, m, 4)
-        res = minimize_polytope(p, region, SolveOptions(seed=i))
+        res = minimize_polytope(p, region.points, SolveOptions(seed=i))
         oracle = brute_force_min(p, region, 50_000, seed=200 + i)
         assert res.value <= oracle + 1e-6
         assert abs(res.value - oracle) < 1e-6
@@ -134,26 +134,29 @@ def test_feasibility_of_results():
     assert abs(sph.value - p.evaluate(sph.point)) < 1e-12
 
 
-def test_monotone_descent_traces():
-    rng = np.random.default_rng(9)
-    p = random_polynomial(rng, 2, 4)
+def test_serial_descent_is_monotone_and_ends_where_the_lockstep_one_does():
+    # every start of _descend ends at the value and iteration count of the
+    # serial reference run from it, bitwise, and that run's values fall
+    # monotonically; on the ball, the sphere, and over an H-rep square from
+    # the weights whose image is its center
+    p = random_polynomial(np.random.default_rng(9), 2, 4)
     evaluator = GradientEvaluator(p)
     starts = np.array([[0.4, -0.3], [0.6, 0.8], [-0.9, 0.1]])
-    for project in (_ball_rows, _sphere_rows):
-        traces = [[] for _ in starts]
-        _descend(evaluator, starts, 200, project, traces=traces)
-        for trace in traces:
-            assert len(trace) >= 2
-            assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
-
-    # over an H-rep square, from the weights whose image is its center
-    region = Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1, -1], hi=[1, 1])
-    rows = region.points.shape[0]
-    trace = []
-    _descend(evaluator, np.full((1, rows), 1.0 / rows), 200, _simplex_rows,
-             lift=region.points, traces=[trace])
-    assert len(trace) >= 2
-    assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+    square = Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1, -1], hi=[1, 1]).points
+    center = np.full((1, square.shape[0]), 1.0 / square.shape[0])
+    for domain, project, x0s, lift in (
+        ("ball", _ball_rows, starts, None),
+        ("sphere", _sphere_rows, starts, None),
+        ("simplex", _simplex_rows, center, square),
+    ):
+        run = serial_descent(p, domain, 200, lift)
+        for x0, (_, value, iterations, _) in zip(x0s, _descend(evaluator, x0s, 200, project, lift)):
+            trace = []
+            _, serial_value, serial_iterations, _ = run(x0, trace=trace)
+            assert len(trace) >= 2, domain
+            assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:])), domain
+            assert np.float64(value).tobytes() == np.float64(serial_value).tobytes(), domain
+            assert iterations == serial_iterations, domain
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,7 +182,7 @@ def test_lockstep_descent_equals_serial_runs_bitwise(m, degree, starts, max_iter
         ("ball", minimize_ball, None),
         ("sphere", minimize_sphere, None),
         ("box", lambda p, opts: minimize_zonotope(p, ell, opts), ell),
-        ("simplex", lambda p, opts: minimize_polytope(p, VertexTable(points), opts), points),
+        ("simplex", lambda p, opts: minimize_polytope(p, points, opts), points),
     ):
         res = minimize(p, opts)
         value, point, iterations, status = serial_multi_start(
@@ -268,20 +271,20 @@ SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 SKEWED = Polynomial(2, {(2, 0): 1.0, (1, 1): 1.8, (0, 2): 1.0, (1, 0): -0.24, (0, 1): -0.14})
 
 
-@pytest.mark.parametrize("region", [
-    VertexTable(SQUARE),
-    Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1.0, -1.0], hi=[1.0, 1.0]),
-], ids=["VertexTable", "Hrep"])
-def test_polytope_descent_reaches_interior_minimizer(region):
+@pytest.mark.parametrize("points", [
+    SQUARE,
+    Hrep(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), lo=[-1.0, -1.0], hi=[1.0, 1.0]).points,
+], ids=["table", "Hrep"])
+def test_polytope_descent_reaches_interior_minimizer(points):
     # x^2 + 1.8xy + y^2 - 0.24x - 0.14y: Hessian eigenvalues 3.8 and 0.2, and
     # its minimizer (0.3, -0.2) lies inside the square, off every vertex; the
     # weights of the best start mix the square's rows into it
-    res = minimize_polytope(SKEWED, region, OPTS)
+    res = minimize_polytope(SKEWED, points, OPTS)
     assert res.status == "converged"
     assert np.abs(res.point - [0.3, -0.2]).max() < 1e-7
     weights = res.preimage
     assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-15
-    assert res.point.tobytes() == (weights @ region.points).tobytes()
+    assert res.point.tobytes() == (weights @ points).tobytes()
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
@@ -292,7 +295,7 @@ def test_polytope_descent_matches_dense_grid(degree):
     grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)
     for seed in range(20):
         p = random_polynomial(np.random.default_rng([degree, seed]), 2, degree)
-        res = minimize_polytope(p, VertexTable(SQUARE), SolveOptions(seed=seed))
+        res = minimize_polytope(p, SQUARE, SolveOptions(seed=seed))
         assert res.status == "converged", seed
         assert np.abs(res.point).max() <= 1.0 + 1e-15 and res.preimage.min() >= 0.0
         assert res.value == pytest.approx(reference_evaluate(p, res.point), abs=1e-12)
@@ -310,7 +313,7 @@ def test_descent_to_the_minimum_of_a_near_quadratic(cubic):
     half = Polynomial(1, {(2,): 1.0, (1,): 0.4, (0,): 0.04}) + cubic * Polynomial(
         1, {(3,): 1.0, (2,): 1.5, (1,): 0.75, (0,): 0.125})  # p(s + 1/2)
     for res, s in (
-        (minimize_polytope(p, VertexTable(np.array([[0.0], [1.0]])), OPTS), 0.0),
+        (minimize_polytope(p, np.array([[0.0], [1.0]]), OPTS), 0.0),
         (minimize_zonotope(half, np.array([[0.5]]), OPTS), 0.5),
     ):
         assert res.status == "converged"
@@ -364,7 +367,7 @@ def test_minimum_of_a_scaled_objective_is_scaled(shape, seed):
     # table and a zonotope: every start stops relative to p's own scale, so
     # no absolute bound ends the descent of a small c p early
     inst = generate_instance(seed, *shape)
-    table = VertexTable(np.random.default_rng(seed).standard_normal((inst.m + 3, inst.m)))
+    table = np.random.default_rng(seed).standard_normal((inst.m + 3, inst.m))
     opts = SolveOptions(seed=seed)
     solves = {
         "h-ball": (inst.h, minimize_ball),
@@ -503,7 +506,7 @@ def test_hrep_lmo_solves_no_lp_in_dimension_4(monkeypatch):
     p = Polynomial(4, {(2, 0, 0, 0): 1.0, (1, 1, 0, 0): 1.8, (0, 2, 0, 0): 1.0,
                        (1, 0, 0, 0): -0.24, (0, 1, 0, 0): -0.14,
                        (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
-    res = minimize_polytope(p, box4, OPTS)
+    res = minimize_polytope(p, box4.points, OPTS)
     assert res.status == "converged"
     assert np.abs(res.point - [0.3, -0.2, 0.0, 0.0]).max() < 1e-7
     assert calls == []
@@ -538,4 +541,18 @@ def test_empty_region_raises(monkeypatch):
         region.lmo(np.array([1.0, 0.0]))
     assert len(calls) == 1  # the table came out empty; one LP confirmed it
     with pytest.raises(InfeasibleRegionError):
-        minimize_polytope(Polynomial(2, {(1, 0): 1.0}), region, OPTS)
+        minimize_polytope(Polynomial(2, {(1, 0): 1.0}), region.points, OPTS)
+
+
+def test_region_empty_within_the_lp_tolerance_takes_the_chebyshev_center(monkeypatch):
+    # x <= -1e-9 on [0, 1]: each basic solution misses a row by far more
+    # than its rounding slack, so the subset table is empty, but HiGHS,
+    # whose feasibility tolerance is 1e-7, finds the region nonempty; the
+    # table is then its one LP's Chebyshev center
+    calls = _counting_lp(monkeypatch)
+    region = Hrep(a_ub=[[1.0]], b_ub=[-1e-9], lo=[0.0], hi=[1.0])
+    points = region.points
+    assert points.shape == (1, 1) and len(calls) == 1
+    assert hrep_contains(region, points[0], tol=1e-7)
+    res = minimize_polytope(Polynomial(1, {(1,): 1.0}), points, OPTS)
+    assert res.status == "converged" and res.point.tobytes() == points[0].tobytes()
